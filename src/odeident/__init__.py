@@ -18,7 +18,6 @@ Layers, bottom up:
 
 from .config import DEFAULTS, Tolerances
 from .errors import (
-    ConsistencyError,
     ConvergenceError,
     DefectiveMatrixError,
     DimensionError,
@@ -80,10 +79,8 @@ from .ode import (
     PolynomialBasis,
     SensitivityBundle,
     Trajectory,
-    evaluate,
     integrate,
     integrate_with_sensitivity,
-    rk4_fixed,
 )
 
 __version__ = "0.1.0"
@@ -91,7 +88,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULTS",
     "Tolerances",
-    "ConsistencyError",
     "ConvergenceError",
     "DefectiveMatrixError",
     "DimensionError",
@@ -143,9 +139,7 @@ __all__ = [
     "PolynomialBasis",
     "SensitivityBundle",
     "Trajectory",
-    "evaluate",
     "integrate",
     "integrate_with_sensitivity",
-    "rk4_fixed",
     "__version__",
 ]

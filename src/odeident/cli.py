@@ -73,7 +73,14 @@ from .linearcase import (
 )
 from .numkernel import as_square
 from .obsmap import ObservationMapHandle, certify_radius, verify_lower_bound, zeta_scan
-from .ode import MatrixLinear, PolyMap, PolynomialBasis, integrate, write_trajectory_csv
+from .ode import (
+    MatrixLinear,
+    ParamSystem,
+    PolyMap,
+    PolynomialBasis,
+    integrate,
+    write_trajectory_csv,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -96,25 +103,110 @@ def _require(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
+def _as_dict(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{path}' must be an object")
+    return value
+
+
+def _as_list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"'{path}' must be a list")
+    return value
+
+
 def _as_float(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"'{path}' must be a number")
+    # the comparison is exact for ints of any size and false for nan
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"'{path}' must be a finite number")
     return float(value)
 
 
-def _as_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"'{path}' must be an integer")
+def _as_int(value, path: str, minimum: int | None = None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or abs(value) >= 2 ** 63:
+        raise ConfigError(f"'{path}' must be a 64-bit integer")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"'{path}' must be >= {minimum}")
     return value
+
+
+def _as_array(value, path: str) -> np.ndarray:
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"'{path}' must be numeric") from None
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"'{path}' must be finite")
+    return arr
+
+
+def _basis_system(basis, k: int, n: int) -> PolynomialBasis:
+    if not isinstance(basis, list) or len(basis) != n:
+        raise ConfigError(f"system.basis must list n={n} maps")
+    maps = []
+    for mi, comp_list in enumerate(basis):
+        path = f"system.basis[{mi}]"
+        comps = []
+        for ci, component in enumerate(_as_list(comp_list, path)):
+            terms = []
+            for ti, term in enumerate(_as_list(component, f"{path}[{ci}]")):
+                tpath = f"{path}[{ci}][{ti}]"
+                term = _as_dict(term, tpath)
+                coeff = _as_float(_require(term, "coeff", tpath), f"{tpath}.coeff")
+                exps = _as_list(_require(term, "exponents", tpath), f"{tpath}.exponents")
+                terms.append((coeff, tuple(_as_int(e, f"{tpath}.exponents", 0)
+                                           for e in exps)))
+            comps.append(terms)
+        try:
+            maps.append(PolyMap(k, comps))
+        except (DomainError, DimensionError) as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    try:
+        return PolynomialBasis(maps)
+    except (DomainError, DimensionError) as exc:
+        raise ConfigError(f"system.basis: {exc}") from exc
+
+
+def _gauss_newton_options(gn) -> GaussNewtonOptions:
+    path = "solver.gauss_newton"
+    gn = _as_dict(gn, path)
+    d = GaussNewtonOptions()
+    try:
+        return GaussNewtonOptions(
+            max_iter=_as_int(gn.get("max_iter", d.max_iter), f"{path}.max_iter"),
+            step_tol=_as_float(gn.get("step_tol", d.step_tol), f"{path}.step_tol"),
+            grad_tol=_as_float(gn.get("grad_tol", d.grad_tol), f"{path}.grad_tol"),
+            damping=_as_float(gn.get("damping", d.damping), f"{path}.damping"),
+        )
+    except DomainError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _scan_block(scan) -> dict:
+    path = "solver.scan"
+    scan = _as_dict(scan, path)
+    out = {"t_values": _as_array(_require(scan, "t_values", path),
+                                 f"{path}.t_values").reshape(-1)}
+    for key in ("alpha_box", "x_box"):
+        box = _as_array(_require(scan, key, path), f"{path}.{key}")
+        if box.ndim != 2 or box.shape[1] != 2:
+            raise ConfigError(f"'{path}.{key}' must be a list of [lo, hi] pairs")
+        out[key] = box
+    grid = _require(scan, "grid", path)
+    out["grid"] = ([_as_int(g, f"{path}.grid") for g in grid] if isinstance(grid, list)
+                   else _as_int(grid, f"{path}.grid"))
+    out["rank_tol"] = _as_float(scan.get("rank_tol", 1e-12), f"{path}.rank_tol")
+    return out
 
 
 @dataclass
 class ExperimentConfig:
-    raw: dict
     digest: str
     species: str
     k: int
     n: int
+    system: ParamSystem
     alpha0: np.ndarray          # flat parameter vector, length n
     x0: np.ndarray
     h: float
@@ -123,110 +215,81 @@ class ExperimentConfig:
     sigma: float
     seed: int
     solver: dict
-
-    def build_system(self):
-        if self.species == "matrix_linear":
-            return MatrixLinear(self.k)
-        maps = []
-        for mi, comp_list in enumerate(self.raw["system"]["basis"]):
-            comps = []
-            for component in comp_list:
-                comps.append([(term["coeff"], tuple(term["exponents"]))
-                              for term in component])
-            try:
-                maps.append(PolyMap(self.k, comps))
-            except (DomainError, DimensionError) as exc:
-                raise ConfigError(f"system.basis[{mi}]: {exc}") from exc
-        try:
-            return PolynomialBasis(maps)
-        except (DomainError, DimensionError) as exc:
-            raise ConfigError(f"system.basis: {exc}") from exc
+    init: np.ndarray | None     # solver.init, flat length n
+    gn_options: GaussNewtonOptions
+    scan: dict | None           # validated solver.scan block
 
     def build_handle(self) -> ObservationMapHandle:
-        try:
-            return ObservationMapHandle(sys=self.build_system(), x0=self.x0,
-                                        h=self.h, m=self.m, tol=self.tol)
-        except (DomainError, DimensionError) as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def gauss_newton_options(self) -> GaussNewtonOptions:
-        gn = self.solver.get("gauss_newton", {})
-        try:
-            return GaussNewtonOptions(
-                max_iter=gn.get("max_iter", DEFAULTS.gn_max_iter),
-                step_tol=gn.get("step_tol", DEFAULTS.gn_step_tol),
-                grad_tol=gn.get("grad_tol", DEFAULTS.gn_grad_tol),
-                damping=gn.get("damping", DEFAULTS.gn_damping),
-            )
-        except DomainError as exc:
-            raise ConfigError(f"solver.gauss_newton: {exc}") from exc
+        return ObservationMapHandle(sys=self.system, x0=self.x0, h=self.h, m=self.m,
+                                    tol=self.tol)
 
 
 def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
+    """Parse and validate a config file; every malformed input is a ConfigError."""
     raw_bytes = Path(path).read_bytes()
     try:
         raw = json.loads(raw_bytes)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"parse error at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ConfigError(f"parse error: {exc}") from exc
+    raw = _as_dict(raw, "config root")
     digest = hashlib.sha256(raw_bytes).hexdigest()
 
-    system = _require(raw, "system", "")
+    system = _as_dict(_require(raw, "system", ""), "system")
     species = _require(system, "species", "system")
     if species not in ("matrix_linear", "polynomial_basis"):
         raise ConfigError(f"unknown species '{species}'")
-    k = _as_int(_require(system, "k", "system"), "system.k")
-    n = _as_int(_require(system, "n", "system"), "system.n")
-    if k < 1 or n < 1:
-        raise ConfigError("system.k and system.n must be >= 1")
-    if species == "matrix_linear" and n != k * k:
-        raise ConfigError(f"matrix_linear requires n = k^2, got n={n}, k={k}")
-    if species == "polynomial_basis":
-        basis = _require(system, "basis", "system")
-        if not isinstance(basis, list) or len(basis) != n:
-            raise ConfigError(f"system.basis must list n={n} maps")
-
-    alpha0 = np.asarray(_require(system, "alpha0", "system"), dtype=float)
+    k = _as_int(_require(system, "k", "system"), "system.k", 1)
+    n = _as_int(_require(system, "n", "system"), "system.n", 1)
     if species == "matrix_linear":
-        if alpha0.shape not in ((k, k), (k * k,)):
-            raise ConfigError(
-                f"system.alpha0 must be {k}x{k} (or flat length {k * k}), "
-                f"got shape {alpha0.shape}"
-            )
-        alpha0 = alpha0.reshape(-1)
+        if n != k * k:
+            raise ConfigError(f"matrix_linear requires n = k^2, got n={n}, k={k}")
+        model = MatrixLinear(k)
     else:
-        if alpha0.reshape(-1).shape[0] != n:
-            raise ConfigError(f"system.alpha0 must have length n={n}")
-        alpha0 = alpha0.reshape(-1)
-    x0 = np.asarray(_require(system, "x0", "system"), dtype=float).reshape(-1)
+        model = _basis_system(_require(system, "basis", "system"), k, n)
+
+    alpha0 = _as_array(_require(system, "alpha0", "system"), "system.alpha0")
+    if species == "matrix_linear" and alpha0.shape not in ((k, k), (k * k,)):
+        raise ConfigError(
+            f"system.alpha0 must be {k}x{k} (or flat length {k * k}), "
+            f"got shape {alpha0.shape}"
+        )
+    alpha0 = alpha0.reshape(-1)
+    if alpha0.shape[0] != n:
+        raise ConfigError(f"system.alpha0 must have length n={n}")
+    x0 = _as_array(_require(system, "x0", "system"), "system.x0").reshape(-1)
     if x0.shape[0] != k:
         raise ConfigError(f"system.x0 must have length k={k}, got {x0.shape[0]}")
-    if not np.all(np.isfinite(alpha0)) or not np.all(np.isfinite(x0)):
-        raise ConfigError("system.alpha0/x0 must be finite")
 
-    obs = _require(raw, "observation", "")
+    obs = _as_dict(_require(raw, "observation", ""), "observation")
     h = _as_float(_require(obs, "h", "observation"), "observation.h")
-    m = _as_int(_require(obs, "m", "observation"), "observation.m")
+    m = _as_int(_require(obs, "m", "observation"), "observation.m", 1)
     tol = _as_float(obs.get("tol", DEFAULTS.integrator_tol), "observation.tol")
-    if h <= 0.0 or m < 1:
-        raise ConfigError("observation.h must be > 0 and observation.m >= 1")
+    if h <= 0.0:
+        raise ConfigError("observation.h must be > 0")
 
-    noise = raw.get("noise", {})
+    noise = _as_dict(raw.get("noise", {}), "noise")
     sigma = _as_float(noise.get("sigma", 0.0), "noise.sigma")
-    seed = _as_int(noise.get("seed", 0), "noise.seed")
+    seed = _as_int(noise.get("seed", 0), "noise.seed", 0)
     if sigma < 0.0:
         raise ConfigError("noise.sigma must be >= 0")
     if seed_override is not None:
-        seed = seed_override
+        seed = _as_int(seed_override, "--seed", 0)
 
-    solver = dict(raw.get("solver", {}))
+    solver = dict(_as_dict(raw.get("solver", {}), "solver"))
     if seed_override is not None:
         solver["seed"] = seed_override
+    init = None
+    if "init" in solver:
+        init = _as_array(solver["init"], "solver.init").reshape(-1)
+        if init.shape[0] != n:
+            raise ConfigError(f"solver.init must have length n={n}")
+    gn_options = _gauss_newton_options(solver.get("gauss_newton", {}))
+    scan = _scan_block(solver["scan"]) if "scan" in solver else None
 
-    return ExperimentConfig(raw=raw, digest=digest, species=species, k=k, n=n,
-                            alpha0=alpha0, x0=x0, h=h, m=m, tol=tol,
-                            sigma=sigma, seed=seed, solver=solver)
+    return ExperimentConfig(digest=digest, species=species, k=k, n=n, system=model,
+                            alpha0=alpha0, x0=x0, h=h, m=m, tol=tol, sigma=sigma,
+                            seed=seed, solver=solver, init=init,
+                            gn_options=gn_options, scan=scan)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +309,7 @@ def _write_json(path, payload: dict, cfg: ExperimentConfig) -> None:
 
 def cmd_simulate(config_path, out_path, seed_override: int | None = None) -> int:
     cfg = load_config(config_path, seed_override)
-    sys_obj = cfg.build_system()
-    traj = integrate(sys_obj, cfg.alpha0, cfg.x0, t_end=cfg.h * cfg.m,
+    traj = integrate(cfg.system, cfg.alpha0, cfg.x0, t_end=cfg.h * cfg.m,
                      samples=cfg.m, tol=cfg.tol)
     grid = ObservationGrid.from_trajectory(traj)
     if cfg.sigma > 0.0:
@@ -265,7 +327,7 @@ def cmd_certify(config_path, out_path, seed_override: int | None = None) -> int:
     r_work = _as_float(solver.get("r_work", 0.5), "solver.r_work")
     gamma_samples = _as_int(solver.get("gamma_samples", 32), "solver.gamma_samples")
     safety = _as_float(solver.get("safety", DEFAULTS.gamma_safety), "solver.safety")
-    seed = _as_int(solver.get("seed", 0), "solver.seed")
+    seed = _as_int(solver.get("seed", 0), "solver.seed", 0)
     pairs = _as_int(solver.get("verify_pairs", 1000), "solver.verify_pairs")
     try:
         cert = certify_radius(handle, cfg.alpha0, r_work=r_work,
@@ -273,8 +335,7 @@ def cmd_certify(config_path, out_path, seed_override: int | None = None) -> int:
     except NotIdentifiableError as exc:
         _write_json(out_path, {"not_identifiable": True,
                                "diagnostics": exc.diagnostics}, cfg)
-        print(f"certify: NOT identifiable (beta={exc.diagnostics['beta']:.3e}, "
-              f"rank={exc.diagnostics['rank']}/{exc.diagnostics['n_params']})")
+        print(f"certify: NOT identifiable: {exc}")
         return EXIT_NOT_IDENTIFIABLE
     report = verify_lower_bound(handle, cert, pair_count=pairs, seed=seed)
     _write_json(out_path, {"certificate": cert.to_dict(),
@@ -328,7 +389,6 @@ def cmd_invert(config_path, obs_path, mode: str, out_path,
         raise ConfigError(f"mode must be 'fd' or 'gn', got '{mode}'")
     cfg = load_config(config_path, seed_override)
     grid = ObservationGrid.from_csv(obs_path)
-    sys_obj = cfg.build_system()
     if grid.values.shape[1] != cfg.k:
         raise ConfigError(
             f"observations have {grid.values.shape[1]} state columns, "
@@ -336,10 +396,7 @@ def cmd_invert(config_path, obs_path, mode: str, out_path,
         )
 
     if mode == "fd":
-        try:
-            result = fd_linear_estimate(grid, sys_obj)
-        except (DomainError, DimensionError) as exc:
-            raise ConfigError(str(exc)) from exc
+        result = fd_linear_estimate(grid, cfg.system)
     else:
         handle = cfg.build_handle()
         if (grid.times.shape[0] != cfg.m
@@ -348,13 +405,10 @@ def cmd_invert(config_path, obs_path, mode: str, out_path,
             raise ConfigError(
                 "observation grid does not match the configured (h, m)"
             )
-        if "init" not in cfg.solver:
+        if cfg.init is None:
             raise ConfigError("solver.init is required for gauss-newton inversion")
-        init = np.asarray(cfg.solver["init"], dtype=float).reshape(-1)
-        if init.shape[0] != cfg.n:
-            raise ConfigError(f"solver.init must have length n={cfg.n}")
-        result = gauss_newton_invert(handle, grid.values.ravel(), init,
-                                     options=cfg.gauss_newton_options())
+        result = gauss_newton_invert(handle, grid.values.ravel(), cfg.init,
+                                     options=cfg.gn_options)
 
     _write_json(out_path, {"mode": mode, "result": result.to_dict()}, cfg)
     ok = result.converged and not result.rank_deficient
@@ -368,20 +422,11 @@ def cmd_invert(config_path, obs_path, mode: str, out_path,
 
 def cmd_zeta_scan(config_path, out_path, seed_override: int | None = None) -> int:
     cfg = load_config(config_path, seed_override)
-    scan = cfg.solver.get("scan")
-    if not isinstance(scan, dict):
+    scan = cfg.scan
+    if scan is None:
         raise ConfigError("solver.scan block is required for zeta-scan")
-    for key in ("t_values", "alpha_box", "x_box", "grid"):
-        if key not in scan:
-            raise ConfigError(f"missing required key 'solver.scan.{key}'")
-    handle = cfg.build_handle()
-    try:
-        result = zeta_scan(handle, scan["t_values"], scan["alpha_box"],
-                           scan["x_box"], scan["grid"],
-                           rank_tol=_as_float(scan.get("rank_tol", 1e-12),
-                                              "solver.scan.rank_tol"))
-    except (DomainError, DimensionError) as exc:
-        raise ConfigError(str(exc)) from exc
+    result = zeta_scan(cfg.build_handle(), scan["t_values"], scan["alpha_box"],
+                       scan["x_box"], scan["grid"], rank_tol=scan["rank_tol"])
     Path(out_path).write_text("\n".join(result.csv_lines()) + "\n")
     frac = result.flagged_fraction
     print(f"zeta-scan: {len(result.cells)} cells, flagged fraction "

@@ -1,21 +1,20 @@
 """Central tolerance/budget configuration.
 
-Every numerical threshold used by the toolkit lives in one frozen record so
-tests and callers can see (and override) the complete set in one place.
+Every numerical threshold used by the toolkit lives in one frozen record,
+``DEFAULTS``, so the complete set can be read in one place. The thresholds
+are fixed constants: library functions read ``DEFAULTS`` directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class Tolerances:
     # numkernel
     eig_max_dim: int = 12               # largest matrix accepted by eigenvalues()
-    eig_newton_steps: int = 2           # polish steps for the closed-form cubic
     mat_exp_scaled_norm: float = 0.5    # scale-and-square until ||A/2^s|| <= this
-    mat_exp_pade_order: int = 10        # [m/m] rational approximant order
 
     # ode
     integrator_tol: float = 1e-10       # default local error tolerance
@@ -34,6 +33,7 @@ class Tolerances:
     k_scan: int = 16                    # aliasing search bound |k| <= k_scan
     krylov_rank_rel: float = 1e-10      # Krylov dependence threshold, rel. sigma1
     k_max: int = 2                      # default log-branch enumeration bound
+    eig_repeat_tol: float = 1e-9        # eigenvalues this close (times scale) coincide
     branch_budget: int = 10_000         # max enumerated branches
     aliasing_im_tol: float = 1e-7       # |Im(dl)*h/2pi - round(.)| threshold
     aliasing_re_tol: float = 1e-9       # |Re(dl)| threshold, times eigenvalue scale
@@ -49,9 +49,6 @@ class Tolerances:
     gn_damping: float = 1e-3
     gn_damping_down: float = 0.5        # on accepted step
     gn_damping_up: float = 4.0          # on rejected step
-
-    def with_overrides(self, **kwargs) -> "Tolerances":
-        return replace(self, **kwargs)
 
 
 DEFAULTS = Tolerances()

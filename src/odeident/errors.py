@@ -49,10 +49,6 @@ class DefectiveMatrixError(ValueError):
     """Operation requires a diagonalizable matrix with simple eigenvalues."""
 
 
-class ConsistencyError(RuntimeError):
-    """An internal cross-check failed (should not happen on valid input)."""
-
-
 class InputFormatError(ValueError):
     """A CSV/config input failed to parse; carries the offending line."""
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import DEFAULTS, Tolerances
+from .config import DEFAULTS
 from .errors import DimensionError, DivergenceError, DomainError, IntegrationError
-from .numkernel import least_squares, singular_values
+from .numkernel import least_squares, numerical_rank, singular_values
 from .obsmap import ObservationMapHandle, phi, phi_jacobian
 from .ode import (
     MatrixLinear,
@@ -28,8 +28,6 @@ from .ode import (
     Trajectory,
     read_trajectory_csv,
 )
-
-_EPS = float(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +133,11 @@ def _linear_block(sys: ParamSystem, x: np.ndarray) -> np.ndarray:
     return sys.dfda(x, np.zeros(sys.param_dim))
 
 
-def fd_linear_estimate(obs: ObservationGrid, sys: ParamSystem,
-                       ridge: float = 0.0) -> EstimationResult:
+def fd_linear_estimate(obs: ObservationGrid, sys: ParamSystem) -> EstimationResult:
     """Central-difference least-squares estimate for linear-in-parameter f.
 
     Endpoints are dropped (the stencil needs both neighbors), keeping the
-    O(dt^2) error of the interior scheme. ``ridge`` adds an optional
-    Tikhonov term; it is off by default and no silent regularization is
-    applied.
+    O(dt^2) error of the interior scheme. No regularization is applied.
     """
     if not isinstance(sys, (PolynomialBasis, MatrixLinear)):
         raise DomainError("fd_linear_estimate needs a linear-in-parameter system")
@@ -153,8 +148,6 @@ def fd_linear_estimate(obs: ObservationGrid, sys: ParamSystem,
         )
     if obs.n_interior < 1:
         raise DomainError("need at least one interior sample (N >= 2)")
-    if ridge < 0.0:
-        raise DomainError("ridge must be >= 0")
 
     k, n = sys.state_dim, sys.param_dim
     n_int = obs.n_interior
@@ -164,9 +157,6 @@ def fd_linear_estimate(obs: ObservationGrid, sys: ParamSystem,
     for row, i in enumerate(range(1, n_int + 1)):
         a[row * k:(row + 1) * k] = _linear_block(sys, obs.values[i])
         b[row * k:(row + 1) * k] = (obs.values[i + 1] - obs.values[i - 1]) / two_dt
-    if ridge > 0.0:
-        a = np.vstack([a, math.sqrt(ridge) * np.eye(n)])
-        b = np.concatenate([b, np.zeros(n)])
 
     sol = least_squares(a, b)
     deficient = sol.rank < n
@@ -202,15 +192,16 @@ class GaussNewtonOptions:
 
 
 def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
-                        options: GaussNewtonOptions = GaussNewtonOptions(),
-                        tols: Tolerances = DEFAULTS) -> EstimationResult:
+                        options: GaussNewtonOptions = GaussNewtonOptions()
+                        ) -> EstimationResult:
     """Invert the observation map locally by damped Gauss-Newton.
 
     Steps solve (J^T J + damping * diag(J^T J)) s = J^T (y - phi(a)); the
     damping factor halves after an accepted step and quadruples after a
     rejected one, so the residual is non-increasing across accepted
     iterates. Convergence requires both the final step norm <= step_tol and
-    the residual gradient norm <= grad_tol.
+    the residual gradient norm <= grad_tol. The reported rank and condition
+    are those of the Jacobian at the returned ``alpha_hat``.
     """
     y_obs = np.asarray(y_obs, dtype=float).reshape(-1)
     alpha = np.asarray(alpha_init, dtype=float).reshape(-1)
@@ -234,7 +225,6 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
     iterations = 0
     converged = False
     message = ""
-    jac = None
 
     for _ in range(options.max_iter):
         jac = phi_jacobian(handle, alpha)
@@ -262,13 +252,13 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
             try:
                 trial_res = y_obs - phi(handle, trial)
             except IntegrationError:
-                lam *= tols.gn_damping_up
+                lam *= DEFAULTS.gn_damping_up
                 continue
             trial_cost = float(np.linalg.norm(trial_res))
             if math.isfinite(trial_cost) and trial_cost < cost:
                 accepted = True
                 break
-            lam *= tols.gn_damping_up
+            lam *= DEFAULTS.gn_damping_up
 
         if not accepted:
             # stagnation: converged if the (rejected) proposal was already
@@ -280,20 +270,18 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
             break
 
         alpha, residual_vec, cost = trial, trial_res, trial_cost
-        lam = max(lam * tols.gn_damping_down, 1e-300)
+        lam = max(lam * DEFAULTS.gn_damping_down, 1e-300)
         last_step = step_norm
         iterations += 1
         history.append((alpha.copy(), cost))
-
-    if not math.isfinite(cost):
-        raise DivergenceError("residual diverged", 0.0)
-    if jac is None:
-        jac = phi_jacobian(handle, alpha)
-    svals = singular_values(jac)
-    rank = int(np.sum(svals > max(jac.shape) * _EPS * svals[0])) if svals[0] > 0 else 0
-    condition = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
-    if not converged and not message:
+    else:
         message = "max_iter exhausted"
+        # the last accepted step moved alpha past the iterate jac was taken at
+        jac = phi_jacobian(handle, alpha)
+
+    svals = singular_values(jac)
+    rank = numerical_rank(jac, svals)
+    condition = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
     return EstimationResult(
         alpha_hat=alpha,
         residual=cost,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULTS, Tolerances
+from .config import DEFAULTS
 from .errors import DefectiveMatrixError, DimensionError, DomainError
 from .numkernel import (
     Poly,
@@ -116,8 +116,7 @@ class DegeneracyReport:
         }
 
 
-def _aliasing_pairs(vals: np.ndarray, h: float,
-                    tols: Tolerances) -> list[tuple[int, int, int]]:
+def _aliasing_pairs(vals: np.ndarray, h: float) -> list[tuple[int, int, int]]:
     n = len(vals)
     scale = max(1.0, float(np.abs(vals).max()))
     pairs = []
@@ -125,24 +124,23 @@ def _aliasing_pairs(vals: np.ndarray, h: float,
         diff = vals[a] - vals[b]
         if diff.imag < 0.0:
             a, b, diff = b, a, -diff
-        if abs(diff.real) >= tols.aliasing_re_tol * scale:
+        if abs(diff.real) >= DEFAULTS.aliasing_re_tol * scale:
             continue
         ratio = diff.imag * h / (2.0 * math.pi)
         k = round(ratio)
-        if abs(k) > tols.k_scan:
+        if abs(k) > DEFAULTS.k_scan:
             continue
-        if abs(ratio - k) < tols.aliasing_im_tol:
+        if abs(ratio - k) < DEFAULTS.aliasing_im_tol:
             pairs.append((a, b, int(k)))
     return pairs
 
 
-def krylov_rank(c: np.ndarray, x0: np.ndarray,
-                tols: Tolerances = DEFAULTS) -> int:
+def krylov_rank(c: np.ndarray, x0: np.ndarray) -> int:
     """Numerical rank of [x0, C x0, ..., C^(k-1) x0].
 
     Exact linear dependence leaks O(eps * cond^2) through float similarity
     transforms and the matrix exponential, so this rank decision uses the
-    dedicated relative threshold ``tols.krylov_rank_rel`` (default 1e-10)
+    dedicated relative threshold ``DEFAULTS.krylov_rank_rel`` (1e-10)
     instead of the eps-level generic rank rule: dependent constructions sit
     below ~1e-13 while generic spectra sit above ~1e-4.
     """
@@ -155,14 +153,14 @@ def krylov_rank(c: np.ndarray, x0: np.ndarray,
     svals = singular_values(np.column_stack(cols))
     if svals[0] == 0.0:
         return 0
-    return int(np.sum(svals > tols.krylov_rank_rel * svals[0]))
+    return int(np.sum(svals > DEFAULTS.krylov_rank_rel * svals[0]))
 
 
-def degeneracy_report(alpha, x0, h: float, tol: float = 1e-9,
-                      tols: Tolerances = DEFAULTS) -> DegeneracyReport:
+def degeneracy_report(alpha, x0, h: float) -> DegeneracyReport:
     """Diagnose all uniqueness obstructions for the pair (A, x0) at spacing h.
 
-    ``double_eigenvalue`` uses both the eigenvalue gap (at *tol*) and the
+    ``double_eigenvalue`` uses both the eigenvalue gap (at
+    ``DEFAULTS.eig_repeat_tol`` relative to the spectral scale) and the
     characteristic discriminant; aliasing scans eigenvalue differences
     against the lattice 2*pi*i*Z/h up to |k| <= k_scan. The initial
     condition is in the bad set E exactly when its Krylov sequence under
@@ -175,22 +173,22 @@ def degeneracy_report(alpha, x0, h: float, tol: float = 1e-9,
     if h <= 0.0:
         raise DomainError("h must be positive")
 
-    eig = eigenvalues(a, tols=tols)
+    eig = eigenvalues(a)
     vals = eig.values
     scale = max(1.0, float(np.abs(vals).max()))
     gaps = [abs(vals[i] - vals[j])
             for i, j in itertools.combinations(range(len(vals)), 2)]
-    double = bool(gaps and min(gaps) <= tol * scale)
+    double = bool(gaps and min(gaps) <= DEFAULTS.eig_repeat_tol * scale)
 
     p = characteristic_poly(a)
     resultant = sylvester_resultant(p, p.derivative())
     closed = discriminant_closed_form(a)
 
-    pairs = tuple(_aliasing_pairs(vals, h, tols))
+    pairs = tuple(_aliasing_pairs(vals, h))
     in_set_a = len(pairs) == 0
 
     c = mat_exp(a, h)
-    kr = krylov_rank(c, x0, tols=tols)
+    kr = krylov_rank(c, x0)
 
     return DegeneracyReport(
         eigenvalues=vals,
@@ -228,8 +226,7 @@ class BranchSet:
         }
 
 
-def log_branches(alpha0, h: float, k_max: int = DEFAULTS.k_max,
-                 tols: Tolerances = DEFAULTS) -> BranchSet:
+def log_branches(alpha0, h: float, k_max: int = DEFAULTS.k_max) -> BranchSet:
     """All real matrices sharing exp(h * alpha0), from eigenvalue shifts.
 
     For each conjugate complex eigenvalue pair (l, conj(l)) and each integer
@@ -244,14 +241,15 @@ def log_branches(alpha0, h: float, k_max: int = DEFAULTS.k_max,
         raise DomainError("h must be positive")
     if k_max < 0:
         raise DomainError("k_max must be >= 0")
-    eig = eigenvalues(a, tols=tols)
+    eig = eigenvalues(a)
     if eig.defective:
         raise DefectiveMatrixError("alpha0 is defective; branches not enumerable")
     vals = eig.values
     n = len(vals)
     scale = max(1.0, float(np.abs(vals).max()))
+    same_tol = DEFAULTS.eig_repeat_tol * scale
     for i, j in itertools.combinations(range(n), 2):
-        if abs(vals[i] - vals[j]) <= 1e-9 * scale:
+        if abs(vals[i] - vals[j]) <= same_tol:
             raise DefectiveMatrixError(
                 "alpha0 has repeated eigenvalues; branches not enumerable"
             )
@@ -266,7 +264,7 @@ def log_branches(alpha0, h: float, k_max: int = DEFAULTS.k_max,
         for j in range(n):
             if j in used or j == i:
                 continue
-            if abs(vals[j] - vals[i].conjugate()) <= 1e-9 * scale:
+            if abs(vals[j] - vals[i].conjugate()) <= same_tol:
                 partner = j
                 break
         if partner is None:
@@ -279,8 +277,8 @@ def log_branches(alpha0, h: float, k_max: int = DEFAULTS.k_max,
                          k_range=int(k_max), k_vectors=((),))
 
     count = (2 * k_max + 1) ** len(conj_pairs)
-    if count > tols.branch_budget:
-        raise DomainError(f"branch count {count} exceeds budget {tols.branch_budget}")
+    if count > DEFAULTS.branch_budget:
+        raise DomainError(f"branch count {count} exceeds budget {DEFAULTS.branch_budget}")
 
     p = eig.vectors
     p_inv = np.linalg.inv(p)
@@ -294,9 +292,9 @@ def log_branches(alpha0, h: float, k_max: int = DEFAULTS.k_max,
             new_vals[i] = vals[i] + 1j * shift
             new_vals[j] = vals[j] - 1j * shift
         reassembled = p @ np.diag(new_vals) @ p_inv
-        branch = real_part(reassembled, tol=tols.imag_residue_tol, name="branch")
+        branch = real_part(reassembled, tol=DEFAULTS.imag_residue_tol, name="branch")
         err = float(np.abs(mat_exp(branch, h) - base_exp).max())
-        if err > tols.branch_exp_tol:
+        if err > DEFAULTS.branch_exp_tol:
             raise DomainError(
                 f"branch for shifts {ks} fails exp check (error {err:.3e})"
             )
@@ -308,7 +306,8 @@ def log_branches(alpha0, h: float, k_max: int = DEFAULTS.k_max,
     # but the contract promises pairwise-distinct output)
     kept, kept_ks = [], []
     for i in order:
-        if any(np.abs(branches[i] - b).max() <= tols.branch_distinct_tol for b in kept):
+        if any(np.abs(branches[i] - b).max() <= DEFAULTS.branch_distinct_tol
+               for b in kept):
             continue
         kept.append(branches[i])
         kept_ks.append(k_vectors[i])
@@ -320,7 +319,7 @@ def log_branches(alpha0, h: float, k_max: int = DEFAULTS.k_max,
 # exponential divided-difference determinant
 
 
-def exp_divided_difference_determinant(lam, tols: Tolerances = DEFAULTS) -> tuple[complex, complex]:
+def exp_divided_difference_determinant(lam) -> tuple[complex, complex]:
     """(numeric, closed_form) for the divided-difference exponential matrix.
 
     The n x n matrix has first column e^{j l_1} and column i > 1 entries
@@ -339,7 +338,7 @@ def exp_divided_difference_determinant(lam, tols: Tolerances = DEFAULTS) -> tupl
         raise DomainError("need at least two eigenvalues")
     scale = max(1.0, max(abs(z) for z in lam))
     for i, j in itertools.combinations(range(n), 2):
-        if abs(lam[i] - lam[j]) <= tols.divdiff_min_gap * scale:
+        if abs(lam[i] - lam[j]) <= DEFAULTS.divdiff_min_gap * scale:
             raise DomainError(f"eigenvalues {i} and {j} coincide")
 
     mat = np.empty((n, n), dtype=complex)

@@ -8,16 +8,15 @@ its inputs.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULTS, Tolerances
+from .config import DEFAULTS
 from .errors import ConvergenceError, DimensionError, DomainError, RangeError
 
-_EPS = float(np.finfo(float).eps)
+EPS = float(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -82,14 +81,14 @@ def _pade_coefficients(order: int) -> np.ndarray:
     return np.array(num)
 
 
-_PADE_B = _pade_coefficients(DEFAULTS.mat_exp_pade_order)
+_PADE_B = _pade_coefficients(10)  # [10/10] rational approximant
 
 
-def mat_exp(a, t: float = 1.0, tols: Tolerances = DEFAULTS) -> np.ndarray:
+def mat_exp(a, t: float = 1.0) -> np.ndarray:
     """exp(t*A) by scaling-and-squaring with a diagonal Padé approximant.
 
     The input is scaled by 2**-s until its 1-norm is at most
-    ``tols.mat_exp_scaled_norm`` (default 0.5), approximated, and squared
+    ``DEFAULTS.mat_exp_scaled_norm`` (0.5), approximated, and squared
     back s times. Works for defective matrices; raises RangeError when the
     result overflows.
     """
@@ -99,8 +98,8 @@ def mat_exp(a, t: float = 1.0, tols: Tolerances = DEFAULTS) -> np.ndarray:
     n = a.shape[0]
     b = t * a
     nrm = float(np.linalg.norm(b, 1))
-    s = 0 if nrm <= tols.mat_exp_scaled_norm else int(
-        math.ceil(math.log2(nrm / tols.mat_exp_scaled_norm))
+    s = 0 if nrm <= DEFAULTS.mat_exp_scaled_norm else int(
+        math.ceil(math.log2(nrm / DEFAULTS.mat_exp_scaled_norm))
     )
     c = b / (2.0 ** s)
 
@@ -139,104 +138,35 @@ class EigenResult:
     defective: bool
 
 
-def _eig_values_2(a: np.ndarray) -> np.ndarray:
-    tr = a[0, 0] + a[1, 1]
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    disc = tr * tr - 4.0 * det
-    root = cmath.sqrt(disc)
-    return np.array([(tr + root) / 2.0, (tr - root) / 2.0])
-
-
-def _eig_values_3(a: np.ndarray, polish_steps: int) -> np.ndarray:
-    # characteristic polynomial l^3 - c2 l^2 + c1 l - c0
-    c2 = float(np.trace(a))
-    c1 = 0.5 * (c2 * c2 - float(np.trace(a @ a)))
-    c0 = float(np.linalg.det(a))
-    shift = c2 / 3.0
-    p = c1 - c2 * c2 / 3.0
-    q = -2.0 * shift ** 3 + c1 * shift - c0
-
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    if disc > 0.0:
-        sq = math.sqrt(disc)
-        u = math.copysign(abs(-q / 2.0 + sq) ** (1.0 / 3.0), -q / 2.0 + sq)
-        v = math.copysign(abs(-q / 2.0 - sq) ** (1.0 / 3.0), -q / 2.0 - sq)
-        real_root = u + v
-        re = -real_root / 2.0
-        im = (u - v) * math.sqrt(3.0) / 2.0
-        roots = [complex(real_root), complex(re, im), complex(re, -im)]
-    elif p < 0.0:
-        # three real roots, trigonometric form
-        r = math.sqrt(-p / 3.0)
-        arg = max(-1.0, min(1.0, 3.0 * q / (2.0 * p * r)))
-        theta = math.acos(arg)
-        roots = [
-            complex(2.0 * r * math.cos((theta - 2.0 * math.pi * k) / 3.0))
-            for k in range(3)
-        ]
-    else:
-        # disc <= 0 with p >= 0 forces p = q = 0: triple root at the shift
-        roots = [0.0 + 0.0j] * 3
-
-    out = []
-    for root in roots:
-        lam = root + shift
-        for _ in range(polish_steps):
-            val = ((lam - c2) * lam + c1) * lam - c0
-            der = (3.0 * lam - 2.0 * c2) * lam + c1
-            if abs(der) < 1e-8 * max(1.0, abs(lam)) ** 2:
-                break
-            lam = lam - val / der
-        out.append(lam)
-    vals = np.array(out, dtype=complex)
-    # enforce conjugate symmetry for the complex pair
-    cplx = np.abs(vals.imag) > 1e-12 * max(1.0, float(np.abs(vals).max()))
-    if cplx.sum() == 2:
-        i, j = np.nonzero(cplx)[0]
-        mean = (vals[i] + vals[j].conjugate()) / 2.0
-        vals[i] = mean
-        vals[j] = mean.conjugate()
-    else:
-        vals[~cplx] = vals[~cplx].real
-    return vals
-
-
 def _sorted_eigs(vals: np.ndarray) -> np.ndarray:
     order = np.lexsort((vals.imag, vals.real))
     return vals[order]
 
 
-def eigenvalues(a, tols: Tolerances = DEFAULTS) -> EigenResult:
+def eigenvalues(a) -> EigenResult:
     """Eigenvalues with multiplicity, eigenvectors, and a defectiveness flag.
 
-    Closed forms are used for n <= 3 (bit-stable on the small matrices the
-    rest of the toolkit depends on); LAPACK's shifted-QR Hessenberg iteration
-    is the general path. Geometric multiplicity is decided by the numerical
-    rank of A - lambda*I at tolerance n*eps*||A||; clusters with geometric
-    multiplicity below algebraic multiplicity set ``defective`` (borderline
-    cases are flagged rather than guessed).
+    Eigenvalues come from LAPACK's shifted-QR Hessenberg iteration
+    (``np.linalg.eigvals``) for every size up to ``DEFAULTS.eig_max_dim``.
+    Geometric multiplicity is decided by the numerical rank of A - lambda*I
+    at tolerance n*eps*||A||; clusters with geometric multiplicity below
+    algebraic multiplicity set ``defective`` (borderline cases are flagged
+    rather than guessed).
     """
     a = as_square(a)
     n = a.shape[0]
-    if n > tols.eig_max_dim:
-        raise DimensionError(f"matrix dimension {n} exceeds maximum {tols.eig_max_dim}")
-
-    if n == 1:
-        vals = np.array([complex(a[0, 0])])
-    elif n == 2:
-        vals = _eig_values_2(a)
-    elif n == 3:
-        vals = _eig_values_3(a, tols.eig_newton_steps)
-    else:
-        try:
-            vals = np.linalg.eigvals(a)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"QR iteration did not converge: {exc}") from exc
+    if n > DEFAULTS.eig_max_dim:
+        raise DimensionError(
+            f"matrix dimension {n} exceeds maximum {DEFAULTS.eig_max_dim}")
+    try:
+        vals = np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"QR iteration did not converge: {exc}") from exc
     vals = _sorted_eigs(vals.astype(complex))
 
     sigma1 = float(np.linalg.norm(a, 2))
-    rank_tol = n * _EPS * sigma1
-    cluster_tol = math.sqrt(_EPS) * max(sigma1, 1.0)
+    rank_tol = n * EPS * sigma1
+    cluster_tol = math.sqrt(EPS) * max(sigma1, 1.0)
 
     # group sorted eigenvalues into clusters of (numerically) equal values
     clusters: list[list[int]] = []
@@ -289,7 +219,7 @@ def least_squares(a, b) -> LeastSquaresResult:
     m, n = a.shape
     if b.shape[0] != m:
         raise DimensionError(f"b has length {b.shape[0]}, expected {m}")
-    rcond = max(m, n) * _EPS
+    rcond = max(m, n) * EPS
     x, _, rank, svals = np.linalg.lstsq(a, b, rcond=rcond)
     residual = float(np.linalg.norm(a @ x - b))
     if rank > 0:
@@ -313,7 +243,7 @@ def numerical_rank(a, svals: np.ndarray | None = None) -> int:
         svals = singular_values(a)
     if len(svals) == 0 or svals[0] == 0.0:
         return 0
-    return int(np.sum(svals > max(a.shape) * _EPS * svals[0]))
+    return int(np.sum(svals > max(a.shape) * EPS * svals[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +291,6 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({self.coefficients.tolist()})"
 
-    @staticmethod
-    def from_roots(roots) -> "Poly":
-        c = np.array([1.0])
-        for r in roots:
-            c = np.convolve(c, np.array([-float(r), 1.0]))
-        return Poly(c)
-
 
 def sylvester_matrix(p: Poly, q: Poly) -> np.ndarray:
     """(deg p + deg q)-square Sylvester matrix, p-rows above q-rows.
@@ -393,42 +316,3 @@ def sylvester_resultant(p: Poly, q: Poly) -> float:
     """Determinant of the Sylvester matrix of (p, q)."""
     return float(np.linalg.det(sylvester_matrix(p, q)))
 
-
-# ---------------------------------------------------------------------------
-# CSV fixture format ("a+bi" for complex entries)
-
-
-def mat_to_csv(m: np.ndarray) -> str:
-    m = np.asarray(m)
-    lines = []
-    for row in np.atleast_2d(m):
-        cells = []
-        for v in row:
-            if np.iscomplexobj(m):
-                cells.append(f"{v.real:.17g}{v.imag:+.17g}i")
-            else:
-                cells.append(f"{v:.17g}")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def mat_from_csv(text: str) -> np.ndarray:
-    rows = []
-    is_complex = False
-    for lineno, line in enumerate(text.strip().splitlines(), start=1):
-        cells = []
-        for tok in line.split(","):
-            tok = tok.strip()
-            try:
-                if "i" in tok:
-                    cells.append(complex(tok.replace("i", "j")))
-                    is_complex = True
-                else:
-                    cells.append(float(tok))
-            except ValueError as exc:
-                from .errors import InputFormatError
-
-                raise InputFormatError(f"bad matrix entry {tok!r}", lineno) from exc
-        rows.append(cells)
-    arr = np.array(rows, dtype=complex if is_complex else float)
-    return arr

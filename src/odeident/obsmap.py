@@ -21,12 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULTS, Tolerances
+from .config import DEFAULTS
 from .errors import DimensionError, DomainError, IntegrationError, NotIdentifiableError
-from .numkernel import singular_values
+from .numkernel import EPS, numerical_rank, singular_values
 from .ode import ParamSystem, integrate, integrate_with_sensitivity
-
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -64,20 +62,17 @@ class ObservationMapHandle:
         return self.dim_out >= self.n_params
 
 
-def phi(handle: ObservationMapHandle, alpha, spacing: float | None = None) -> np.ndarray:
+def phi(handle: ObservationMapHandle, alpha) -> np.ndarray:
     """Stacked samples (X(h), ..., X(mh)) as one vector, sample-major."""
-    h = handle.h if spacing is None else spacing
-    traj = integrate(handle.sys, alpha, handle.x0, t_end=h * handle.m,
+    traj = integrate(handle.sys, alpha, handle.x0, t_end=handle.h * handle.m,
                      samples=handle.m, tol=handle.tol)
     return traj.states.ravel()
 
 
-def phi_jacobian(handle: ObservationMapHandle, alpha,
-                 spacing: float | None = None) -> np.ndarray:
+def phi_jacobian(handle: ObservationMapHandle, alpha) -> np.ndarray:
     """(m*k) x n Jacobian of phi: stacked sensitivity blocks Z(jh)."""
-    h = handle.h if spacing is None else spacing
     bundle = integrate_with_sensitivity(handle.sys, alpha, handle.x0,
-                                        t_end=h * handle.m, samples=handle.m,
+                                        t_end=handle.h * handle.m, samples=handle.m,
                                         tol=handle.tol)
     return bundle.stacked_jacobian()
 
@@ -122,30 +117,27 @@ class InjectivityCertificate:
         }
 
 
+def _normal_draw(rng: np.random.Generator, n: int) -> tuple[np.ndarray, float]:
+    """A nonzero standard-normal vector and its norm."""
+    d = rng.standard_normal(n)
+    nrm = float(np.linalg.norm(d))
+    while nrm == 0.0:  # pragma: no cover - probability zero
+        d = rng.standard_normal(n)
+        nrm = float(np.linalg.norm(d))
+    return d, nrm
+
+
 def _ball_point(rng: np.random.Generator, center: np.ndarray, radius: float) -> np.ndarray:
     n = center.shape[0]
-    direction = rng.standard_normal(n)
-    nrm = float(np.linalg.norm(direction))
-    while nrm == 0.0:  # pragma: no cover - probability zero
-        direction = rng.standard_normal(n)
-        nrm = float(np.linalg.norm(direction))
+    direction, nrm = _normal_draw(rng, n)
     r = radius * rng.uniform() ** (1.0 / n)
     return center + (r / nrm) * direction
 
 
-def _unit_direction(rng: np.random.Generator, n: int) -> np.ndarray:
-    d = rng.standard_normal(n)
-    nrm = float(np.linalg.norm(d))
-    while nrm == 0.0:  # pragma: no cover
-        d = rng.standard_normal(n)
-        nrm = float(np.linalg.norm(d))
-    return d / nrm
-
-
 def certify_radius(handle: ObservationMapHandle, alpha0, r_work: float,
                    gamma_samples: int = 32, safety: float = DEFAULTS.gamma_safety,
-                   seed: int = 0, gamma_raw: float | None = None,
-                   tols: Tolerances = DEFAULTS) -> InjectivityCertificate:
+                   seed: int = 0,
+                   gamma_raw: float | None = None) -> InjectivityCertificate:
     """Injectivity certificate around alpha0.
 
     beta is the squared smallest singular value of the Jacobian at alpha0
@@ -154,8 +146,14 @@ def certify_radius(handle: ObservationMapHandle, alpha0, r_work: float,
     directional second difference of the map over the working ball; pass
     ``gamma_raw`` to inject a fixed estimate instead of sampling.
 
-    Raises NotIdentifiableError when beta falls below the rank tolerance
-    n * eps * sigma_1^2, i.e. when the Jacobian is rank deficient at alpha0.
+    Raises NotIdentifiableError when m*k < n or when the Jacobian is too
+    ill-conditioned to certify: beta <= n * eps * sigma_1^2, that is
+    sigma_min / sigma_1 <= sqrt(n * eps). This conditioning threshold is
+    deliberately looser than the eps-level ``numerical_rank`` rule (the
+    reported ``rank``): the Jacobian comes from an integrator run at
+    ``handle.tol``, so its smallest singular values cannot be trusted to
+    eps relative accuracy, and a nominally full-rank Jacobian with
+    sigma_min / sigma_1 ~ 1e-11 is reported as not identifiable.
     """
     alpha0 = np.asarray(alpha0, dtype=float).reshape(-1)
     if not (r_work > 0.0):
@@ -170,7 +168,7 @@ def certify_radius(handle: ObservationMapHandle, alpha0, r_work: float,
     sigma1 = float(svals[0])
     sigma_min = float(svals[-1])
     n = handle.n_params
-    rank = int(np.sum(svals > max(jac.shape) * _EPS * sigma1)) if sigma1 > 0 else 0
+    rank = numerical_rank(jac, svals)
     beta = sigma_min ** 2
     diagnostics = {
         "beta": beta,
@@ -181,19 +179,24 @@ def certify_radius(handle: ObservationMapHandle, alpha0, r_work: float,
         "dim_out": handle.dim_out,
         "overdetermined": handle.overdetermined,
     }
-    if not handle.overdetermined or beta <= n * _EPS * sigma1 ** 2 or sigma1 == 0.0:
+    if not handle.overdetermined:
         raise NotIdentifiableError(
-            "observation-map Jacobian is rank deficient at alpha0", diagnostics
-        )
+            f"m*k = {handle.dim_out} observations < n = {n} parameters", diagnostics)
+    if beta <= n * EPS * sigma1 ** 2:
+        ratio = sigma_min / sigma1 if sigma1 > 0.0 else 0.0
+        raise NotIdentifiableError(
+            f"Jacobian ill-conditioned at alpha0: sigma_min/sigma_1 = {ratio:.3e} "
+            f"<= sqrt(n*eps) = {math.sqrt(n * EPS):.3e}", diagnostics)
 
     samples_used = 0
     if gamma_raw is None:
-        delta = tols.gamma_fd_step * max(1.0, float(np.linalg.norm(alpha0)))
+        delta = DEFAULTS.gamma_fd_step * max(1.0, float(np.linalg.norm(alpha0)))
         worst = 0.0
         for i in range(gamma_samples):
             rng = np.random.default_rng((seed, i))
             point = _ball_point(rng, alpha0, r_work)
-            direction = _unit_direction(rng, n)
+            d, nrm = _normal_draw(rng, n)
+            direction = d / nrm
             j_plus = phi_jacobian(handle, point + delta * direction)
             j_minus = phi_jacobian(handle, point - delta * direction)
             action = (j_plus - j_minus) / (2.0 * delta)
@@ -237,8 +240,7 @@ class VerificationReport:
 
 
 def verify_lower_bound(handle: ObservationMapHandle, cert: InjectivityCertificate,
-                       pair_count: int, seed: int,
-                       tols: Tolerances = DEFAULTS) -> VerificationReport:
+                       pair_count: int, seed: int) -> VerificationReport:
     """Empirically test ||phi(x)-phi(y)|| >= (sqrt(beta)/2 - margin)||x-y||.
 
     Pairs are sampled uniformly in B(alpha0, r_cert) with per-pair
@@ -249,7 +251,7 @@ def verify_lower_bound(handle: ObservationMapHandle, cert: InjectivityCertificat
     if pair_count < 1:
         raise DomainError("pair_count must be >= 1")
     bound = cert.lipschitz_lower
-    margin = tols.verify_margin_rel * math.sqrt(cert.beta)
+    margin = DEFAULTS.verify_margin_rel * math.sqrt(cert.beta)
     violations = 0
     worst = math.inf
     for i in range(pair_count):
@@ -322,8 +324,7 @@ class ZetaScanResult:
 
 
 def zeta_scan(handle: ObservationMapHandle, t_values, alpha_box, x_box,
-              grid, rank_tol: float = 1e-12,
-              tols: Tolerances = DEFAULTS) -> ZetaScanResult:
+              grid, rank_tol: float = 1e-12) -> ZetaScanResult:
     """Evaluate zeta = det(J^T J) on a lattice of (t, alpha, x) points.
 
     ``t`` scales the sampling spacing (effective spacing t*h). Cells with
@@ -344,9 +345,9 @@ def zeta_scan(handle: ObservationMapHandle, t_values, alpha_box, x_box,
         if not (hi > lo) or c < 2:
             raise DomainError("boxes must be non-degenerate with >= 2 points each")
     t_values = [float(t) for t in t_values]
-    total = len(t_values) * int(np.prod(counts))
-    if total > tols.zeta_budget:
-        raise DomainError(f"lattice size {total} exceeds budget {tols.zeta_budget}")
+    total = len(t_values) * math.prod(counts)  # exact: np.prod wraps at 2**63
+    if total > DEFAULTS.zeta_budget:
+        raise DomainError(f"lattice size {total} exceeds budget {DEFAULTS.zeta_budget}")
 
     axes = [np.linspace(lo, hi, c) for (lo, hi), c in zip(alpha_box + x_box, counts)]
     cells = []
@@ -354,10 +355,10 @@ def zeta_scan(handle: ObservationMapHandle, t_values, alpha_box, x_box,
         for point in itertools.product(*axes):
             alpha = np.array(point[:n])
             x = np.array(point[n:])
-            cell_handle = ObservationMapHandle(sys=handle.sys, x0=x, h=handle.h,
+            cell_handle = ObservationMapHandle(sys=handle.sys, x0=x, h=t * handle.h,
                                                m=handle.m, tol=handle.tol)
             try:
-                jac = phi_jacobian(cell_handle, alpha, spacing=float(t) * handle.h)
+                jac = phi_jacobian(cell_handle, alpha)
             except IntegrationError:
                 cells.append(ZetaCell(t=float(t), alpha=tuple(alpha), x=tuple(x),
                                       zeta=math.nan, sigma1=math.nan,

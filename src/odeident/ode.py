@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import DEFAULTS, Tolerances
+from .config import DEFAULTS
 from .errors import (
     DimensionError,
     DivergenceError,
@@ -25,8 +25,7 @@ from .errors import (
     InputFormatError,
     IntegrationError,
 )
-
-_EPS = float(np.finfo(float).eps)
+from .numkernel import EPS
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +106,12 @@ class PolyMap:
 
 
 class ParamSystem:
-    """Vector field f(x, a) with exact (or flagged-approximate) partials."""
+    """Vector field f(x, a) with exact (or flagged-approximate) partials.
+
+    ``f``, ``dfdx`` and ``dfda`` take float arrays of the right lengths and
+    do not check them: the integration entry points validate the inputs and
+    the output shapes once, at x0.
+    """
 
     state_dim: int
     param_dim: int
@@ -121,20 +125,6 @@ class ParamSystem:
 
     def dfda(self, x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def _check(self, x, alpha) -> tuple[np.ndarray, np.ndarray]:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        alpha = np.asarray(alpha, dtype=float).reshape(-1)
-        if x.shape[0] != self.state_dim:
-            raise DimensionError(
-                f"state has dimension {x.shape[0]}, expected {self.state_dim}"
-            )
-        if alpha.shape[0] != self.param_dim:
-            raise DimensionError(
-                f"parameter vector has dimension {alpha.shape[0]}, "
-                f"expected {self.param_dim}"
-            )
-        return x, alpha
 
     def rhs(self, alpha: np.ndarray) -> Callable[[float, np.ndarray], np.ndarray]:
         alpha = np.asarray(alpha, dtype=float).reshape(-1)
@@ -174,11 +164,9 @@ class PolynomialBasis(ParamSystem):
         return np.column_stack([m.value(x) for m in self.maps])
 
     def f(self, x, alpha):
-        x, alpha = self._check(x, alpha)
         return self.basis_block(x) @ alpha
 
     def dfdx(self, x, alpha):
-        x, alpha = self._check(x, alpha)
         out = np.zeros((self.state_dim, self.state_dim))
         for a_i, m in zip(alpha, self.maps):
             if a_i != 0.0:
@@ -186,7 +174,6 @@ class PolynomialBasis(ParamSystem):
         return out
 
     def dfda(self, x, alpha):
-        x, _ = self._check(x, alpha)
         return self.basis_block(x)
 
 
@@ -217,16 +204,15 @@ class MatrixLinear(ParamSystem):
         return alpha.reshape(self.state_dim, self.state_dim)
 
     def f(self, x, alpha):
-        x, alpha = self._check(x, alpha)
         return alpha.reshape(self.state_dim, self.state_dim) @ x
 
     def dfdx(self, x, alpha):
-        _, alpha = self._check(x, alpha)
         return alpha.reshape(self.state_dim, self.state_dim)
 
     def dfda(self, x, alpha):
-        x, _ = self._check(x, alpha)
-        return np.kron(np.eye(self.state_dim), x[None, :])
+        # np.kron(I, x) bit for bit (signed zeros included), at a fraction of its cost
+        k = self.state_dim
+        return (np.eye(k)[:, :, None] * x).reshape(k, k * k)
 
     def rhs(self, alpha):
         amat = self.unpack(alpha)
@@ -254,25 +240,22 @@ class CallbackSystem(ParamSystem):
     """
 
     def __init__(self, state_dim: int, param_dim: int, f_func,
-                 dfdx_func=None, dfda_func=None,
-                 fd_step_scale: float = DEFAULTS.fd_step_scale):
+                 dfdx_func=None, dfda_func=None):
         self.state_dim = int(state_dim)
         self.param_dim = int(param_dim)
         self._f = f_func
         self._dfdx = dfdx_func
         self._dfda = dfda_func
-        self._step = float(fd_step_scale)
         self.derivatives_exact = dfdx_func is not None and dfda_func is not None
 
     def f(self, x, alpha):
-        x, alpha = self._check(x, alpha)
         return np.asarray(self._f(x, alpha), dtype=float).reshape(-1)
 
     def _fd(self, x, alpha, wrt_x: bool) -> np.ndarray:
         base = x if wrt_x else alpha
         cols = []
         for j in range(base.shape[0]):
-            h = self._step * max(1.0, abs(base[j]))
+            h = DEFAULTS.fd_step_scale * max(1.0, abs(base[j]))
             bumped_p = base.copy()
             bumped_m = base.copy()
             bumped_p[j] += h
@@ -285,21 +268,14 @@ class CallbackSystem(ParamSystem):
         return np.column_stack(cols)
 
     def dfdx(self, x, alpha):
-        x, alpha = self._check(x, alpha)
         if self._dfdx is not None:
             return np.asarray(self._dfdx(x, alpha), dtype=float)
         return self._fd(x, alpha, wrt_x=True)
 
     def dfda(self, x, alpha):
-        x, alpha = self._check(x, alpha)
         if self._dfda is not None:
             return np.asarray(self._dfda(x, alpha), dtype=float)
         return self._fd(x, alpha, wrt_x=False)
-
-
-def evaluate(sys: ParamSystem, x, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(f, df/dx, df/da) at one point."""
-    return sys.f(x, alpha), sys.dfdx(x, alpha), sys.dfda(x, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +338,8 @@ def _initial_step(rhs, y0, f0, tol, t_span):
     sc = tol + tol * np.abs(y0)
     d0 = math.sqrt(float(np.mean((y0 / sc) ** 2)))
     d1 = math.sqrt(float(np.mean((f0 / sc) ** 2)))
+    if not math.isfinite(d1):
+        raise DivergenceError("derivative overflows at the initial state", 0.0)
     h0 = 1e-6 * t_span if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, t_span)
     f1 = rhs(h0, y0 + h0 * f0)
@@ -378,7 +356,7 @@ def _integrate_grid(rhs, y0, times, tol, max_steps=DEFAULTS.integrator_max_steps
     y = np.asarray(y0, dtype=float).copy()
     t = 0.0
     t_final = float(times[-1])
-    h_min = 16.0 * _EPS * t_final
+    h_min = 16.0 * EPS * t_final
     out = np.empty((len(times), y.shape[0]))
 
     f_now = rhs(t, y)
@@ -435,66 +413,56 @@ def _integrate_grid(rhs, y0, times, tol, max_steps=DEFAULTS.integrator_max_steps
     return out
 
 
-def rk4_fixed(rhs, y0, t_end: float, n_steps: int):
-    """Classical fixed-step 4th-order path; returns (times, states) incl. t=0."""
-    if n_steps < 1:
-        raise DomainError("n_steps must be >= 1")
-    h = t_end / n_steps
-    y = np.asarray(y0, dtype=float).copy()
-    times = np.linspace(0.0, t_end, n_steps + 1)
-    states = np.empty((n_steps + 1, y.shape[0]))
-    states[0] = y
-    for i in range(n_steps):
-        t = times[i]
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, y + h / 2 * k1)
-        k3 = rhs(t + h / 2, y + h / 2 * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise DivergenceError("state diverged", float(times[i + 1]))
-        states[i + 1] = y
-    return times, states
-
-
 # ---------------------------------------------------------------------------
 # public integration entry points
 
 
-def _check_integration_args(sys, alpha, x0, t_end, samples, tol,
-                            tols: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x0, alpha = sys._check(x0, alpha)
+def _check_integration_args(sys, alpha, x0, t_end, samples,
+                            tol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate the inputs, and the shapes of f, df/dx and df/da at x0."""
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    alpha = np.asarray(alpha, dtype=float).reshape(-1)
+    k, n = sys.state_dim, sys.param_dim
+    if x0.shape[0] != k:
+        raise DimensionError(f"state has dimension {x0.shape[0]}, expected {k}")
+    if alpha.shape[0] != n:
+        raise DimensionError(
+            f"parameter vector has dimension {alpha.shape[0]}, expected {n}")
+    for name, value, shape in (("f", sys.f(x0, alpha), (k,)),
+                               ("df/dx", sys.dfdx(x0, alpha), (k, k)),
+                               ("df/da", sys.dfda(x0, alpha), (k, n))):
+        if np.shape(value) != shape:
+            raise DimensionError(
+                f"{name} has shape {np.shape(value)} at x0, expected {shape}")
     if not (t_end > 0.0 and math.isfinite(t_end)):
         raise DomainError("t_end must be positive and finite")
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
-    if not (tols.integrator_min_tol <= tol <= tols.integrator_max_tol):
-        raise DomainError(
-            f"tol must lie in [{tols.integrator_min_tol}, {tols.integrator_max_tol}]"
-        )
+    if not 1 <= samples <= DEFAULTS.integrator_max_steps:
+        # every sample costs at least one step, so more would exhaust the budget
+        raise DomainError(f"samples must lie in [1, {DEFAULTS.integrator_max_steps}]")
+    if not (DEFAULTS.integrator_min_tol <= tol <= DEFAULTS.integrator_max_tol):
+        raise DomainError(f"tol must lie in [{DEFAULTS.integrator_min_tol}, "
+                          f"{DEFAULTS.integrator_max_tol}]")
     h = t_end / samples
     times = h * np.arange(1, samples + 1)
     return x0, alpha, times
 
 
 def integrate(sys: ParamSystem, alpha, x0, t_end: float, samples: int,
-              tol: float = DEFAULTS.integrator_tol,
-              tols: Tolerances = DEFAULTS) -> Trajectory:
+              tol: float = DEFAULTS.integrator_tol) -> Trajectory:
     """States on the uniform grid j*h, j = 1..samples, h = t_end/samples."""
-    x0, alpha, times = _check_integration_args(sys, alpha, x0, t_end, samples, tol, tols)
-    states = _integrate_grid(sys.rhs(alpha), x0, times, tol, tols.integrator_max_steps)
+    x0, alpha, times = _check_integration_args(sys, alpha, x0, t_end, samples, tol)
+    states = _integrate_grid(sys.rhs(alpha), x0, times, tol)
     return Trajectory(times=times, states=states, integrator_tol=tol)
 
 
 def integrate_with_sensitivity(sys: ParamSystem, alpha, x0, t_end: float,
-                               samples: int, tol: float = DEFAULTS.integrator_tol,
-                               tols: Tolerances = DEFAULTS) -> SensitivityBundle:
+                               samples: int,
+                               tol: float = DEFAULTS.integrator_tol) -> SensitivityBundle:
     """Joint state + variational integration; Z(0) = 0."""
-    x0, alpha, times = _check_integration_args(sys, alpha, x0, t_end, samples, tol, tols)
+    x0, alpha, times = _check_integration_args(sys, alpha, x0, t_end, samples, tol)
     k, n = sys.state_dim, sys.param_dim
     y0 = np.concatenate([x0, np.zeros(k * n)])
-    raw = _integrate_grid(sys.sensitivity_rhs(alpha), y0, times, tol,
-                          tols.integrator_max_steps)
+    raw = _integrate_grid(sys.sensitivity_rhs(alpha), y0, times, tol)
     states = raw[:, :k]
     sens = raw[:, k:].reshape(len(times), k, n)
     return SensitivityBundle(times=times, states=states, sensitivities=sens,

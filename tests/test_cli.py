@@ -1,7 +1,13 @@
+import copy
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from odeident import __version__
 from odeident.cli import main
@@ -315,3 +321,98 @@ class TestValidation:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("path,value,named", [
+        (("system", "basis", 0, 0, 0), {"coef": 1.0, "exponents": [1]},
+         "system.basis[0][0][0].coeff"),
+        (("system", "alpha0"), ["a", 1.0], "system.alpha0"),
+        (("solver", "scan", "grid"), ["x", 2, 2], "solver.scan.grid"),
+        (("system", "basis", 1), 7, "system.basis[1]"),
+        (("noise",), [1], "noise"),
+        (("noise", "seed"), -1, "noise.seed"),
+        (("observation", "h"), float("nan"), "observation.h"),
+        (("solver", "gauss_newton", "max_iter"), "many", "solver.gauss_newton.max_iter"),
+        (("system", "x0"), [10 ** 400], "system.x0"),
+        (("observation", "m"), 10 ** 20, "observation.m"),
+    ])
+    def test_malformed_config_exits_2_naming_path(self, tmp_path, capsys, path, value,
+                                                  named):
+        cfg_dict = fuzz_base_config()
+        _set(cfg_dict, path, value)
+        cfg = write_config(tmp_path, "bad.json", cfg_dict)
+        assert main(["simulate", "--config", cfg, "--out",
+                     str(tmp_path / "x.csv")]) == 2
+        assert named in capsys.readouterr().err
+
+
+def fuzz_base_config():
+    cfg = logistic_config(m=4, h=0.25)
+    cfg["noise"] = {"sigma": 0.01, "seed": 3}
+    cfg["solver"] = {
+        "init": [0.9, -0.9],
+        "gauss_newton": {"max_iter": 5, "damping": 1e-3},
+        "scan": {"t_values": [1.0], "alpha_box": [[0.5, 1.5], [-1.5, -0.5]],
+                 "x_box": [[0.02, 0.3]], "grid": [2, 2, 2]},
+    }
+    return cfg
+
+
+_DELETE = object()
+
+
+def _set(cfg, path, value):
+    """Replace the value at `path`, or delete it when `value` is _DELETE."""
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = copy.deepcopy(value)
+
+
+def _paths(node, prefix=()):
+    """Every key path in a JSON tree, parents before their children."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    for key in keys:
+        yield prefix + (key,)
+        if isinstance(node[key], (dict, list)) and node[key]:
+            yield from _paths(node[key], prefix + (key,))
+
+
+# A fixed pool of replacement values, extremes included, keeps examples
+# cheap: no moderately large sample count or stiff rate makes one run slow.
+_LEAVES = st.sampled_from([None, True, False, 0, 1, 2, 3, -1, 10 ** 20, 10 ** 400,
+                           0.0, 0.5, -0.5, 2.5, 1e-300, 1e300, float("nan"),
+                           float("inf"), "", "x", "1.0", "polynomial_basis",
+                           "matrix_linear"])
+
+
+def _containers(inner):
+    keys = st.sampled_from(["coeff", "exponents", "h", "m", "seed", "x"])
+    return st.one_of(st.lists(inner, max_size=3),
+                     st.dictionaries(keys, inner, max_size=2))
+
+
+_VALUES = st.recursive(_LEAVES, _containers, max_leaves=4)
+_FUZZ_PATHS = list(_paths(fuzz_base_config()))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(edits=st.lists(st.tuples(st.sampled_from(_FUZZ_PATHS),
+                                st.one_of(st.just(_DELETE), _VALUES)),
+                      min_size=1, max_size=3))
+def test_mutated_config_exit_code_contract(edits):
+    """Any mutation of a valid config exits with a documented code, never a
+    traceback. An edit replaces the value at a path or deletes it."""
+    cfg_dict = fuzz_base_config()
+    for path, value in edits:
+        try:
+            _set(cfg_dict, path, value)
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier edit removed or replaced this path
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), "fuzz.json", cfg_dict)
+        code = main(["simulate", "--config", cfg, "--out", str(Path(tmp) / "x.csv")])
+    assert code in (0, 2, 3, 4, 5)

@@ -21,7 +21,10 @@ from odeident import (
     gauss_newton_invert,
     integrate,
     log_branches,
+    numerical_rank,
     phi,
+    phi_jacobian,
+    singular_values,
 )
 
 
@@ -116,13 +119,6 @@ class TestFdLinearEstimate:
         with pytest.raises(DimensionError):
             fd_linear_estimate(grid, scalar_decay_system())
 
-    def test_ridge_option_shrinks_solution(self):
-        sys = logistic_system()
-        grid = make_grid(sys, [1.0, -1.0], [0.1], t_end=5.0, samples=200)
-        plain = fd_linear_estimate(grid, sys)
-        ridged = fd_linear_estimate(grid, sys, ridge=10.0)
-        assert np.linalg.norm(ridged.alpha_hat) < np.linalg.norm(plain.alpha_hat)
-
 
 class TestGaussNewton:
     def test_exact_data_converges_immediately(self):
@@ -215,6 +211,25 @@ class TestGaussNewton:
         assert not result.converged
         assert result.message == "max_iter exhausted"
         assert result.residual <= result.history[0][1]
+
+    def test_max_iter_exhaustion_diagnostics_at_returned_iterate(self):
+        handle = rotation_handle()
+        alpha0 = MatrixLinear.pack(ROTATION)
+        y = phi(handle, alpha0)
+        init = alpha0 + np.array([0.3, -0.2, 0.25, 0.1])
+        result = gauss_newton_invert(handle, y, init,
+                                     options=GaussNewtonOptions(max_iter=1))
+        assert result.message == "max_iter exhausted"
+        assert result.iterations == 1
+        assert not np.array_equal(result.alpha_hat, init)
+        jac = phi_jacobian(handle, result.alpha_hat)
+        svals = singular_values(jac)
+        assert result.jacobian_rank == numerical_rank(jac, svals)
+        assert result.condition == float(svals[0] / svals[-1])
+        assert result.rank_deficient == (result.jacobian_rank < 4)
+        # the Jacobian at the starting point gives a different condition number
+        init_svals = singular_values(phi_jacobian(handle, init))
+        assert result.condition != float(init_svals[0] / init_svals[-1])
 
     def test_bad_options_rejected(self):
         with pytest.raises(DomainError):

@@ -17,7 +17,7 @@ from odeident import (
     sylvester_matrix,
     sylvester_resultant,
 )
-from odeident.numkernel import as_square, mat_from_csv, mat_to_csv, real_part
+from odeident.numkernel import as_square, real_part
 
 
 class TestMatExp:
@@ -275,7 +275,7 @@ class TestPolyAndResultant:
             deg = int(rng.integers(2, 5))
             roots = list(rng.uniform(-2.0, 2.0, size=deg - 1))
             roots.append(roots[0])  # plant the repeat
-            p = Poly.from_roots(roots)
+            p = Poly(np.poly(roots)[::-1])
             res = sylvester_resultant(p, p.derivative())
             scale = max(1.0, np.abs(p.coefficients).max())
             assert abs(res) <= 1e-8 * scale
@@ -286,7 +286,7 @@ class TestPolyAndResultant:
             deg = int(rng.integers(2, 5))
             base = np.sort(rng.uniform(-2.0, 2.0, size=deg))
             roots = base + 0.5 * np.arange(deg)  # enforce gaps >= 0.5
-            p = Poly.from_roots(roots)
+            p = Poly(np.poly(roots)[::-1])
             res = sylvester_resultant(p, p.derivative())
             scale = max(1.0, np.abs(p.coefficients).max())
             assert abs(res) > 1e-8 * scale
@@ -297,17 +297,6 @@ class TestPolyAndResultant:
 
 
 class TestSerialization:
-    def test_real_round_trip(self):
-        rng = np.random.default_rng(51)
-        a = rng.normal(size=(3, 4))
-        assert np.array_equal(mat_from_csv(mat_to_csv(a)), a)
-
-    def test_complex_round_trip(self):
-        rng = np.random.default_rng(53)
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        back = mat_from_csv(mat_to_csv(a))
-        assert np.abs(back - a).max() == 0.0
-
     def test_real_representable_round_trip(self):
         # complex storage of a real matrix keeps Im below 1e-12
         a = np.array([[1.5, -2.0], [0.25, 3.0]])

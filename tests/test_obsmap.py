@@ -20,6 +20,7 @@ from odeident import (
     PolyMap,
     PolynomialBasis,
     certify_radius,
+    numerical_rank,
     phi,
     phi_jacobian,
     singular_values,
@@ -127,6 +128,24 @@ class TestCertifyRadius:
         diag = err.value.diagnostics
         assert diag["rank"] < diag["n_params"]
         assert diag["beta"] <= 1e-12 * max(diag["sigma_max"] ** 2, 1.0)
+
+    def test_conditioning_rule_overrides_eps_rank(self):
+        # basis maps x and x + 1e-9 x^2: the Jacobian has eps-rank 2 but
+        # sigma_min/sigma_1 ~ 1e-11 < sqrt(n*eps), so the verdict is "not
+        # identifiable" (an integrator-built Jacobian is not eps-accurate)
+        near_dup = PolynomialBasis([PolyMap.scalar([(1.0, 1)]),
+                                    PolyMap.scalar([(1.0, 1), (1e-9, 2)])])
+        handle = ObservationMapHandle(sys=near_dup, x0=np.array([0.5]), h=0.3, m=6,
+                                      tol=1e-12)
+        alpha = np.array([-0.5, 0.2])
+        jac = phi_jacobian(handle, alpha)
+        svals = singular_values(jac)
+        assert numerical_rank(jac, svals) == 2
+        assert svals[-1] / svals[0] < math.sqrt(2 * np.finfo(float).eps)
+        with pytest.raises(NotIdentifiableError, match="sigma_min/sigma_1") as err:
+            certify_radius(handle, alpha, r_work=0.1, gamma_samples=10)
+        assert err.value.diagnostics["rank"] == 2
+        assert "rank deficient" not in str(err.value)
 
     def test_underdetermined_map_not_identifiable(self):
         handle = ObservationMapHandle(sys=rotation_system(), x0=np.array([1.0, 0.7]),

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -19,13 +17,16 @@ from odeident import (
     MatrixLinear,
     PolyMap,
     PolynomialBasis,
-    evaluate,
     integrate,
     integrate_with_sensitivity,
     mat_exp,
-    rk4_fixed,
 )
 from odeident.ode import read_trajectory_csv, write_trajectory_csv
+
+
+def evaluate(sys, x, alpha):
+    x, alpha = np.asarray(x, dtype=float), np.asarray(alpha, dtype=float)
+    return sys.f(x, alpha), sys.dfdx(x, alpha), sys.dfda(x, alpha)
 
 
 class TestEvaluate:
@@ -52,10 +53,31 @@ class TestEvaluate:
             assert np.allclose(f, 0.0)
 
     def test_dimension_mismatch(self):
+        # checked once at the integration entry points, not per RHS call
         with pytest.raises(DimensionError):
-            evaluate(rotation_system(), [1.0], np.zeros(4))
+            integrate(rotation_system(), np.zeros(4), [1.0], t_end=1.0, samples=1)
         with pytest.raises(DimensionError):
-            evaluate(logistic_system(), [1.0], [1.0])
+            integrate(logistic_system(), [1.0], [1.0], t_end=1.0, samples=1)
+        with pytest.raises(DimensionError):
+            integrate_with_sensitivity(logistic_system(), [1.0, -1.0], [1.0, 2.0],
+                                       t_end=1.0, samples=1)
+
+    @pytest.mark.parametrize("f_func", [
+        lambda x, a: np.array([a[0] * x[0]]),       # length 1: would broadcast
+        lambda x, a: np.array([a[0], x[0], x[1]]),  # length 3
+    ])
+    def test_callback_output_shape_checked_at_x0(self, f_func):
+        sys = CallbackSystem(2, 1, f_func)
+        for run in (integrate, integrate_with_sensitivity):
+            with pytest.raises(DimensionError, match="f has shape"):
+                run(sys, [1.0], [1.0, 2.0], t_end=1.0, samples=2)
+
+    def test_callback_partial_shapes_checked_at_x0(self):
+        sys = CallbackSystem(1, 1, lambda x, a: a[0] * x,
+                             dfdx_func=lambda x, a: np.eye(2),
+                             dfda_func=lambda x, a: x[:, None])
+        with pytest.raises(DimensionError, match="df/dx has shape"):
+            integrate_with_sensitivity(sys, [1.0], [1.0], t_end=1.0, samples=2)
 
     def test_zero_basis_map_rejected(self):
         with pytest.raises(DomainError):
@@ -120,17 +142,6 @@ class TestIntegrate:
                                  t_end=5.0, samples=5, tol=1e-10)
                 for t, state in zip(traj.times, traj.states):
                     assert np.linalg.norm(state - mat_exp(a, t) @ x0) <= 1e-8
-
-    def test_rk4_order(self):
-        sys = scalar_decay_system()
-        rhs = sys.rhs(np.array([-0.5]))
-        exact = math.exp(-0.5 * 2.0)
-        errors = []
-        for n_steps in (16, 32):
-            _, states = rk4_fixed(rhs, np.array([1.0]), 2.0, n_steps)
-            errors.append(abs(states[-1, 0] - exact))
-        factor = errors[0] / errors[1]
-        assert 12.0 <= factor <= 20.0
 
     def test_blow_up_raises_with_time(self):
         # x' = x^2 from 1 blows up at t = 1
