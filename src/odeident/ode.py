@@ -400,7 +400,7 @@ def _integrate_grid(rhs, y0, times, tol, max_steps=DEFAULTS.integrator_max_steps
             if err <= 1.0:
                 t = t_target if (t_target - t - h) < h_min else t + h
                 y = y_new
-                f_now = k[6]  # FSAL
+                f_now = k[6].copy()  # FSAL; k[6] is overwritten by the next attempt
                 factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
                 if clamped:
                     h_nat = max(h_nat, h * factor)

@@ -143,6 +143,25 @@ class TestIntegrate:
                 for t, state in zip(traj.times, traj.states):
                     assert np.linalg.norm(state - mat_exp(a, t) @ x0) <= 1e-8
 
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+    def test_logistic_closed_form_after_rejected_steps(self, tol):
+        # x' = a1 x + a2 x^2 has x(t) = a1 x0 e / (a1 - a2 x0 (e - 1)), e = e^{a1 t};
+        # these draws reject steps, and a retry must restart from f at the current state
+        def exact(a1, a2, x0, t):
+            e = np.exp(a1 * t)
+            return a1 * x0 * e / (a1 - a2 * x0 * (e - 1.0))
+
+        rng = np.random.default_rng(3)
+        worst = 0.0
+        for _ in range(40):
+            a1, a2 = rng.uniform(0.5, 3.0), rng.uniform(-3.0, -0.5)
+            x0 = rng.uniform(0.05, 2.0)
+            traj = integrate(logistic_system(), [a1, a2], [x0], t_end=4.0,
+                             samples=8, tol=tol)
+            err = np.abs(traj.states[:, 0] - exact(a1, a2, x0, traj.times)).max()
+            worst = max(worst, err)
+        assert worst <= 25.0 * tol
+
     def test_blow_up_raises_with_time(self):
         # x' = x^2 from 1 blows up at t = 1
         sys = PolynomialBasis([PolyMap.scalar([(1.0, 2)])])
