@@ -24,7 +24,7 @@ import numpy as np
 from .config import DEFAULTS
 from .errors import DimensionError, DomainError, IntegrationError, NotIdentifiableError
 from .numkernel import EPS, numerical_rank, singular_values
-from .ode import ParamSystem, integrate, integrate_with_sensitivity
+from .ode import ParamSystem, _check_grid, integrate, integrate_with_sensitivity
 
 
 @dataclass(frozen=True)
@@ -38,15 +38,9 @@ class ObservationMapHandle:
     tol: float = DEFAULTS.integrator_tol
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(-1))
-        if self.x0.shape[0] != self.sys.state_dim:
-            raise DimensionError(
-                f"x0 has dimension {self.x0.shape[0]}, expected {self.sys.state_dim}"
-            )
-        if not (self.h > 0.0 and math.isfinite(self.h)):
-            raise DomainError("h must be positive and finite")
-        if self.m < 1:
-            raise DomainError("m must be >= 1")
+        # the integrators' own rule, so a handle that builds is one phi accepts
+        object.__setattr__(self, "x0", _check_grid(self.sys, self.x0, self.h * self.m,
+                                                   self.m, self.tol))
 
     @property
     def n_params(self) -> int:

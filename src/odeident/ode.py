@@ -11,7 +11,7 @@ which is integrated jointly with the state as one augmented system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -127,11 +127,9 @@ class ParamSystem:
         raise NotImplementedError
 
     def rhs(self, alpha: np.ndarray) -> Callable[[float, np.ndarray], np.ndarray]:
-        alpha = np.asarray(alpha, dtype=float).reshape(-1)
         return lambda t, x: self.f(x, alpha)
 
     def sensitivity_rhs(self, alpha) -> Callable[[float, np.ndarray], np.ndarray]:
-        alpha = np.asarray(alpha, dtype=float).reshape(-1)
         k, n = self.state_dim, self.param_dim
 
         def rhs(t, y):
@@ -194,15 +192,6 @@ class MatrixLinear(ParamSystem):
     def pack(matrix) -> np.ndarray:
         return np.asarray(matrix, dtype=float).reshape(-1)
 
-    def unpack(self, alpha) -> np.ndarray:
-        alpha = np.asarray(alpha, dtype=float).reshape(-1)
-        if alpha.shape[0] != self.param_dim:
-            raise DimensionError(
-                f"parameter vector has dimension {alpha.shape[0]}, "
-                f"expected {self.param_dim}"
-            )
-        return alpha.reshape(self.state_dim, self.state_dim)
-
     def f(self, x, alpha):
         return alpha.reshape(self.state_dim, self.state_dim) @ x
 
@@ -214,22 +203,10 @@ class MatrixLinear(ParamSystem):
         k = self.state_dim
         return (np.eye(k)[:, :, None] * x).reshape(k, k * k)
 
-    def rhs(self, alpha):
-        amat = self.unpack(alpha)
-        return lambda t, x: amat @ x
-
-    def sensitivity_rhs(self, alpha):
-        amat = self.unpack(alpha)
-        k, n = self.state_dim, self.param_dim
-        eye = np.eye(k)
-
-        def rhs(t, y):
-            x = y[:k]
-            z = y[k:].reshape(k, n)
-            dz = amat @ z + np.kron(eye, x[None, :])
-            return np.concatenate([amat @ x, dz.ravel()])
-
-        return rhs
+    # the generic factories, bound here by name because perfbench/tracing.py
+    # wraps vars(MatrixLinear)["rhs"] and ["sensitivity_rhs"]
+    rhs = ParamSystem.rhs
+    sensitivity_rhs = ParamSystem.sensitivity_rhs
 
 
 class CallbackSystem(ParamSystem):
@@ -285,16 +262,7 @@ class CallbackSystem(ParamSystem):
 @dataclass(frozen=True)
 class Trajectory:
     times: np.ndarray          # strictly increasing, shape (m,)
-    states: np.ndarray         # shape (m, k)
-    integrator_tol: float
-
-    def __post_init__(self):
-        if self.times.shape[0] != self.states.shape[0]:
-            raise DimensionError("times and states lengths differ")
-        if np.any(np.diff(self.times) <= 0.0):
-            raise DomainError("times must be strictly increasing")
-        if not np.all(np.isfinite(self.states)):
-            raise DomainError("states contain non-finite entries")
+    states: np.ndarray         # finite, shape (m, k)
 
 
 @dataclass(frozen=True)
@@ -302,12 +270,6 @@ class SensitivityBundle:
     times: np.ndarray          # shape (m,)
     states: np.ndarray         # shape (m, k)
     sensitivities: np.ndarray  # shape (m, k, n); Z(0) = 0 is the initial condition
-    integrator_tol: float = field(default=DEFAULTS.integrator_tol)
-
-    def __post_init__(self):
-        m = self.times.shape[0]
-        if self.states.shape[0] != m or self.sensitivities.shape[0] != m:
-            raise DimensionError("times/states/sensitivities lengths differ")
 
     def stacked_jacobian(self) -> np.ndarray:
         """(m*k) x n matrix of Z(t_j) blocks, sample-major."""
@@ -366,50 +328,49 @@ def _integrate_grid(rhs, y0, times, tol, max_steps=DEFAULTS.integrator_max_steps
 
     steps = 0
     k = np.empty((7, y.shape[0]))
-    for target_i, t_target in enumerate(times):
-        while t < t_target - h_min:
-            if steps >= max_steps:
-                raise IntegrationError("step budget exhausted", t)
-            h = min(h_nat, t_target - t)
-            clamped = h < h_nat
-            if h < h_min:
-                raise IntegrationError("step size underflow", t)
+    # a non-finite stage is caught by the step test below, so the overflow
+    # and nan arithmetic that follows it stays silent
+    with np.errstate(over="ignore", invalid="ignore"):
+        for target_i, t_target in enumerate(times):
+            while t < t_target - h_min:
+                if steps >= max_steps:
+                    raise IntegrationError("step budget exhausted", t)
+                h = min(h_nat, t_target - t)
+                clamped = h < h_nat
+                if h < h_min:
+                    raise IntegrationError("step size underflow", t)
 
-            k[0] = f_now
-            finite = True
-            for stage in range(1, 7):
-                y_stage = y + h * (_DP_A[stage] @ k[:stage])
-                k[stage] = rhs(t + _DP_C[stage] * h, y_stage)
-                if not np.all(np.isfinite(k[stage])):
-                    finite = False
-                    break
-            if finite:
+                k[0] = f_now
+                for stage in range(1, 7):
+                    k[stage] = rhs(t + _DP_C[stage] * h,
+                                   y + h * (_DP_A[stage] @ k[:stage]))
                 y_new = y + h * (_DP_B5 @ k)
-                finite = bool(np.all(np.isfinite(y_new)))
-            if not finite:
-                # retry smaller; if the step floor is hit the state is blowing up
-                h_nat = h * 0.25
-                if h_nat < h_min:
-                    raise DivergenceError("state diverged", t)
-                continue
+                err_vec = h * (_DP_ERR @ k)
+                # every stage enters both sums (a zero weight gives 0*inf = nan),
+                # so this one test sees any non-finite stage
+                if not (np.isfinite(y_new).all() and np.isfinite(err_vec).all()):
+                    # retry smaller; if the step floor is hit the state is blowing up
+                    h_nat = h * 0.25
+                    if h_nat < h_min:
+                        raise DivergenceError("state diverged", t)
+                    continue
 
-            err_vec = h * (_DP_ERR @ k)
-            sc = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-            err = math.sqrt(float(np.mean((err_vec / sc) ** 2)))
-            steps += 1
-            if err <= 1.0:
-                t = t_target if (t_target - t - h) < h_min else t + h
-                y = y_new
-                f_now = k[6].copy()  # FSAL; k[6] is overwritten by the next attempt
-                factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-                if clamped:
-                    h_nat = max(h_nat, h * factor)
+                sc = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
+                err = math.sqrt(float(np.mean((err_vec / sc) ** 2)))
+                steps += 1
+                if err <= 1.0:
+                    t = t_target if (t_target - t - h) < h_min else t + h
+                    y = y_new
+                    f_now = k[6].copy()  # FSAL; k[6] is overwritten by the next attempt
+                    factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+                    if clamped:
+                        h_nat = max(h_nat, h * factor)
+                    else:
+                        h_nat = h * factor
                 else:
-                    h_nat = h * factor
-            else:
-                h_nat = h * max(0.2, 0.9 * err ** -0.2)
-        out[target_i] = y
-        t = t_target
+                    h_nat = h * max(0.2, 0.9 * err ** -0.2)
+            out[target_i] = y
+            t = t_target
     return out
 
 
@@ -417,14 +378,30 @@ def _integrate_grid(rhs, y0, times, tol, max_steps=DEFAULTS.integrator_max_steps
 # public integration entry points
 
 
+def _check_grid(sys: ParamSystem, x0, t_end: float, samples: int,
+                tol: float) -> np.ndarray:
+    """Validate x0, the grid (t_end, samples) and tol; return x0 as a float vector."""
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    if x0.shape[0] != sys.state_dim:
+        raise DimensionError(
+            f"state has dimension {x0.shape[0]}, expected {sys.state_dim}")
+    if not (t_end > 0.0 and math.isfinite(t_end)):
+        raise DomainError("t_end must be positive and finite")
+    if not 1 <= samples <= DEFAULTS.integrator_max_steps:
+        # every sample costs at least one step, so more would exhaust the budget
+        raise DomainError(f"samples must lie in [1, {DEFAULTS.integrator_max_steps}]")
+    if not (DEFAULTS.integrator_min_tol <= tol <= DEFAULTS.integrator_max_tol):
+        raise DomainError(f"tol must lie in [{DEFAULTS.integrator_min_tol}, "
+                          f"{DEFAULTS.integrator_max_tol}]")
+    return x0
+
+
 def _check_integration_args(sys, alpha, x0, t_end, samples,
                             tol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validate the inputs, and the shapes of f, df/dx and df/da at x0."""
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    x0 = _check_grid(sys, x0, t_end, samples, tol)
     alpha = np.asarray(alpha, dtype=float).reshape(-1)
     k, n = sys.state_dim, sys.param_dim
-    if x0.shape[0] != k:
-        raise DimensionError(f"state has dimension {x0.shape[0]}, expected {k}")
     if alpha.shape[0] != n:
         raise DimensionError(
             f"parameter vector has dimension {alpha.shape[0]}, expected {n}")
@@ -434,14 +411,6 @@ def _check_integration_args(sys, alpha, x0, t_end, samples,
         if np.shape(value) != shape:
             raise DimensionError(
                 f"{name} has shape {np.shape(value)} at x0, expected {shape}")
-    if not (t_end > 0.0 and math.isfinite(t_end)):
-        raise DomainError("t_end must be positive and finite")
-    if not 1 <= samples <= DEFAULTS.integrator_max_steps:
-        # every sample costs at least one step, so more would exhaust the budget
-        raise DomainError(f"samples must lie in [1, {DEFAULTS.integrator_max_steps}]")
-    if not (DEFAULTS.integrator_min_tol <= tol <= DEFAULTS.integrator_max_tol):
-        raise DomainError(f"tol must lie in [{DEFAULTS.integrator_min_tol}, "
-                          f"{DEFAULTS.integrator_max_tol}]")
     h = t_end / samples
     times = h * np.arange(1, samples + 1)
     return x0, alpha, times
@@ -452,7 +421,7 @@ def integrate(sys: ParamSystem, alpha, x0, t_end: float, samples: int,
     """States on the uniform grid j*h, j = 1..samples, h = t_end/samples."""
     x0, alpha, times = _check_integration_args(sys, alpha, x0, t_end, samples, tol)
     states = _integrate_grid(sys.rhs(alpha), x0, times, tol)
-    return Trajectory(times=times, states=states, integrator_tol=tol)
+    return Trajectory(times=times, states=states)
 
 
 def integrate_with_sensitivity(sys: ParamSystem, alpha, x0, t_end: float,
@@ -465,8 +434,7 @@ def integrate_with_sensitivity(sys: ParamSystem, alpha, x0, t_end: float,
     raw = _integrate_grid(sys.sensitivity_rhs(alpha), y0, times, tol)
     states = raw[:, :k]
     sens = raw[:, k:].reshape(len(times), k, n)
-    return SensitivityBundle(times=times, states=states, sensitivities=sens,
-                             integrator_tol=tol)
+    return SensitivityBundle(times=times, states=states, sensitivities=sens)
 
 
 # ---------------------------------------------------------------------------

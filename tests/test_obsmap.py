@@ -54,6 +54,16 @@ class TestPhi:
         got = phi(handle, [-0.5])
         assert np.abs(got - np.exp([-0.5, -1.0, -1.5])).max() < 1e-10
 
+    @pytest.mark.parametrize("h,m,tol", [
+        (0.5, 4, 1e-2),       # tol above the integrators' range
+        (1e-3, 10 ** 7, 1e-10),  # more samples than the step budget
+        (1e308, 10, 1e-10),   # t_end = h*m overflows
+    ])
+    def test_handle_rejects_grids_the_integrators_reject(self, h, m, tol):
+        with pytest.raises(DomainError):
+            ObservationMapHandle(sys=scalar_decay_system(), x0=np.array([1.0]),
+                                 h=h, m=m, tol=tol)
+
     def test_stacking_is_sample_major(self):
         handle = rotation_handle(m=3)
         traj_states = phi(handle, MatrixLinear.pack(ROTATION)).reshape(3, 2)

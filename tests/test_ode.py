@@ -12,6 +12,7 @@ from conftest import (
 from odeident import (
     CallbackSystem,
     DimensionError,
+    DivergenceError,
     DomainError,
     IntegrationError,
     MatrixLinear,
@@ -169,6 +170,17 @@ class TestIntegrate:
             integrate(sys, [1.0], [1.0], t_end=2.0, samples=2, tol=1e-10)
         assert 0.9 <= err.value.t_fail <= 1.1
 
+    def test_non_finite_stage_retries_then_diverges_at_the_same_time(self):
+        # f = a below x = 1.5 and inf beyond: x = 1 + t reaches 1.5 at t = 0.5,
+        # where every retry of the step is non-finite until the step floor
+        sys = CallbackSystem(1, 1, lambda x, a: a if x[0] < 1.5 else np.array([np.inf]),
+                             dfdx_func=lambda x, a: np.zeros((1, 1)),
+                             dfda_func=lambda x, a: np.ones((1, 1)))
+        for run in (integrate, integrate_with_sensitivity):
+            with pytest.raises(DivergenceError) as err:
+                run(sys, [1.0], [1.0], t_end=2.0, samples=4)
+            assert err.value.t_fail == 0.5
+
     def test_precondition_errors(self):
         sys = scalar_decay_system()
         with pytest.raises(DomainError):
@@ -215,6 +227,22 @@ class TestSensitivity:
         fd = finite_difference_jacobian(phi_like, alpha, step=1e-5)
         rel = np.linalg.norm(stacked - fd) / max(np.linalg.norm(fd), 1e-30)
         assert rel <= max(1e-4, 100.0 * tol)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matrix_linear_rhs_is_bitwise_the_explicit_form(self, k):
+        # x' = A x, Z' = A Z + kron(I, x): the generic factory, signed zeros included
+        rng = np.random.default_rng(k)
+        sys = MatrixLinear(k)
+        amat = rng.standard_normal((k, k))
+        amat[0, 0] = -0.0
+        x = rng.standard_normal(k)
+        x[0] = -0.0
+        z = rng.standard_normal((k, k * k))
+        z[:, 0] = 0.0
+        got = sys.sensitivity_rhs(MatrixLinear.pack(amat))(0.0, np.concatenate([x, z.ravel()]))
+        ref = np.concatenate([amat @ x, (amat @ z + np.kron(np.eye(k), x)).ravel()])
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
 
     def test_state_part_matches_plain_integration(self):
         # different step sequences, so agreement only to ~global error
