@@ -227,7 +227,8 @@ class VerificationReport:
         return {
             "pairs_tested": self.pairs_tested,
             "violations": self.violations,
-            "worst_ratio": self.worst_ratio,
+            # inf when no distinct pair was compared; JSON has no inf
+            "worst_ratio": self.worst_ratio if math.isfinite(self.worst_ratio) else None,
             "bound": self.bound,
             "margin": self.margin,
         }
@@ -241,6 +242,10 @@ def verify_lower_bound(handle: ObservationMapHandle, cert: InjectivityCertificat
     counter-derived seeds (deterministic under any evaluation order); the
     first pair is forced identical and excluded from the ratio. Violations
     falsify the certificate (gamma was under-estimated).
+
+    ``pairs_tested`` is ``pair_count``: it counts pair 0, the identical
+    control pair that is never compared. With ``pair_count == 1`` no pair is
+    compared and ``worst_ratio`` stays inf (``null`` in ``to_dict``).
     """
     if pair_count < 1:
         raise DomainError("pair_count must be >= 1")
