@@ -214,7 +214,7 @@ class ExperimentConfig:
     tol: float
     sigma: float
     seed: int
-    solver: dict
+    solver: dict                # solver scalars, validated, defaults filled in
     init: np.ndarray | None     # solver.init, flat length n
     gn_options: GaussNewtonOptions
     scan: dict | None           # validated solver.scan block
@@ -275,16 +275,26 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     if seed_override is not None:
         seed = _as_int(seed_override, "--seed", 0)
 
-    solver = dict(_as_dict(raw.get("solver", {}), "solver"))
-    if seed_override is not None:
-        solver["seed"] = seed_override
+    raw_solver = _as_dict(raw.get("solver", {}), "solver")
+    solver_seed = raw_solver.get("seed", 0) if seed_override is None else seed_override
+    solver = {
+        "r_work": _as_float(raw_solver.get("r_work", 0.5), "solver.r_work"),
+        "gamma_samples": _as_int(raw_solver.get("gamma_samples", 32),
+                                 "solver.gamma_samples"),
+        "safety": _as_float(raw_solver.get("safety", DEFAULTS.gamma_safety),
+                            "solver.safety"),
+        "seed": _as_int(solver_seed, "solver.seed", 0),
+        "verify_pairs": _as_int(raw_solver.get("verify_pairs", 1000),
+                                "solver.verify_pairs"),
+        "k_max": _as_int(raw_solver.get("k_max", DEFAULTS.k_max), "solver.k_max"),
+    }
     init = None
-    if "init" in solver:
-        init = _as_array(solver["init"], "solver.init").reshape(-1)
+    if "init" in raw_solver:
+        init = _as_array(raw_solver["init"], "solver.init").reshape(-1)
         if init.shape[0] != n:
             raise ConfigError(f"solver.init must have length n={n}")
-    gn_options = _gauss_newton_options(solver.get("gauss_newton", {}))
-    scan = _scan_block(solver["scan"]) if "scan" in solver else None
+    gn_options = _gauss_newton_options(raw_solver.get("gauss_newton", {}))
+    scan = _scan_block(raw_solver["scan"]) if "scan" in raw_solver else None
 
     return ExperimentConfig(digest=digest, species=species, k=k, n=n, system=model,
                             alpha0=alpha0, x0=x0, h=h, m=m, tol=tol, sigma=sigma,
@@ -304,41 +314,36 @@ def _write_json(path, payload: dict, cfg: ExperimentConfig) -> None:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes the loaded config and the parsed arguments
 
 
-def cmd_simulate(config_path, out_path, seed_override: int | None = None) -> int:
-    cfg = load_config(config_path, seed_override)
+def cmd_simulate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     traj = integrate(cfg.system, cfg.alpha0, cfg.x0, t_end=cfg.h * cfg.m,
                      samples=cfg.m, tol=cfg.tol)
     grid = ObservationGrid.from_trajectory(traj)
     if cfg.sigma > 0.0:
         grid = add_noise(grid, cfg.sigma, cfg.seed)
-    write_trajectory_csv(out_path, grid.times, grid.values)
+    write_trajectory_csv(args.out, grid.times, grid.values)
     print(f"simulate: wrote {cfg.m} samples (h={cfg.h:g}, sigma={cfg.sigma:g}) "
-          f"to {out_path}")
+          f"to {args.out}")
     return EXIT_OK
 
 
-def cmd_certify(config_path, out_path, seed_override: int | None = None) -> int:
-    cfg = load_config(config_path, seed_override)
+def cmd_certify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     handle = cfg.build_handle()
     solver = cfg.solver
-    r_work = _as_float(solver.get("r_work", 0.5), "solver.r_work")
-    gamma_samples = _as_int(solver.get("gamma_samples", 32), "solver.gamma_samples")
-    safety = _as_float(solver.get("safety", DEFAULTS.gamma_safety), "solver.safety")
-    seed = _as_int(solver.get("seed", 0), "solver.seed", 0)
-    pairs = _as_int(solver.get("verify_pairs", 1000), "solver.verify_pairs")
     try:
-        cert = certify_radius(handle, cfg.alpha0, r_work=r_work,
-                              gamma_samples=gamma_samples, safety=safety, seed=seed)
+        cert = certify_radius(handle, cfg.alpha0, r_work=solver["r_work"],
+                              gamma_samples=solver["gamma_samples"],
+                              safety=solver["safety"], seed=solver["seed"])
     except NotIdentifiableError as exc:
-        _write_json(out_path, {"not_identifiable": True,
+        _write_json(args.out, {"not_identifiable": True,
                                "diagnostics": exc.diagnostics}, cfg)
         print(f"certify: NOT identifiable: {exc}")
         return EXIT_NOT_IDENTIFIABLE
-    report = verify_lower_bound(handle, cert, pair_count=pairs, seed=seed)
-    _write_json(out_path, {"certificate": cert.to_dict(),
+    report = verify_lower_bound(handle, cert, pair_count=solver["verify_pairs"],
+                                seed=solver["seed"])
+    _write_json(args.out, {"certificate": cert.to_dict(),
                            "verification": report.to_dict()}, cfg)
     print(f"certify: beta={cert.beta:.6g} gamma={cert.gamma:.6g} "
           f"r_cert={cert.r_cert:.6g}; verified {report.pairs_tested} pairs, "
@@ -346,13 +351,10 @@ def cmd_certify(config_path, out_path, seed_override: int | None = None) -> int:
     return EXIT_OK
 
 
-def cmd_analyze_linear(config_path, out_path, k_max: int | None = None,
-                       seed_override: int | None = None) -> int:
-    cfg = load_config(config_path, seed_override)
+def cmd_analyze_linear(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     if cfg.species != "matrix_linear":
         raise ConfigError("analyze-linear requires the matrix_linear species")
-    if k_max is None:
-        k_max = _as_int(cfg.solver.get("k_max", DEFAULTS.k_max), "solver.k_max")
+    k_max = cfg.solver["k_max"] if args.kmax is None else args.kmax
     amat = as_square(cfg.alpha0.reshape(cfg.k, cfg.k))
     report = degeneracy_report(amat, cfg.x0, cfg.h)
     try:
@@ -371,7 +373,7 @@ def cmd_analyze_linear(config_path, out_path, k_max: int | None = None,
                        "closed_form": [closed.real, closed.imag]}
         except DomainError:
             pass
-    _write_json(out_path, {
+    _write_json(args.out, {
         "degeneracy": report.to_dict(),
         "branches": branch_dict,
         "full_rank": rank_report.to_dict(),
@@ -383,19 +385,15 @@ def cmd_analyze_linear(config_path, out_path, k_max: int | None = None,
     return EXIT_OK
 
 
-def cmd_invert(config_path, obs_path, mode: str, out_path,
-               seed_override: int | None = None) -> int:
-    if mode not in ("fd", "gn"):
-        raise ConfigError(f"mode must be 'fd' or 'gn', got '{mode}'")
-    cfg = load_config(config_path, seed_override)
-    grid = ObservationGrid.from_csv(obs_path)
+def cmd_invert(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+    grid = ObservationGrid.from_csv(args.obs)
     if grid.values.shape[1] != cfg.k:
         raise ConfigError(
             f"observations have {grid.values.shape[1]} state columns, "
             f"config expects k={cfg.k}"
         )
 
-    if mode == "fd":
+    if args.mode == "fd":
         result = fd_linear_estimate(grid, cfg.system)
     else:
         handle = cfg.build_handle()
@@ -410,24 +408,23 @@ def cmd_invert(config_path, obs_path, mode: str, out_path,
         result = gauss_newton_invert(handle, grid.values.ravel(), cfg.init,
                                      options=cfg.gn_options)
 
-    _write_json(out_path, {"mode": mode, "result": result.to_dict()}, cfg)
+    _write_json(args.out, {"mode": args.mode, "result": result.to_dict()}, cfg)
     ok = result.converged and not result.rank_deficient
     status = "converged" if result.converged else "NOT converged"
     if result.rank_deficient:
         status += ", rank deficient"
-    print(f"invert[{mode}]: {status}; residual={result.residual:.6g} "
+    print(f"invert[{args.mode}]: {status}; residual={result.residual:.6g} "
           f"iterations={result.iterations}")
     return EXIT_OK if ok else EXIT_NOT_CONVERGED
 
 
-def cmd_zeta_scan(config_path, out_path, seed_override: int | None = None) -> int:
-    cfg = load_config(config_path, seed_override)
+def cmd_zeta_scan(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     scan = cfg.scan
     if scan is None:
         raise ConfigError("solver.scan block is required for zeta-scan")
     result = zeta_scan(cfg.build_handle(), scan["t_values"], scan["alpha_box"],
                        scan["x_box"], scan["grid"], rank_tol=scan["rank_tol"])
-    Path(out_path).write_text("\n".join(result.csv_lines()) + "\n")
+    Path(args.out).write_text("\n".join(result.csv_lines()) + "\n")
     frac = result.flagged_fraction
     print(f"zeta-scan: {len(result.cells)} cells, flagged fraction "
           f"{frac if math.isnan(frac) else round(frac, 6)}, "
@@ -438,6 +435,20 @@ def cmd_zeta_scan(config_path, out_path, seed_override: int | None = None) -> in
 # ---------------------------------------------------------------------------
 # argument parsing
 
+# (verb, help, extra arguments beyond --config/--out/--seed, handler)
+_VERBS = (
+    ("simulate", "integrate and write the sample CSV", (), cmd_simulate),
+    ("certify", "injectivity certificate + verification", (), cmd_certify),
+    ("analyze-linear", "degeneracy/branch/rank report",
+     (("--kmax", {"type": int, "default": None, "help": "branch shift bound"}),),
+     cmd_analyze_linear),
+    ("invert", "recover parameters from observations",
+     (("--obs", {"required": True, "help": "observation CSV"}),
+      ("--mode", {"required": True, "choices": ("fd", "gn")})),
+     cmd_invert),
+    ("zeta-scan", "det(J^T J) lattice scan", (), cmd_zeta_scan),
+)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -447,47 +458,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for verb, help_text, extra, handler in _VERBS:
+        p = sub.add_parser(verb, help=help_text)
         p.add_argument("--config", required=True, help="experiment config (JSON)")
         p.add_argument("--out", required=True, help="output path")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seeds")
-
-    p = sub.add_parser("simulate", help="integrate and write the sample CSV")
-    common(p)
-    p = sub.add_parser("certify", help="injectivity certificate + verification")
-    common(p)
-    p = sub.add_parser("analyze-linear", help="degeneracy/branch/rank report")
-    common(p)
-    p.add_argument("--kmax", type=int, default=None, help="branch shift bound")
-    p = sub.add_parser("invert", help="recover parameters from observations")
-    common(p)
-    p.add_argument("--obs", required=True, help="observation CSV")
-    p.add_argument("--mode", required=True, choices=("fd", "gn"))
-    p = sub.add_parser("zeta-scan", help="det(J^T J) lattice scan")
-    common(p)
+        for flag, options in extra:
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        if args.command == "simulate":
-            return cmd_simulate(args.config, args.out, args.seed)
-        if args.command == "certify":
-            return cmd_certify(args.config, args.out, args.seed)
-        if args.command == "analyze-linear":
-            return cmd_analyze_linear(args.config, args.out, args.kmax, args.seed)
-        if args.command == "invert":
-            return cmd_invert(args.config, args.obs, args.mode, args.out, args.seed)
-        if args.command == "zeta-scan":
-            return cmd_zeta_scan(args.config, args.out, args.seed)
-        raise ConfigError(f"unknown command {args.command}")  # pragma: no cover
-    except (ConfigError, InputFormatError, DimensionError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
+        return args.handler(load_config(args.config, args.seed), args)
+    except (ConfigError, InputFormatError, DimensionError, DomainError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (IntegrationError, RangeError, ConvergenceError) as exc:

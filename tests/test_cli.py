@@ -143,6 +143,21 @@ class TestCertify:
         alpha0 = np.array(blob["certificate"]["alpha0"])
         assert np.array_equal(alpha0, np.array(ROT).ravel())
 
+    def test_single_pair_report_is_strict_json(self, tmp_path):
+        # pair 0 is the identical control pair, so no ratio exists: null, not Infinity
+        cfg_dict = rotation_config(h=0.3, m=6, x0=(1.0, 0.7),
+                                   extra_solver={"verify_pairs": 1})
+        cfg = write_config(tmp_path, "rot.json", cfg_dict)
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        verification = json.loads(out.read_text(), parse_constant=reject)["verification"]
+        assert verification["pairs_tested"] == 1
+        assert verification["worst_ratio"] is None
+
     def test_deterministic_bytes(self, tmp_path):
         cfg = write_config(tmp_path, "dec.json", scalar_decay_config())
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -334,6 +349,8 @@ class TestValidation:
         (("solver", "gauss_newton", "max_iter"), "many", "solver.gauss_newton.max_iter"),
         (("system", "x0"), [10 ** 400], "system.x0"),
         (("observation", "m"), 10 ** 20, "observation.m"),
+        # certify's keys are validated with the rest of the config, for every verb
+        (("solver", "verify_pairs"), "many", "solver.verify_pairs"),
     ])
     def test_malformed_config_exits_2_naming_path(self, tmp_path, capsys, path, value,
                                                   named):
