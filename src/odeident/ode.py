@@ -385,6 +385,8 @@ def _check_grid(sys: ParamSystem, x0, t_end: float, samples: int,
     if x0.shape[0] != sys.state_dim:
         raise DimensionError(
             f"state has dimension {x0.shape[0]}, expected {sys.state_dim}")
+    if not np.all(np.isfinite(x0)):
+        raise DomainError("x0 must be finite")
     if not (t_end > 0.0 and math.isfinite(t_end)):
         raise DomainError("t_end must be positive and finite")
     if not 1 <= samples <= DEFAULTS.integrator_max_steps:

@@ -189,6 +189,9 @@ class TestIntegrate:
             integrate(sys, [-0.5], [1.0], t_end=1.0, samples=0)
         with pytest.raises(DomainError):
             integrate(sys, [-0.5], [1.0], t_end=1.0, samples=1, tol=1e-2)
+        for x0 in (np.nan, np.inf):
+            with pytest.raises(DomainError):
+                integrate(sys, [-0.5], [x0], t_end=1.0, samples=1)
 
 
 class TestSensitivity:
