@@ -313,6 +313,9 @@ def _initial_step(rhs, y0, f0, tol, t_span):
     return min(100.0 * h0, h1, t_span)
 
 
+# a non-finite stage fails the step test and a non-finite initial derivative
+# the checks on f0, so the overflow and nan arithmetic that leads there stays silent
+@np.errstate(over="ignore", invalid="ignore")
 def _integrate_grid(rhs, y0, times, tol, max_steps=DEFAULTS.integrator_max_steps):
     """Adaptive DP 5(4) from t=0 delivering exactly the grid `times`."""
     y = np.asarray(y0, dtype=float).copy()
@@ -328,49 +331,46 @@ def _integrate_grid(rhs, y0, times, tol, max_steps=DEFAULTS.integrator_max_steps
 
     steps = 0
     k = np.empty((7, y.shape[0]))
-    # a non-finite stage is caught by the step test below, so the overflow
-    # and nan arithmetic that follows it stays silent
-    with np.errstate(over="ignore", invalid="ignore"):
-        for target_i, t_target in enumerate(times):
-            while t < t_target - h_min:
-                if steps >= max_steps:
-                    raise IntegrationError("step budget exhausted", t)
-                h = min(h_nat, t_target - t)
-                clamped = h < h_nat
-                if h < h_min:
-                    raise IntegrationError("step size underflow", t)
+    for target_i, t_target in enumerate(times):
+        while t < t_target - h_min:
+            if steps >= max_steps:
+                raise IntegrationError("step budget exhausted", t)
+            h = min(h_nat, t_target - t)
+            clamped = h < h_nat
+            if h < h_min:
+                raise IntegrationError("step size underflow", t)
 
-                k[0] = f_now
-                for stage in range(1, 7):
-                    k[stage] = rhs(t + _DP_C[stage] * h,
-                                   y + h * (_DP_A[stage] @ k[:stage]))
-                y_new = y + h * (_DP_B5 @ k)
-                err_vec = h * (_DP_ERR @ k)
-                # every stage enters both sums (a zero weight gives 0*inf = nan),
-                # so this one test sees any non-finite stage
-                if not (np.isfinite(y_new).all() and np.isfinite(err_vec).all()):
-                    # retry smaller; if the step floor is hit the state is blowing up
-                    h_nat = h * 0.25
-                    if h_nat < h_min:
-                        raise DivergenceError("state diverged", t)
-                    continue
+            k[0] = f_now
+            for stage in range(1, 7):
+                k[stage] = rhs(t + _DP_C[stage] * h,
+                               y + h * (_DP_A[stage] @ k[:stage]))
+            y_new = y + h * (_DP_B5 @ k)
+            err_vec = h * (_DP_ERR @ k)
+            # every stage enters both sums (a zero weight gives 0*inf = nan),
+            # so this one test sees any non-finite stage
+            if not (np.isfinite(y_new).all() and np.isfinite(err_vec).all()):
+                # retry smaller; if the step floor is hit the state is blowing up
+                h_nat = h * 0.25
+                if h_nat < h_min:
+                    raise DivergenceError("state diverged", t)
+                continue
 
-                sc = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-                err = math.sqrt(float(np.mean((err_vec / sc) ** 2)))
-                steps += 1
-                if err <= 1.0:
-                    t = t_target if (t_target - t - h) < h_min else t + h
-                    y = y_new
-                    f_now = k[6].copy()  # FSAL; k[6] is overwritten by the next attempt
-                    factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-                    if clamped:
-                        h_nat = max(h_nat, h * factor)
-                    else:
-                        h_nat = h * factor
+            sc = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
+            err = math.sqrt(float(np.mean((err_vec / sc) ** 2)))
+            steps += 1
+            if err <= 1.0:
+                t = t_target if (t_target - t - h) < h_min else t + h
+                y = y_new
+                f_now = k[6].copy()  # FSAL; k[6] is overwritten by the next attempt
+                factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+                if clamped:
+                    h_nat = max(h_nat, h * factor)
                 else:
-                    h_nat = h * max(0.2, 0.9 * err ** -0.2)
-            out[target_i] = y
-            t = t_target
+                    h_nat = h * factor
+            else:
+                h_nat = h * max(0.2, 0.9 * err ** -0.2)
+        out[target_i] = y
+        t = t_target
     return out
 
 
