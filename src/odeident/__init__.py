@@ -6,7 +6,8 @@ Layers, bottom up:
 * ``numkernel`` — dense linear algebra (matrix exponential, eigenvalues,
   least squares, singular values, resultants).
 * ``ode`` — parameterized systems, adaptive integration, forward
-  sensitivities.
+  sensitivities, and each species' observation map (closed form for
+  x' = A x).
 * ``obsmap`` — the observation map, its Jacobian, injectivity-radius
   certificates, and the det(J^T J) lattice scan.
 * ``linearcase`` — exact analysis of x' = A x: degeneracy/aliasing
@@ -45,7 +46,6 @@ from .linearcase import (
     full_rank_check,
     krylov_rank,
     log_branches,
-    phi_exact,
     exp_divided_difference_determinant,
 )
 from .numkernel import (
@@ -111,7 +111,6 @@ __all__ = [
     "full_rank_check",
     "krylov_rank",
     "log_branches",
-    "phi_exact",
     "exp_divided_difference_determinant",
     "EigenResult",
     "LeastSquaresResult",

@@ -215,8 +215,9 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
         raise DomainError("alpha_init must be finite")
 
     n = handle.n_params
-    residual_vec = y_obs - phi(handle, alpha)
-    cost = float(np.linalg.norm(residual_vec))
+    with np.errstate(over="ignore"):  # an overflowing cost is caught below
+        residual_vec = y_obs - phi(handle, alpha)
+        cost = float(np.linalg.norm(residual_vec))
     if not math.isfinite(cost):
         raise DivergenceError("residual non-finite at initial point", 0.0)
     history = [(alpha.copy(), cost)]
@@ -250,11 +251,12 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
             step_norm = float(np.linalg.norm(step))
             trial = alpha + step
             try:
-                trial_res = y_obs - phi(handle, trial)
+                with np.errstate(over="ignore"):  # an overflowing cost is rejected below
+                    trial_res = y_obs - phi(handle, trial)
+                    trial_cost = float(np.linalg.norm(trial_res))
             except IntegrationError:
                 lam *= DEFAULTS.gn_damping_up
                 continue
-            trial_cost = float(np.linalg.norm(trial_res))
             if math.isfinite(trial_cost) and trial_cost < cost:
                 accepted = True
                 break

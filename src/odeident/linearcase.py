@@ -1,7 +1,8 @@
-"""Exact analysis of the linear system x' = A x: exponential observation
-map, eigenvalue degeneracy and aliasing detection, matrix-logarithm branch
-enumeration, Krylov dependence of the initial condition, and the
-exponential-divided-difference determinant identity.
+"""Exact analysis of the linear system x' = A x: eigenvalue degeneracy and
+aliasing detection, matrix-logarithm branch enumeration, Krylov dependence
+of the initial condition, the exponential-divided-difference determinant
+identity and the rank of the observation map's Jacobian. (The exact
+observation map itself is ``MatrixLinear.observe``.)
 
 Distinct parameter matrices share the observation map exactly when their
 eigenvalues differ by integer multiples of 2*pi*i/h (aliasing), which is why
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULTS
-from .errors import DefectiveMatrixError, DimensionError, DomainError
+from .errors import DefectiveMatrixError, DimensionError, DomainError, RangeError
 from .numkernel import (
     Poly,
     as_square,
@@ -34,20 +35,6 @@ from .obsmap import ObservationMapHandle, phi_jacobian
 from .ode import MatrixLinear
 
 
-def phi_exact(alpha, x0, h: float, m: int) -> np.ndarray:
-    """(e^{h A} x0, e^{2h A} x0, ..., e^{mh A} x0) stacked sample-major."""
-    a = as_square(alpha)
-    x0 = as_vector(x0)
-    if x0.shape[0] != a.shape[0]:
-        raise DimensionError("x0 dimension does not match matrix")
-    if m < 1:
-        raise DomainError("m must be >= 1")
-    out = np.empty((m, a.shape[0]))
-    for j in range(1, m + 1):
-        out[j - 1] = mat_exp(a, j * h) @ x0
-    return out.ravel()
-
-
 # ---------------------------------------------------------------------------
 # characteristic-polynomial discriminants
 
@@ -55,7 +42,10 @@ def phi_exact(alpha, x0, h: float, m: int) -> np.ndarray:
 def characteristic_poly(a: np.ndarray) -> Poly:
     """Characteristic polynomial det(lambda I - A), monic, ascending coeffs."""
     a = as_square(a)
-    coeffs = np.poly(a)[::-1]  # np.poly returns descending
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = np.poly(a)[::-1]  # np.poly returns descending
+    if not np.all(np.isfinite(coeffs)):
+        raise RangeError("characteristic polynomial left the float range")
     return Poly(coeffs)
 
 
@@ -164,7 +154,8 @@ def degeneracy_report(alpha, x0, h: float) -> DegeneracyReport:
     characteristic discriminant; aliasing scans eigenvalue differences
     against the lattice 2*pi*i*Z/h up to |k| <= k_scan. The initial
     condition is in the bad set E exactly when its Krylov sequence under
-    exp(h A) is linearly dependent.
+    exp(h A) is linearly dependent. Raises RangeError when a discriminant
+    or exp(h A) leaves the float range.
     """
     a = as_square(alpha)
     x0 = as_vector(x0)
@@ -181,8 +172,14 @@ def degeneracy_report(alpha, x0, h: float) -> DegeneracyReport:
     double = bool(gaps and min(gaps) <= DEFAULTS.eig_repeat_tol * scale)
 
     p = characteristic_poly(a)
-    resultant = sylvester_resultant(p, p.derivative())
-    closed = discriminant_closed_form(a)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            resultant = sylvester_resultant(p, p.derivative())
+            closed = discriminant_closed_form(a)
+    except OverflowError:  # a Python-float power in the k = 3 closed form
+        resultant = closed = math.inf
+    if not (math.isfinite(resultant) and (closed is None or math.isfinite(closed))):
+        raise RangeError("characteristic discriminant left the float range")
 
     pairs = tuple(_aliasing_pairs(vals, h))
     in_set_a = len(pairs) == 0
@@ -382,10 +379,10 @@ class FullRankReport:
 
 def full_rank_check(alpha0, x0, h: float, m: int,
                     tol: float = DEFAULTS.integrator_tol) -> FullRankReport:
-    """Numerical rank of the k^2-column Jacobian of A -> phi_exact(A, x0, h, m).
+    """Numerical rank of the k^2-column Jacobian of A -> phi(A) for the
+    matrix-linear system observed from x0 at h, 2h, ..., mh.
 
-    Columns come from the variational sensitivities of the matrix-linear
-    system, so the check matches what the estimators actually use.
+    The Jacobian is ``phi_jacobian``'s, the one the estimators use.
     """
     a = as_square(alpha0)
     x0 = as_vector(x0)

@@ -90,18 +90,21 @@ def mat_exp(a, t: float = 1.0) -> np.ndarray:
     The input is scaled by 2**-s until its 1-norm is at most
     ``DEFAULTS.mat_exp_scaled_norm`` (0.5), approximated, and squared
     back s times. Works for defective matrices; raises RangeError when the
-    result overflows.
+    result, or the 1-norm of t*A over the scaled norm, overflows.
     """
     a = as_square(a)
     if not math.isfinite(t):
         raise DomainError("t must be finite")
     n = a.shape[0]
-    b = t * a
-    nrm = float(np.linalg.norm(b, 1))
+    with np.errstate(over="ignore"):
+        b = t * a
+        nrm = float(np.linalg.norm(b, 1))
+    if not math.isfinite(nrm / DEFAULTS.mat_exp_scaled_norm):
+        raise RangeError("t*A is beyond the float range")
     s = 0 if nrm <= DEFAULTS.mat_exp_scaled_norm else int(
         math.ceil(math.log2(nrm / DEFAULTS.mat_exp_scaled_norm))
     )
-    c = b / (2.0 ** s)
+    c = np.ldexp(b, -s)  # b / 2**s exactly, also where 2.0**s overflows (s = 1024)
 
     coef = _PADE_B
     order = len(coef) - 1

@@ -22,9 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULTS
-from .errors import DimensionError, DomainError, IntegrationError, NotIdentifiableError
+from .errors import (
+    DimensionError,
+    DomainError,
+    IntegrationError,
+    NotIdentifiableError,
+    RangeError,
+)
 from .numkernel import EPS, numerical_rank, singular_values
-from .ode import ParamSystem, _check_grid, integrate, integrate_with_sensitivity
+from .ode import ParamSystem, _check_grid
 
 
 @dataclass(frozen=True)
@@ -58,17 +64,13 @@ class ObservationMapHandle:
 
 def phi(handle: ObservationMapHandle, alpha) -> np.ndarray:
     """Stacked samples (X(h), ..., X(mh)) as one vector, sample-major."""
-    traj = integrate(handle.sys, alpha, handle.x0, t_end=handle.h * handle.m,
-                     samples=handle.m, tol=handle.tol)
-    return traj.states.ravel()
+    return handle.sys.observe(alpha, handle.x0, handle.h, handle.m, handle.tol)
 
 
 def phi_jacobian(handle: ObservationMapHandle, alpha) -> np.ndarray:
     """(m*k) x n Jacobian of phi: stacked sensitivity blocks Z(jh)."""
-    bundle = integrate_with_sensitivity(handle.sys, alpha, handle.x0,
-                                        t_end=handle.h * handle.m, samples=handle.m,
-                                        tol=handle.tol)
-    return bundle.stacked_jacobian()
+    return handle.sys.observe(alpha, handle.x0, handle.h, handle.m, handle.tol,
+                              jacobian=True)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +163,8 @@ def certify_radius(handle: ObservationMapHandle, alpha0, r_work: float,
     svals = singular_values(jac)
     sigma1 = float(svals[0])
     sigma_min = float(svals[-1])
+    if math.isinf(sigma1 * sigma1):  # beta and the conditioning test square it
+        raise RangeError(f"Jacobian norm {sigma1:.3e} squares beyond the float range")
     n = handle.n_params
     rank = numerical_rank(jac, svals)
     beta = sigma_min ** 2

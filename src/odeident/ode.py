@@ -24,8 +24,9 @@ from .errors import (
     DomainError,
     InputFormatError,
     IntegrationError,
+    RangeError,
 )
-from .numkernel import EPS
+from .numkernel import EPS, mat_exp
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +141,19 @@ class ParamSystem:
 
         return rhs
 
+    def observe(self, alpha, x0, h: float, m: int, tol: float,
+                jacobian: bool = False) -> np.ndarray:
+        """The observation map at alpha: the stacked samples X(jh), j = 1..m,
+        as one (m*k) vector, or with ``jacobian`` its (m*k) x n Jacobian.
+
+        The default integrates with Dormand-Prince at ``tol``; a species with
+        a closed form overrides it.
+        """
+        if jacobian:
+            return integrate_with_sensitivity(self, alpha, x0, t_end=h * m, samples=m,
+                                              tol=tol).stacked_jacobian()
+        return integrate(self, alpha, x0, t_end=h * m, samples=m, tol=tol).states.ravel()
+
 
 class PolynomialBasis(ParamSystem):
     """f(x, a) = a_1 P_1(x) + ... + a_n P_n(x) for polynomial maps P_i."""
@@ -175,6 +189,11 @@ class PolynomialBasis(ParamSystem):
         return self.basis_block(x)
 
 
+# largest k whose Jacobian comes from the (k + k^3)-square block exponential;
+# above it the Dormand-Prince sensitivity integration is cheaper
+_EXACT_JACOBIAN_MAX_K = 4
+
+
 class MatrixLinear(ParamSystem):
     """f(x, a) = A x with A the k x k matrix holding the parameters.
 
@@ -202,6 +221,44 @@ class MatrixLinear(ParamSystem):
         # np.kron(I, x) bit for bit (signed zeros included), at a fraction of its cost
         k = self.state_dim
         return (np.eye(k)[:, :, None] * x).reshape(k, k * k)
+
+    def observe(self, alpha, x0, h, m, tol, jacobian=False):
+        """Exact: X(jh) = C^j x0 with C = exp(hA); ``tol`` is validated only.
+
+        The Jacobian (k <= 4; Dormand-Prince above) steps the joint state and
+        sensitivity system y = [x; vec Z], itself linear with the constant
+        block-triangular generator [[A, 0], [L, kron(A, I_n)]], where L puts
+        x_j into row i of Z's column i*k + j (Van Loan 1978).
+        """
+        k = self.state_dim
+        if jacobian and k > _EXACT_JACOBIAN_MAX_K:
+            return super().observe(alpha, x0, h, m, tol, jacobian=True)
+        x0, alpha, _ = _check_integration_args(self, alpha, x0, h * m, m, tol)
+        a = alpha.reshape(k, k)
+        n = self.param_dim
+        if jacobian:
+            gen = np.zeros((k + k * n, k + k * n))
+            gen[:k, :k] = a
+            gen[k:, k:] = np.kron(a, np.eye(n))
+            i, j = np.divmod(np.arange(n), k)
+            gen[k + i * n + i * k + j, j] = 1.0
+            y = np.concatenate([x0, np.zeros(k * n)])
+        else:
+            gen, y = a, x0
+        out = np.empty((m, y.shape[0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                step = mat_exp(gen, h)
+            except RangeError as exc:
+                raise DivergenceError(f"exp(hA) left the float range: {exc}", h) from exc
+            for j in range(m):
+                y = out[j] = step @ y
+        finite = np.isfinite(out).all(axis=1)
+        if not finite.all():
+            raise DivergenceError("state diverged", h * (int(np.argmin(finite)) + 1))
+        if jacobian:
+            return out[:, k:].reshape(m * k, n)
+        return out.ravel()
 
     # the generic factories, bound here by name because perfbench/tracing.py
     # wraps vars(MatrixLinear)["rhs"] and ["sensitivity_rhs"]
@@ -407,9 +464,15 @@ def _check_integration_args(sys, alpha, x0, t_end, samples,
     if alpha.shape[0] != n:
         raise DimensionError(
             f"parameter vector has dimension {alpha.shape[0]}, expected {n}")
-    for name, value, shape in (("f", sys.f(x0, alpha), (k,)),
-                               ("df/dx", sys.dfdx(x0, alpha), (k, k)),
-                               ("df/da", sys.dfda(x0, alpha), (k, n))):
+    if not np.all(np.isfinite(alpha)):
+        # an IntegrationError, as the state it would produce, so that callers
+        # probing trial points (Gauss-Newton, zeta_scan) reject it alike
+        raise DivergenceError("parameter vector is non-finite", 0.0)
+    # only the shapes are checked here, so overflow in the values stays silent
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = (sys.f(x0, alpha), sys.dfdx(x0, alpha), sys.dfda(x0, alpha))
+    for name, value, shape in zip(("f", "df/dx", "df/da"), values,
+                                  ((k,), (k, k), (k, n))):
         if np.shape(value) != shape:
             raise DimensionError(
                 f"{name} has shape {np.shape(value)} at x0, expected {shape}")

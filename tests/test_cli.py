@@ -399,10 +399,9 @@ def _paths(node, prefix=()):
 
 # A fixed pool of replacement values, extremes included, keeps examples
 # cheap: no moderately large sample count or stiff rate makes one run slow.
-_LEAVES = st.sampled_from([None, True, False, 0, 1, 2, 3, -1, 10 ** 20, 10 ** 400,
-                           0.0, 0.5, -0.5, 2.5, 1e-300, 1e300, float("nan"),
-                           float("inf"), "", "x", "1.0", "polynomial_basis",
-                           "matrix_linear"])
+_LEAF_POOL = [None, True, False, 0, 1, 2, 3, -1, 10 ** 20, 10 ** 400, 0.0, 0.5, -0.5,
+              2.5, 1e-300, 1e300, float("nan"), float("inf"), "", "x", "1.0",
+              "polynomial_basis", "matrix_linear"]
 
 
 def _containers(inner):
@@ -411,19 +410,15 @@ def _containers(inner):
                      st.dictionaries(keys, inner, max_size=2))
 
 
-_VALUES = st.recursive(_LEAVES, _containers, max_leaves=4)
-_FUZZ_PATHS = list(_paths(fuzz_base_config()))
+def _edits(base, values):
+    """One to three (path, value-or-_DELETE) edits of the config `base`."""
+    return st.lists(st.tuples(st.sampled_from(list(_paths(base))),
+                              st.one_of(st.just(_DELETE), values)),
+                    min_size=1, max_size=3)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(edits=st.lists(st.tuples(st.sampled_from(_FUZZ_PATHS),
-                                st.one_of(st.just(_DELETE), _VALUES)),
-                      min_size=1, max_size=3))
-def test_mutated_config_exit_code_contract(edits):
-    """Any mutation of a valid config exits with a documented code, never a
-    traceback. An edit replaces the value at a path or deletes it."""
-    cfg_dict = fuzz_base_config()
+def _run_mutated(cfg_dict, edits, verbs):
+    """Apply the edits, run each verb on the result, return the exit codes."""
     for path, value in edits:
         try:
             _set(cfg_dict, path, value)
@@ -431,5 +426,35 @@ def test_mutated_config_exit_code_contract(edits):
             continue  # an earlier edit removed or replaced this path
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write_config(Path(tmp), "fuzz.json", cfg_dict)
-        code = main(["simulate", "--config", cfg, "--out", str(Path(tmp) / "x.csv")])
-    assert code in (0, 2, 3, 4, 5)
+        return [main([verb, "--config", cfg, "--out", str(Path(tmp) / "out")])
+                for verb in verbs]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(edits=_edits(fuzz_base_config(),
+                    st.recursive(st.sampled_from(_LEAF_POOL), _containers, max_leaves=4)))
+def test_mutated_config_exit_code_contract(edits):
+    """Any mutation of a valid config exits with a documented code, never a
+    traceback. An edit replaces the value at a path or deletes it."""
+    assert set(_run_mutated(fuzz_base_config(), edits, ["simulate"])) <= {0, 2, 3, 4, 5}
+
+
+def fuzz_rotation_config():
+    # a deep copy: the edits must not reach the shared ROT matrix
+    return copy.deepcopy(rotation_config(
+        h=0.3, m=6, x0=(1.0, 0.7),
+        extra_solver={"gamma_samples": 10, "verify_pairs": 20}))
+
+
+# Leaves only: nested containers almost always fail validation (exit 2) before
+# any numerics run. No 10**20: certify accepts any 64-bit gamma_samples and
+# verify_pairs and evaluates that many samples, so it would never finish.
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(edits=_edits(fuzz_rotation_config(),
+                    st.sampled_from([v for v in _LEAF_POOL if v != 10 ** 20])))
+def test_mutated_linear_config_exit_code_contract(edits):
+    """As above for certify and analyze-linear on a matrix_linear config."""
+    codes = _run_mutated(fuzz_rotation_config(), edits, ["certify", "analyze-linear"])
+    assert set(codes) <= {0, 2, 3, 4, 5}

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from conftest import (
 )
 from odeident import (
     DimensionError,
+    DivergenceError,
     DomainError,
     GaussNewtonOptions,
     MatrixLinear,
@@ -230,6 +233,18 @@ class TestGaussNewton:
         # the Jacobian at the starting point gives a different condition number
         init_svals = singular_values(phi_jacobian(handle, init))
         assert result.condition != float(init_svals[0] / init_svals[-1])
+
+    def test_overflowing_trial_step_is_rejected(self):
+        # x' = a x, x0 = 1, one sample at h = 1: phi(a) = e^a. From a = 0 the
+        # first step toward y = 1000 lands near a = 998, where e^a overflows
+        handle = ObservationMapHandle(sys=MatrixLinear(1), x0=[1.0], h=1.0, m=1)
+        first_trial = 999.0 / (1.0 + GaussNewtonOptions().damping)
+        with pytest.raises(DivergenceError):
+            phi(handle, [first_trial])
+        result = gauss_newton_invert(handle, [1000.0], [0.0])
+        assert result.converged
+        assert abs(result.alpha_hat[0] - math.log(1000.0)) < 1e-12
+        assert all(abs(a[0]) < 10.0 and math.isfinite(r) for a, r in result.history)
 
     def test_bad_options_rejected(self):
         with pytest.raises(DomainError):

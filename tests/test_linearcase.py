@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,14 +12,15 @@ from odeident import (
     DomainError,
     MatrixLinear,
     ObservationMapHandle,
+    RangeError,
     degeneracy_report,
     discriminant_closed_form,
     full_rank_check,
+    integrate,
     krylov_rank,
     log_branches,
     mat_exp,
     phi,
-    phi_exact,
     exp_divided_difference_determinant,
 )
 from odeident.linearcase import CLOSED_FORM_SIGN, characteristic_poly
@@ -38,16 +40,21 @@ def planted_double_matrix(rng, k):
 
 
 class TestPhiExact:
+    """phi on a MatrixLinear handle is the closed form (e^{hA} x0, ..., e^{mhA} x0)."""
+
     def test_zero_matrix_repeats_x0(self):
-        got = phi_exact(np.zeros((2, 2)), [0.5, -1.0], h=0.7, m=3)
+        handle = ObservationMapHandle(sys=MatrixLinear(2), x0=[0.5, -1.0], h=0.7, m=3)
+        got = phi(handle, np.zeros(4))
         assert np.array_equal(got, np.tile([0.5, -1.0], 3))
 
     def test_rotation_half_turn(self):
-        got = phi_exact(ROTATION, [1.0, 0.0], h=math.pi, m=1)
+        handle = ObservationMapHandle(sys=MatrixLinear(2), x0=[1.0, 0.0], h=math.pi, m=1)
+        got = phi(handle, MatrixLinear.pack(ROTATION))
         assert np.abs(got - np.array([-1.0, 0.0])).max() < 1e-13
 
     def test_scalar_decay_powers(self):
-        got = phi_exact(np.array([[-1.0]]), [1.0], h=1.0, m=3)
+        handle = ObservationMapHandle(sys=MatrixLinear(1), x0=[1.0], h=1.0, m=3)
+        got = phi(handle, [-1.0])
         assert np.abs(got - np.exp([-1.0, -2.0, -3.0])).max() < 1e-13
 
     def test_agrees_with_integrator_phi(self):
@@ -57,12 +64,24 @@ class TestPhiExact:
             x0 = rng.uniform(-1.0, 1.0, size=2)
             handle = ObservationMapHandle(sys=rotation_system(), x0=x0, h=0.4,
                                           m=4, tol=1e-11)
-            exact = phi_exact(a, x0, h=0.4, m=4)
-            numeric = phi(handle, MatrixLinear.pack(a))
+            exact = phi(handle, MatrixLinear.pack(a))
+            numeric = integrate(rotation_system(), MatrixLinear.pack(a), x0,
+                                t_end=1.6, samples=4, tol=1e-11).states.ravel()
             assert np.abs(exact - numeric).max() < 1e-9
 
 
 class TestDiscriminants:
+    @pytest.mark.parametrize("a", [
+        np.diag([-1e200, -2e200]),       # the characteristic polynomial overflows
+        np.diag([-1e200, -1.0]),         # it does not; both discriminants do
+        np.diag([-1e150, -1.0, -2.0]),   # the k = 3 closed form's Python-float power
+    ])
+    def test_discriminant_beyond_float_range_is_a_range_error(self, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RangeError):
+                degeneracy_report(a, np.ones(a.shape[0]), h=1.0)
+
     def test_jordan_block_closed_form_zero(self):
         a = np.array([[1.0, 1.0], [0.0, 1.0]])
         report = degeneracy_report(a, [1.0, 0.0], h=1.0)
@@ -260,6 +279,15 @@ class TestFullRankCheck:
     def test_eigenvector_x0_rank_deficient(self):
         report = full_rank_check(np.diag([1.0, 2.0]), [1.0, 0.0], h=0.3, m=6)
         assert report.rank < 4
+        assert not report.full
+
+    @pytest.mark.parametrize("tol", [1e-5, 1e-10])
+    def test_aliased_pair_loses_rank_at_any_tol(self, tol):
+        # eigenvalues -0.2 +- pi i differ by 2 pi i / h: D exp(hA) has a 2-dim
+        # kernel, which an integrated Jacobian hid behind its error at tol
+        a = np.array([[-0.2, math.pi], [-math.pi, -0.2]])
+        report = full_rank_check(a, [1.0, 0.5], h=1.0, m=4, tol=tol)
+        assert report.rank == 2
         assert not report.full
 
     def test_too_few_samples_rejected(self):

@@ -1,8 +1,11 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     ROTATION,
@@ -11,15 +14,21 @@ from conftest import (
     rotation_handle,
     rotation_system,
     scalar_decay_system,
+    stable_matrix,
 )
 from odeident import (
+    DimensionError,
+    DivergenceError,
     DomainError,
     MatrixLinear,
     NotIdentifiableError,
     ObservationMapHandle,
     PolyMap,
     PolynomialBasis,
+    RangeError,
     certify_radius,
+    integrate,
+    integrate_with_sensitivity,
     numerical_rank,
     phi,
     phi_jacobian,
@@ -111,6 +120,59 @@ class TestPhiJacobian:
             assert rel <= 1e-4
 
 
+class TestMatrixLinearExactMap:
+    """phi and phi_jacobian of MatrixLinear come from matrix exponentials, not
+    the integrator; the input contract is the integrators'."""
+
+    @pytest.mark.parametrize("observe", [phi, phi_jacobian])
+    @pytest.mark.parametrize("alpha,t_fail", [
+        ([math.nan, 0.0, 0.0, 0.0], 0.0),
+        ([math.inf, 0.0, 0.0, 0.0], 0.0),
+        ([2000.0, 0.0, 0.0, 0.0], 0.5),   # exp(hA) overflows
+        ([300.0, 0.0, 0.0, 0.0], 2.5),    # exp(hA) is finite, e^{300 t} at t = 2.5 is not
+        ([1e308, 1e308, 0.0, 0.0], 0.5),  # f(x0) overflows; hA needs 1024 halvings
+    ])
+    def test_non_finite_or_overflowing_alpha_diverges(self, observe, alpha, t_fail):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError) as info:
+                observe(rotation_handle(h=0.5), alpha)
+        assert info.value.t_fail == t_fail
+
+    @pytest.mark.parametrize("observe", [phi, phi_jacobian])
+    def test_wrong_length_alpha_is_a_dimension_error(self, observe):
+        with pytest.raises(DimensionError):
+            observe(rotation_handle(h=0.5), [0.0, 1.0, -1.0])
+
+    def test_huge_decay_underflows_to_zero(self):
+        got = phi(rotation_handle(h=0.5), [-1e308, 0.0, 0.0, 0.0])
+        assert np.array_equal(got, np.tile([0.0, 0.7], 6))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
+       h=st.floats(0.05, 0.5), m=st.integers(1, 8))
+def test_exact_linear_map_matches_integrators(k, seed, h, m):
+    """Exact phi (every k) and Jacobian (k <= 4) agree with Dormand-Prince at
+    tol 1e-12; at k = 5 the Jacobian is Dormand-Prince's, bit for bit."""
+    rng = np.random.default_rng(seed)
+    alpha = MatrixLinear.pack(stable_matrix(rng, k))
+    x0 = rng.uniform(-1.0, 1.0, size=k)
+    sys = MatrixLinear(k)
+    handle = ObservationMapHandle(sys=sys, x0=x0, h=h, m=m, tol=1e-12)
+    got_phi, got_jac = phi(handle, alpha), phi_jacobian(handle, alpha)
+    ref_phi = integrate(sys, alpha, x0, t_end=h * m, samples=m, tol=1e-12).states.ravel()
+    ref_jac = integrate_with_sensitivity(sys, alpha, x0, t_end=h * m, samples=m,
+                                         tol=1e-12).stacked_jacobian()
+    assert np.abs(got_phi - ref_phi).max() <= 1e-9 * np.abs(ref_phi).max()
+    if k <= 4:
+        assert np.abs(got_jac - ref_jac).max() <= 1e-9 * np.abs(ref_jac).max()
+    else:
+        assert got_jac.tobytes() == ref_jac.tobytes()
+    assert phi(handle, alpha).tobytes() == got_phi.tobytes()
+    assert phi_jacobian(handle, alpha).tobytes() == got_jac.tobytes()
+
+
 class TestCertifyRadius:
     def test_scalar_exponential_closed_forms(self):
         handle = scalar_exp_handle()
@@ -196,6 +258,12 @@ class TestCertifyRadius:
             certify_radius(handle, [0.0], r_work=0.1, gamma_samples=5)
         with pytest.raises(DomainError):
             certify_radius(handle, [0.0], r_work=0.1, safety=0.5)
+
+    def test_jacobian_norm_beyond_float_range_is_a_range_error(self):
+        # the exact map computes this Jacobian (entries ~1e160); beta squares it
+        handle = rotation_handle(x0=(1e160, 0.7))
+        with pytest.raises(RangeError):
+            certify_radius(handle, MatrixLinear.pack(ROTATION), r_work=0.1)
 
 
 class TestVerifyLowerBound:
