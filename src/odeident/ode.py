@@ -251,8 +251,8 @@ class MatrixLinear(ParamSystem):
                 step = mat_exp(gen, h)
             except RangeError as exc:
                 raise DivergenceError(f"exp(hA) left the float range: {exc}", h) from exc
-            for j in range(m):
-                y = out[j] = step @ y
+            for sample in range(m):
+                y = out[sample] = step @ y
         finite = np.isfinite(out).all(axis=1)
         if not finite.all():
             raise DivergenceError("state diverged", h * (int(np.argmin(finite)) + 1))
