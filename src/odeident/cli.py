@@ -123,11 +123,14 @@ def _as_float(value, path: str) -> float:
     return float(value)
 
 
-def _as_int(value, path: str, minimum: int | None = None) -> int:
+def _as_int(value, path: str, minimum: int | None = None,
+            maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or abs(value) >= 2 ** 63:
         raise ConfigError(f"'{path}' must be a 64-bit integer")
     if minimum is not None and value < minimum:
         raise ConfigError(f"'{path}' must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"'{path}' must be <= {maximum}")
     return value
 
 
@@ -279,13 +282,14 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     solver_seed = raw_solver.get("seed", 0) if seed_override is None else seed_override
     solver = {
         "r_work": _as_float(raw_solver.get("r_work", 0.5), "solver.r_work"),
+        # certify evaluates every sample and pair, so the counts are bounded
         "gamma_samples": _as_int(raw_solver.get("gamma_samples", 32),
-                                 "solver.gamma_samples"),
+                                 "solver.gamma_samples", maximum=DEFAULTS.certify_budget),
         "safety": _as_float(raw_solver.get("safety", DEFAULTS.gamma_safety),
                             "solver.safety"),
         "seed": _as_int(solver_seed, "solver.seed", 0),
         "verify_pairs": _as_int(raw_solver.get("verify_pairs", 1000),
-                                "solver.verify_pairs"),
+                                "solver.verify_pairs", maximum=DEFAULTS.certify_budget),
         "k_max": _as_int(raw_solver.get("k_max", DEFAULTS.k_max), "solver.k_max"),
     }
     init = None

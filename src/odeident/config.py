@@ -28,6 +28,7 @@ class Tolerances:
     gamma_fd_step: float = 1e-4         # directional second-difference step scale
     verify_margin_rel: float = 1e-6     # slack on sqrt(beta)/2 in verify_lower_bound
     zeta_budget: int = 200_000          # max lattice cells per scan
+    certify_budget: int = 100_000       # max gamma samples, and max verify pairs
 
     # linearcase
     k_scan: int = 16                    # aliasing search bound |k| <= k_scan

@@ -18,7 +18,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import DEFAULTS
-from .errors import DimensionError, DivergenceError, DomainError, IntegrationError
+from .errors import (
+    DimensionError,
+    DivergenceError,
+    DomainError,
+    IntegrationError,
+    RangeError,
+)
 from .numkernel import least_squares, numerical_rank, singular_values
 from .obsmap import ObservationMapHandle, phi, phi_jacobian
 from .ode import (
@@ -154,9 +160,13 @@ def fd_linear_estimate(obs: ObservationGrid, sys: ParamSystem) -> EstimationResu
     a = np.empty((k * n_int, n))
     b = np.empty(k * n_int)
     two_dt = 2.0 * obs.delta_t
-    for row, i in enumerate(range(1, n_int + 1)):
-        a[row * k:(row + 1) * k] = _linear_block(sys, obs.values[i])
-        b[row * k:(row + 1) * k] = (obs.values[i + 1] - obs.values[i - 1]) / two_dt
+    with np.errstate(over="ignore", invalid="ignore"):  # tested just below
+        for row, i in enumerate(range(1, n_int + 1)):
+            a[row * k:(row + 1) * k] = _linear_block(sys, obs.values[i])
+            b[row * k:(row + 1) * k] = (obs.values[i + 1] - obs.values[i - 1]) / two_dt
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise RangeError("the difference quotients or df/da at the observations "
+                         "leave the float range")
 
     sol = least_squares(a, b)
     deficient = sol.rank < n

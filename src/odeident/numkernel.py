@@ -224,7 +224,10 @@ def least_squares(a, b) -> LeastSquaresResult:
         raise DimensionError(f"b has length {b.shape[0]}, expected {m}")
     rcond = max(m, n) * EPS
     x, _, rank, svals = np.linalg.lstsq(a, b, rcond=rcond)
-    residual = float(np.linalg.norm(a @ x - b))
+    with np.errstate(over="ignore"):  # an overflowing norm is caught below
+        residual = float(np.linalg.norm(a @ x - b))
+    if math.isinf(residual):
+        raise RangeError("least-squares residual norm leaves the float range")
     if rank > 0:
         condition = float(svals[0] / svals[rank - 1])
     else:

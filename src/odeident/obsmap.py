@@ -334,7 +334,7 @@ def zeta_scan(handle: ObservationMapHandle, t_values, alpha_box, x_box,
     zeta <= rank_tol * sigma_1^(2n) are flagged near-critical; the threshold
     is relative to sigma_1^(2n) because det(J^T J) carries the 2n-th power of
     the problem scale. Integration failures mark the cell failed and the
-    scan continues.
+    scan continues; a sigma_1^(2n) beyond the float range raises RangeError.
     """
     n, k = handle.n_params, handle.sys.state_dim
     alpha_box = [tuple(map(float, b)) for b in alpha_box]
@@ -369,9 +369,16 @@ def zeta_scan(handle: ObservationMapHandle, t_values, alpha_box, x_box,
                 continue
             svals = np.zeros(n)
             svals[: min(jac.shape)] = singular_values(jac)
-            zeta = float(np.prod(svals ** 2))
             sigma1 = float(svals[0])
-            flagged = zeta <= rank_tol * sigma1 ** (2 * n)
+            try:
+                scale = sigma1 ** (2 * n)
+            except OverflowError:
+                scale = math.inf
+            if math.isinf(scale):  # zeta <= scale, so zeta is in range once scale is
+                raise RangeError(f"Jacobian norm {sigma1:.3e} to the power 2n = {2 * n} "
+                                 "leaves the float range")
+            zeta = float(np.prod(svals ** 2))
+            flagged = zeta <= rank_tol * scale
             cells.append(ZetaCell(t=float(t), alpha=tuple(alpha), x=tuple(x),
                                   zeta=zeta, sigma1=sigma1, flagged=flagged))
     return ZetaScanResult(cells=cells, rank_tol=rank_tol, n_params=n)

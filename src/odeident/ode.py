@@ -38,6 +38,8 @@ class PolyMap:
 
     ``components[r]`` is a list of ``(coeff, exponents)`` pairs for output
     coordinate r, with ``exponents`` a length-k tuple of non-negative ints.
+    The map holds data only: ``PolynomialBasis`` compiles its maps into one
+    monomial table and evaluates them from that.
     """
 
     def __init__(self, state_dim: int, components: Sequence[Sequence[tuple]]):
@@ -67,34 +69,6 @@ class PolyMap:
     @property
     def is_zero(self) -> bool:
         return all(len(c) == 0 for c in self.components)
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.state_dim)
-        for r, comp in enumerate(self.components):
-            acc = 0.0
-            for coeff, exps in comp:
-                term = coeff
-                for i, e in enumerate(exps):
-                    if e:
-                        term *= x[i] ** e
-                acc += term
-            out[r] = acc
-        return out
-
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        jac = np.zeros((self.state_dim, self.state_dim))
-        for r, comp in enumerate(self.components):
-            for coeff, exps in comp:
-                for s, e in enumerate(exps):
-                    if e == 0:
-                        continue
-                    term = coeff * e
-                    for i, ei in enumerate(exps):
-                        power = ei - 1 if i == s else ei
-                        if power:
-                            term *= x[i] ** power
-                    jac[r, s] += term
-        return jac
 
     @staticmethod
     def scalar(monomials: Sequence[tuple[float, int]]) -> "PolyMap":
@@ -127,10 +101,22 @@ class ParamSystem:
     def dfda(self, x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    # The two factories are the one place every species' right-hand sides are
+    # built, so a wrapper around them sees every integration (perfbench/tracing.py
+    # counts RHS evaluations that way); a species specializes the closures
+    # through the _rhs and _sensitivity_rhs hooks, not by overriding these.
     def rhs(self, alpha: np.ndarray) -> Callable[[float, np.ndarray], np.ndarray]:
-        return lambda t, x: self.f(x, alpha)
+        """The field x -> f(x, alpha) as an integrator closure (t, x) -> x'."""
+        return self._rhs(alpha)
 
     def sensitivity_rhs(self, alpha) -> Callable[[float, np.ndarray], np.ndarray]:
+        """The joint field y = [x; vec Z] -> [f; vec(df/dx Z + df/da)]."""
+        return self._sensitivity_rhs(alpha)
+
+    def _rhs(self, alpha):
+        return lambda t, x: self.f(x, alpha)
+
+    def _sensitivity_rhs(self, alpha):
         k, n = self.state_dim, self.param_dim
 
         def rhs(t, y):
@@ -156,7 +142,13 @@ class ParamSystem:
 
 
 class PolynomialBasis(ParamSystem):
-    """f(x, a) = a_1 P_1(x) + ... + a_n P_n(x) for polynomial maps P_i."""
+    """f(x, a) = a_1 P_1(x) + ... + a_n P_n(x) for polynomial maps P_i.
+
+    The maps are compiled once, here, into one table of the U distinct
+    monomials that f and its first partials need, and two constant
+    coefficient arrays over it: df/da = C_a u(x) and df/dx = (a . C_x) u(x).
+    Each evaluation computes u(x) once.
+    """
 
     def __init__(self, maps: Sequence[PolyMap]):
         if len(maps) == 0:
@@ -169,24 +161,81 @@ class PolynomialBasis(ParamSystem):
                 raise DomainError(f"basis map {i} is identically zero")
         self.maps = tuple(maps)
         self.state_dim = k
-        self.param_dim = len(maps)
+        self.param_dim = n = len(maps)
 
-    def basis_block(self, x: np.ndarray) -> np.ndarray:
-        """k x n matrix with column i = P_i(x); equals df/da."""
-        return np.column_stack([m.value(x) for m in self.maps])
+        slots: dict[tuple, int] = {}  # exponent tuple -> monomial index
+        da_terms, dx_terms = [], []   # (coefficient entry, monomial index, value)
+        for i, m in enumerate(self.maps):
+            for r, comp in enumerate(m.components):
+                for coeff, exps in comp:
+                    da_terms.append(((r, i), slots.setdefault(exps, len(slots)), coeff))
+                    for s, e in enumerate(exps):
+                        if e:
+                            lowered = exps[:s] + (e - 1,) + exps[s + 1:]
+                            dx_terms.append(((r, s, i), slots.setdefault(lowered, len(slots)),
+                                             coeff * e))
+        # monomial u is the product of x[factors[d, u]] over the rows d it uses
+        degree = max(sum(exps) for exps in slots)
+        self._factors = np.zeros((degree, len(slots)), dtype=np.intp)
+        self._factor_used = np.zeros((degree, len(slots)), dtype=bool)
+        for slot, exps in enumerate(slots):
+            idx = [i for i, e in enumerate(exps) for _ in range(e)]
+            self._factors[:len(idx), slot] = idx
+            self._factor_used[:len(idx), slot] = True
+        self._dfda_coef = np.zeros((k, n, len(slots)))     # df/da = C_a @ u
+        for (r, i), slot, c in da_terms:
+            self._dfda_coef[r, i, slot] += c
+        self._dfdx_coef = np.zeros((k, k, n, len(slots)))  # df/dx = (a @ C_x) @ u
+        for (r, s, i), slot, c in dx_terms:
+            self._dfdx_coef[r, s, i, slot] += c
+
+    def _monomials(self, x: np.ndarray) -> np.ndarray:
+        """u(x); reads x[:k] only, so x may be the joint state [x; vec Z]."""
+        return np.multiply.reduce(x.take(self._factors), axis=0,
+                                  where=self._factor_used, initial=1.0)
 
     def f(self, x, alpha):
-        return self.basis_block(x) @ alpha
+        return (alpha @ self._dfda_coef) @ self._monomials(x)
 
     def dfdx(self, x, alpha):
-        out = np.zeros((self.state_dim, self.state_dim))
-        for a_i, m in zip(alpha, self.maps):
-            if a_i != 0.0:
-                out += a_i * m.jacobian(x)
-        return out
+        return (alpha @ self._dfdx_coef) @ self._monomials(x)
 
     def dfda(self, x, alpha):
-        return self.basis_block(x)
+        return self._dfda_coef @ self._monomials(x)
+
+    # alpha times a coefficient may overflow: the integrator's finiteness tests
+    # reject the non-finite field that results, so the weights build silently
+    @np.errstate(over="ignore", invalid="ignore")
+    def _rhs(self, alpha):
+        w_f, monomials = alpha @ self._dfda_coef, self._monomials
+        return lambda t, x: w_f @ monomials(x)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _sensitivity_rhs(self, alpha):
+        """[f; vec(J Z + P)] = W(alpha) (u(x) kron [1; vec Z]), W assembled once.
+
+        Row r of f and row (r, j) of vec(P) hold their coefficients of monomial
+        u in column (u, 0); row (r, j) of vec(J Z) holds J[r, s]'s coefficient
+        of u in column (u, 1 + s*n + j), which multiplies u(x) Z[s, j].
+        """
+        k, n = self.state_dim, self.param_dim
+        n_mono = self._factors.shape[1]
+        w = np.zeros((k + k * n, n_mono, 1 + k * n))
+        w[:k, :, 0] = alpha @ self._dfda_coef
+        w[k:, :, 0] = self._dfda_coef.reshape(k * n, n_mono)
+        jac = (alpha @ self._dfdx_coef).transpose(0, 2, 1)  # [r, u, s]
+        # [r, j, u, s, j'] = jac[r, u, s] * delta(j, j')
+        w[k:, :, 1:] = (jac[:, None, :, :, None] * np.eye(n)[:, None, None, :]
+                        ).reshape(k * n, n_mono, k * n)
+        w = w.reshape(k + k * n, n_mono * (1 + k * n))
+        monomials = self._monomials
+        one_z = np.ones(1 + k * n)  # [1; vec Z], refilled per call
+
+        def rhs(t, y):
+            one_z[1:] = y[k:]
+            return w @ (monomials(y)[:, None] * one_z).ravel()
+
+        return rhs
 
 
 # largest k whose Jacobian comes from the (k + k^3)-square block exponential;

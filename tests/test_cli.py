@@ -2,17 +2,26 @@ import copy
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from odeident import __version__
+from odeident import DEFAULTS, __version__
 from odeident.cli import main
 
 ROT = [[0.0, 1.0], [-1.0, 0.0]]
+
+
+def strict_json(text):
+    """Parse JSON that holds no NaN or Infinity constant."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def write_config(tmp_path, name, cfg):
@@ -150,11 +159,7 @@ class TestCertify:
         cfg = write_config(tmp_path, "rot.json", cfg_dict)
         out = tmp_path / "cert.json"
         assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
-
-        def reject(name):
-            raise ValueError(f"non-standard JSON constant {name}")
-
-        verification = json.loads(out.read_text(), parse_constant=reject)["verification"]
+        verification = strict_json(out.read_text())["verification"]
         assert verification["pairs_tested"] == 1
         assert verification["worst_ratio"] is None
 
@@ -279,6 +284,22 @@ class TestInvert:
         blob = json.loads(out.read_text())
         assert blob["result"]["converged"] is False
 
+    def test_overflowing_observations_exit_3_with_no_report(self, tmp_path):
+        # observations near 1e200: the fd residual norm and the GN cost overflow
+        init = (np.array(ROT).ravel() + 0.03).tolist()
+        cfg = write_config(tmp_path, "rot.json",
+                           rotation_config(h=0.3, m=6, x0=(1.0, 0.7), sigma=1e200,
+                                           extra_solver={"init": init}))
+        obs = tmp_path / "obs.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(obs)]) == 0
+        for mode in ("fd", "gn"):
+            out = tmp_path / f"{mode}.json"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["invert", "--config", cfg, "--obs", str(obs),
+                             "--mode", mode, "--out", str(out)]) == 3
+            assert not out.exists()
+
     def test_pipeline_determinism(self, tmp_path):
         cfg = write_config(tmp_path, "logi.json", logistic_config(m=100))
         blobs = []
@@ -310,6 +331,18 @@ class TestZetaScan:
         assert lines[0] == "t,alpha1,alpha2,x1,zeta,flag"
         assert len(lines) == 1 + 125
         assert all(line.endswith(",0") for line in lines[1:])
+
+    def test_overflowing_scale_exits_3_without_warning(self, tmp_path):
+        # at alpha = +-50 the Jacobian norm reaches ~1e55, and sigma_1^(2n) = sigma_1^8
+        # leaves the float range
+        cfg_dict = rotation_config(h=0.3, m=6, x0=(1.0, 0.7))
+        cfg_dict["solver"]["scan"] = {"t_values": [1.0], "alpha_box": [[-50, 50]] * 4,
+                                      "x_box": [[0.5, 1.0]] * 2, "grid": 2}
+        cfg = write_config(tmp_path, "scan.json", cfg_dict)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["zeta-scan", "--config", cfg, "--out",
+                         str(tmp_path / "scan.csv")]) == 3
 
     def test_missing_scan_block_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "logi.json", logistic_config())
@@ -351,6 +384,9 @@ class TestValidation:
         (("observation", "m"), 10 ** 20, "observation.m"),
         # certify's keys are validated with the rest of the config, for every verb
         (("solver", "verify_pairs"), "many", "solver.verify_pairs"),
+        # certify would evaluate every sample and pair
+        (("solver", "gamma_samples"), 10 ** 20, "solver.gamma_samples"),
+        (("solver", "verify_pairs"), DEFAULTS.certify_budget + 1, "solver.verify_pairs"),
     ])
     def test_malformed_config_exits_2_naming_path(self, tmp_path, capsys, path, value,
                                                   named):
@@ -399,8 +435,10 @@ def _paths(node, prefix=()):
 
 # A fixed pool of replacement values, extremes included, keeps examples
 # cheap: no moderately large sample count or stiff rate makes one run slow.
-_LEAF_POOL = [None, True, False, 0, 1, 2, 3, -1, 10 ** 20, 10 ** 400, 0.0, 0.5, -0.5,
-              2.5, 1e-300, 1e300, float("nan"), float("inf"), "", "x", "1.0",
+# 1e200 as noise.sigma overflows the inversions' residual norms, and 50 in a
+# scan box overflows a rotation's sigma_1^(2n).
+_LEAF_POOL = [None, True, False, 0, 1, 2, 3, -1, 50, 10 ** 20, 10 ** 400, 0.0, 0.5, -0.5,
+              2.5, 1e-300, 1e200, 1e300, float("nan"), float("inf"), "", "x", "1.0",
               "polynomial_basis", "matrix_linear"]
 
 
@@ -417,8 +455,16 @@ def _edits(base, values):
                     min_size=1, max_size=3)
 
 
-def _run_mutated(cfg_dict, edits, verbs):
-    """Apply the edits, run each verb on the result, return the exit codes."""
+_JSON_VERBS = ("certify", "analyze-linear", "invert")
+
+
+def _run_mutated(cfg_dict, edits, commands):
+    """Apply the edits, run each command on the result, return the exit codes.
+
+    A command is a verb and its extra arguments. Command i writes to
+    "{out<i>}", which later arguments may name. Every JSON report left
+    behind must be strict JSON.
+    """
     for path, value in edits:
         try:
             _set(cfg_dict, path, value)
@@ -426,8 +472,15 @@ def _run_mutated(cfg_dict, edits, verbs):
             continue  # an earlier edit removed or replaced this path
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write_config(Path(tmp), "fuzz.json", cfg_dict)
-        return [main([verb, "--config", cfg, "--out", str(Path(tmp) / "out")])
-                for verb in verbs]
+        outs = {f"out{i}": Path(tmp) / f"out{i}" for i in range(len(commands))}
+        codes = []
+        for i, (verb, *extra) in enumerate(commands):
+            out = outs[f"out{i}"]
+            codes.append(main([verb, "--config", cfg, "--out", str(out),
+                               *(arg.format(**outs) for arg in extra)]))
+            if verb in _JSON_VERBS and out.exists():
+                strict_json(out.read_text())
+        return codes
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
@@ -437,7 +490,7 @@ def _run_mutated(cfg_dict, edits, verbs):
 def test_mutated_config_exit_code_contract(edits):
     """Any mutation of a valid config exits with a documented code, never a
     traceback. An edit replaces the value at a path or deletes it."""
-    assert set(_run_mutated(fuzz_base_config(), edits, ["simulate"])) <= {0, 2, 3, 4, 5}
+    assert set(_run_mutated(fuzz_base_config(), edits, [("simulate",)])) <= {0, 2, 3, 4, 5}
 
 
 def fuzz_rotation_config():
@@ -448,13 +501,51 @@ def fuzz_rotation_config():
 
 
 # Leaves only: nested containers almost always fail validation (exit 2) before
-# any numerics run. No 10**20: certify accepts any 64-bit gamma_samples and
-# verify_pairs and evaluates that many samples, so it would never finish.
+# any numerics run.
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(edits=_edits(fuzz_rotation_config(),
-                    st.sampled_from([v for v in _LEAF_POOL if v != 10 ** 20])))
+@given(edits=_edits(fuzz_rotation_config(), st.sampled_from(_LEAF_POOL)))
 def test_mutated_linear_config_exit_code_contract(edits):
     """As above for certify and analyze-linear on a matrix_linear config."""
-    codes = _run_mutated(fuzz_rotation_config(), edits, ["certify", "analyze-linear"])
+    codes = _run_mutated(fuzz_rotation_config(), edits,
+                         [("certify",), ("analyze-linear",)])
+    assert set(codes) <= {0, 2, 3, 4, 5}
+
+
+def fuzz_inversion_config():
+    cfg = copy.deepcopy(rotation_config(
+        h=0.3, m=6, x0=(1.0, 0.7), sigma=0.01, seed=3,
+        extra_solver={"init": (np.array(ROT).ravel() + 0.03).tolist(),
+                      "gauss_newton": {"max_iter": 5}}))
+    cfg["solver"]["scan"] = {"t_values": [1.0],
+                             "alpha_box": [[-0.2, 0.2], [0.8, 1.2], [-1.2, -0.8], [-0.2, 0.2]],
+                             "x_box": [[0.5, 1.0], [0.5, 1.0]], "grid": 2}
+    return cfg
+
+
+# simulate writes the observations that both inversions read
+_INVERT_AND_SCAN = [("simulate",), ("invert", "--mode", "fd", "--obs", "{out0}"),
+                    ("invert", "--mode", "gn", "--obs", "{out0}"), ("zeta-scan",)]
+
+
+# the explicit example overflows df/da at the observations
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@example(edits=[(("noise", "sigma"), 1e200)])
+@given(edits=_edits(fuzz_base_config(), st.sampled_from(_LEAF_POOL)))
+def test_mutated_config_invert_and_scan_exit_code_contract(edits):
+    """As above for both inversions and zeta-scan on the polynomial config."""
+    codes = _run_mutated(fuzz_base_config(), edits, _INVERT_AND_SCAN)
+    assert set(codes) <= {0, 2, 3, 4, 5}
+
+
+# the two explicit examples reach the overflowing residual norm and sigma_1^(2n)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@example(edits=[(("noise", "sigma"), 1e200)])
+@example(edits=[(("solver", "scan", "alpha_box", 0, 1), 50)])
+@given(edits=_edits(fuzz_inversion_config(), st.sampled_from(_LEAF_POOL)))
+def test_mutated_linear_config_invert_and_scan_exit_code_contract(edits):
+    """As above for both inversions and zeta-scan on a matrix_linear config."""
+    codes = _run_mutated(fuzz_inversion_config(), edits, _INVERT_AND_SCAN)
     assert set(codes) <= {0, 2, 3, 4, 5}

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     ROTATION,
@@ -16,11 +20,15 @@ from odeident import (
     DomainError,
     IntegrationError,
     MatrixLinear,
+    ObservationMapHandle,
+    ParamSystem,
     PolyMap,
     PolynomialBasis,
     integrate,
     integrate_with_sensitivity,
     mat_exp,
+    phi,
+    phi_jacobian,
 )
 from odeident.ode import read_trajectory_csv, write_trajectory_csv
 
@@ -106,6 +114,138 @@ class TestEvaluate:
         x, alpha = np.array([1.5]), np.array([0.7])
         assert abs(sys.dfdx(x, alpha)[0, 0] - 2.0 * 0.7 * 1.5) < 1e-8
         assert abs(sys.dfda(x, alpha)[0, 0] - 1.5 ** 2) < 1e-8
+
+
+# PolyMap's term-by-term loops, from before PolynomialBasis compiled its maps
+# into one monomial table: the reference the compiled field is checked against.
+def reference_value(poly, x):
+    out = np.zeros(poly.state_dim)
+    for r, comp in enumerate(poly.components):
+        acc = 0.0
+        for coeff, exps in comp:
+            term = coeff
+            for i, e in enumerate(exps):
+                if e:
+                    term *= x[i] ** e
+            acc += term
+        out[r] = acc
+    return out
+
+
+def reference_jacobian(poly, x):
+    jac = np.zeros((poly.state_dim, poly.state_dim))
+    for r, comp in enumerate(poly.components):
+        for coeff, exps in comp:
+            for s, e in enumerate(exps):
+                if e == 0:
+                    continue
+                term = coeff * e
+                for i, ei in enumerate(exps):
+                    power = ei - 1 if i == s else ei
+                    if power:
+                        term *= x[i] ** power
+                jac[r, s] += term
+    return jac
+
+
+class ReferenceBasis(ParamSystem):
+    """a_1 P_1 + ... + a_n P_n by the reference loops and the generic factories."""
+
+    def __init__(self, maps):
+        self.maps = maps
+        self.state_dim = maps[0].state_dim
+        self.param_dim = len(maps)
+
+    def f(self, x, alpha):
+        return self.dfda(x, alpha) @ alpha
+
+    def dfdx(self, x, alpha):
+        out = np.zeros((self.state_dim, self.state_dim))
+        for a_i, m in zip(alpha, self.maps):
+            if a_i != 0.0:
+                out += a_i * reference_jacobian(m, x)
+        return out
+
+    def dfda(self, x, alpha):
+        return np.column_stack([reference_value(m, x) for m in self.maps])
+
+
+def _moderate():
+    """0, or a magnitude in [1/16, 2] of either sign: every product of a
+    coefficient and up to five such values stays a normal float."""
+    return st.one_of(st.just(0.0), st.builds(lambda v, neg: -v if neg else v,
+                                             st.floats(0.0625, 2.0), st.booleans()))
+
+
+@st.composite
+def _basis_case(draw):
+    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    monomials = [e for e in itertools.product(range(4), repeat=k) if sum(e) <= 3]
+    term = st.tuples(st.builds(lambda v, neg: -v if neg else v,
+                               st.floats(0.125, 4.0), st.booleans()),
+                     st.sampled_from(monomials))
+    component = st.lists(term, max_size=3)
+    maps = draw(st.lists(st.lists(component, min_size=k, max_size=k)
+                         .filter(lambda comps: any(comps)),
+                         min_size=n, max_size=n))
+    x = np.array(draw(st.lists(_moderate(), min_size=k, max_size=k)))
+    alpha = np.array(draw(st.lists(_moderate(), min_size=n, max_size=n)))
+    z = np.array(draw(st.lists(_moderate(), min_size=k * n, max_size=k * n)))
+    return maps, x, alpha, z
+
+
+def _within_summed_terms(got, ref, terms):
+    # reordered products and sums: |got - ref| <= 8 eps (sum of |terms|), per entry
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 8.0 * np.finfo(float).eps * terms)
+
+
+class TestCompiledPolynomialBasis:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(case=_basis_case())
+    def test_matches_the_reference_loops(self, case):
+        comps, x, alpha, z = case
+        k = x.shape[0]
+        sys = PolynomialBasis([PolyMap(k, c) for c in comps])
+        ref = ReferenceBasis([PolyMap(k, c) for c in comps])
+        # the same sums with |coefficients| and |inputs|: the sum of |terms| per entry
+        size = ReferenceBasis([PolyMap(k, [[(abs(c), e) for c, e in comp] for comp in cs])
+                               for cs in comps])
+        ax, aa = np.abs(x), np.abs(alpha)
+        y, ay = np.concatenate([x, z]), np.concatenate([ax, np.abs(z)])
+        for name in ("f", "dfdx", "dfda"):
+            _within_summed_terms(getattr(sys, name)(x, alpha), getattr(ref, name)(x, alpha),
+                                 getattr(size, name)(ax, aa))
+        _within_summed_terms(sys.rhs(alpha)(0.0, x), ref.rhs(alpha)(0.0, x),
+                             size.rhs(aa)(0.0, ax))
+        _within_summed_terms(sys.sensitivity_rhs(alpha)(0.0, y),
+                             ref.sensitivity_rhs(alpha)(0.0, y),
+                             size.sensitivity_rhs(aa)(0.0, ay))
+
+    def test_evaluations_counted_through_the_parameter_system_factories(self,
+                                                                        monkeypatch):
+        # a wrapper around the two ParamSystem factories, as a tracer installs it,
+        # sees every closure a PolynomialBasis integration evaluates
+        counts = {"rhs": 0, "sensitivity_rhs": 0}
+        for name in counts:
+            def make(system, alpha, factory=vars(ParamSystem)[name], name=name):
+                inner = factory(system, alpha)
+
+                def counted(t, y):
+                    counts[name] += 1
+                    return inner(t, y)
+
+                return counted
+
+            monkeypatch.setattr(ParamSystem, name, make)
+        handle = ObservationMapHandle(sys=logistic_system(), x0=np.array([0.1]), h=0.2,
+                                      m=3, tol=1e-8)
+        jac = phi_jacobian(handle, [1.0, -1.0])
+        assert counts["sensitivity_rhs"] > 0 and counts["rhs"] == 0
+        phi(handle, [1.0, -1.0])
+        assert counts["rhs"] > 0
+        monkeypatch.undo()
+        assert np.array_equal(phi_jacobian(handle, [1.0, -1.0]), jac)
 
 
 class TestIntegrate:
