@@ -103,18 +103,15 @@ class ParamSystem:
 
     # The two factories are the one place every species' right-hand sides are
     # built, so a wrapper around them sees every integration (perfbench/tracing.py
-    # counts RHS evaluations that way); a species specializes the closures
-    # through the _rhs and _sensitivity_rhs hooks, not by overriding these.
+    # counts RHS evaluations that way); a species specializes the joint field
+    # through the _sensitivity_rhs hook, not by overriding these.
     def rhs(self, alpha: np.ndarray) -> Callable[[float, np.ndarray], np.ndarray]:
         """The field x -> f(x, alpha) as an integrator closure (t, x) -> x'."""
-        return self._rhs(alpha)
+        return lambda t, x: self.f(x, alpha)
 
     def sensitivity_rhs(self, alpha) -> Callable[[float, np.ndarray], np.ndarray]:
         """The joint field y = [x; vec Z] -> [f; vec(df/dx Z + df/da)]."""
         return self._sensitivity_rhs(alpha)
-
-    def _rhs(self, alpha):
-        return lambda t, x: self.f(x, alpha)
 
     def _sensitivity_rhs(self, alpha):
         k, n = self.state_dim, self.param_dim
@@ -144,10 +141,11 @@ class ParamSystem:
 class PolynomialBasis(ParamSystem):
     """f(x, a) = a_1 P_1(x) + ... + a_n P_n(x) for polynomial maps P_i.
 
-    The maps are compiled once, here, into one table of the U distinct
-    monomials that f and its first partials need, and two constant
-    coefficient arrays over it: df/da = C_a u(x) and df/dx = (a . C_x) u(x).
-    Each evaluation computes u(x) once.
+    The maps are compiled once, here, into the exponent array E (U x k) of
+    the U distinct monomials that f and its first partials need, and two
+    constant coefficient arrays over them: df/da = C_a u(x) and
+    df/dx = (a . C_x) u(x), with u(x) = prod_i x_i^E[:, i]. Each evaluation
+    computes u(x) once.
     """
 
     def __init__(self, maps: Sequence[PolyMap]):
@@ -174,14 +172,8 @@ class PolynomialBasis(ParamSystem):
                             lowered = exps[:s] + (e - 1,) + exps[s + 1:]
                             dx_terms.append(((r, s, i), slots.setdefault(lowered, len(slots)),
                                              coeff * e))
-        # monomial u is the product of x[factors[d, u]] over the rows d it uses
-        degree = max(sum(exps) for exps in slots)
-        self._factors = np.zeros((degree, len(slots)), dtype=np.intp)
-        self._factor_used = np.zeros((degree, len(slots)), dtype=bool)
-        for slot, exps in enumerate(slots):
-            idx = [i for i, e in enumerate(exps) for _ in range(e)]
-            self._factors[:len(idx), slot] = idx
-            self._factor_used[:len(idx), slot] = True
+        # float exponents: u(x) costs one libm pow per entry, whatever the degree
+        self._exponents = np.array(list(slots), dtype=float)
         self._dfda_coef = np.zeros((k, n, len(slots)))     # df/da = C_a @ u
         for (r, i), slot, c in da_terms:
             self._dfda_coef[r, i, slot] += c
@@ -191,8 +183,10 @@ class PolynomialBasis(ParamSystem):
 
     def _monomials(self, x: np.ndarray) -> np.ndarray:
         """u(x); reads x[:k] only, so x may be the joint state [x; vec Z]."""
-        return np.multiply.reduce(x.take(self._factors), axis=0,
-                                  where=self._factor_used, initial=1.0)
+        # float_power runs libm's pow, as x[i] ** e does on a float scalar; the
+        # SIMD loop behind ** on arrays can differ from it in the last bit
+        return np.multiply.reduce(np.float_power(x[:self.state_dim], self._exponents),
+                                  axis=1)
 
     def f(self, x, alpha):
         return (alpha @ self._dfda_coef) @ self._monomials(x)
@@ -206,11 +200,6 @@ class PolynomialBasis(ParamSystem):
     # alpha times a coefficient may overflow: the integrator's finiteness tests
     # reject the non-finite field that results, so the weights build silently
     @np.errstate(over="ignore", invalid="ignore")
-    def _rhs(self, alpha):
-        w_f, monomials = alpha @ self._dfda_coef, self._monomials
-        return lambda t, x: w_f @ monomials(x)
-
-    @np.errstate(over="ignore", invalid="ignore")
     def _sensitivity_rhs(self, alpha):
         """[f; vec(J Z + P)] = W(alpha) (u(x) kron [1; vec Z]), W assembled once.
 
@@ -219,14 +208,14 @@ class PolynomialBasis(ParamSystem):
         of u in column (u, 1 + s*n + j), which multiplies u(x) Z[s, j].
         """
         k, n = self.state_dim, self.param_dim
-        n_mono = self._factors.shape[1]
+        n_mono = self._exponents.shape[0]
         w = np.zeros((k + k * n, n_mono, 1 + k * n))
         w[:k, :, 0] = alpha @ self._dfda_coef
         w[k:, :, 0] = self._dfda_coef.reshape(k * n, n_mono)
         jac = (alpha @ self._dfdx_coef).transpose(0, 2, 1)  # [r, u, s]
-        # [r, j, u, s, j'] = jac[r, u, s] * delta(j, j')
-        w[k:, :, 1:] = (jac[:, None, :, :, None] * np.eye(n)[:, None, None, :]
-                        ).reshape(k * n, n_mono, k * n)
+        blocks = w[k:, :, 1:].reshape(k, n, n_mono, k, n)  # a view: [r, j, u, s, j']
+        for j in range(n):
+            blocks[:, j, :, :, j] = jac
         w = w.reshape(k + k * n, n_mono * (1 + k * n))
         monomials = self._monomials
         one_z = np.ones(1 + k * n)  # [1; vec Z], refilled per call

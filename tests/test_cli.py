@@ -116,6 +116,20 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out",
                      str(tmp_path / "x.csv")]) == 3
 
+    @pytest.mark.parametrize("power", [10 ** 9, 2 ** 62])
+    def test_huge_exponent_simulates(self, tmp_path, power):
+        # x' = -0.5 x^power from x0 = 0.5: the monomial underflows to 0, and an
+        # evaluation costs the same whatever the exponent
+        cfg_dict = scalar_decay_config(
+            observation={"h": 0.5, "m": 4, "tol": 1e-10})
+        cfg_dict["system"]["basis"] = [[[{"coeff": 1.0, "exponents": [power]}]]]
+        cfg_dict["system"]["x0"] = [0.5]
+        cfg = write_config(tmp_path, "huge.json", cfg_dict)
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["0.5"] * 4
+
 
 class TestCertify:
     def test_scalar_decay_certificate(self, tmp_path):

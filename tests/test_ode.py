@@ -222,6 +222,27 @@ class TestCompiledPolynomialBasis:
                              ref.sensitivity_rhs(alpha)(0.0, y),
                              size.sensitivity_rhs(aa)(0.0, ay))
 
+    def test_monomials_round_as_scalar_powers(self):
+        # each monomial is one pow per coordinate, bit for bit x ** e on a float scalar
+        xs = np.random.default_rng(5).uniform(-2.0, 2.0, 200)
+        for e in (2, 3, 4, 5):
+            sys = PolynomialBasis([PolyMap.scalar([(1.0, e)])])
+            got = [sys.dfda(np.array([x]), np.ones(1))[0, 0] for x in xs]
+            assert got == [x ** e for x in xs]
+
+    def test_huge_exponent_evaluates_like_a_small_one(self):
+        # u(x) = x^E with E an exponent array: no cost grows with the degree
+        sys = PolynomialBasis([PolyMap.scalar([(1.0, 2 ** 62)]),
+                               PolyMap.scalar([(1.0, 1)])])
+        f, dfdx, dfda = evaluate(sys, [0.5], [1.0, -1.0])
+        assert np.array_equal(dfda, [[0.0, 0.5]])
+        assert np.array_equal(f, [-0.5]) and np.array_equal(dfdx, [[-1.0]])
+        bundle = integrate_with_sensitivity(sys, [1.0, 0.0], [0.5], t_end=1.0, samples=2)
+        assert np.array_equal(bundle.states, [[0.5], [0.5]])
+        # Z' = (d/dx x^E) Z + [x^E, x] = [0, 0.5]
+        assert np.allclose(bundle.sensitivities, [[[0.0, 0.25]], [[0.0, 0.5]]],
+                           rtol=0.0, atol=1e-12)
+
     def test_evaluations_counted_through_the_parameter_system_factories(self,
                                                                         monkeypatch):
         # a wrapper around the two ParamSystem factories, as a tracer installs it,
