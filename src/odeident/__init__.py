@@ -72,7 +72,6 @@ from .obsmap import (
     zeta_scan,
 )
 from .ode import (
-    CallbackSystem,
     MatrixLinear,
     ParamSystem,
     PolyMap,
@@ -131,7 +130,6 @@ __all__ = [
     "phi_jacobian",
     "verify_lower_bound",
     "zeta_scan",
-    "CallbackSystem",
     "MatrixLinear",
     "ParamSystem",
     "PolyMap",

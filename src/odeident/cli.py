@@ -191,6 +191,8 @@ def _scan_block(scan) -> dict:
     scan = _as_dict(scan, path)
     out = {"t_values": _as_array(_require(scan, "t_values", path),
                                  f"{path}.t_values").reshape(-1)}
+    if out["t_values"].size == 0:  # a scan of no cell would report success
+        raise ConfigError(f"'{path}.t_values' must not be empty")
     for key in ("alpha_box", "x_box"):
         box = _as_array(_require(scan, key, path), f"{path}.{key}")
         if box.ndim != 2 or box.shape[1] != 2:

@@ -21,7 +21,6 @@ class Tolerances:
     integrator_min_tol: float = 1e-14
     integrator_max_tol: float = 1e-3
     integrator_max_steps: int = 1_000_000
-    fd_step_scale: float = 4.6416e-06   # cbrt(eps), for callback finite differences
 
     # obsmap
     gamma_safety: float = 1.5           # default multiplier on sampled ||D2 phi||

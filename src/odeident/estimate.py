@@ -47,8 +47,6 @@ class ObservationGrid:
     times: np.ndarray
     values: np.ndarray          # shape (N+1, k)
     delta_t: float
-    noise_sigma: float = 0.0
-    seed: int | None = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float).reshape(-1)
@@ -70,14 +68,12 @@ class ObservationGrid:
         return self.times.shape[0] - 2
 
     @staticmethod
-    def from_arrays(times, values, noise_sigma: float = 0.0,
-                    seed: int | None = None) -> "ObservationGrid":
+    def from_arrays(times, values) -> "ObservationGrid":
         times = np.asarray(times, dtype=float).reshape(-1)
         if times.shape[0] < 2:
             raise DomainError("grid needs at least two samples")
         dt = float(times[1] - times[0])
-        return ObservationGrid(times=times, values=np.atleast_2d(values),
-                               delta_t=dt, noise_sigma=noise_sigma, seed=seed)
+        return ObservationGrid(times=times, values=np.atleast_2d(values), delta_t=dt)
 
     @staticmethod
     def from_trajectory(traj: Trajectory) -> "ObservationGrid":
@@ -94,10 +90,9 @@ def add_noise(obs: ObservationGrid, sigma: float, seed: int) -> ObservationGrid:
     if sigma < 0.0:
         raise DomainError("sigma must be >= 0")
     if sigma == 0.0:
-        return replace(obs, noise_sigma=0.0, seed=seed)
+        return obs
     rng = np.random.default_rng(seed)
-    noisy = obs.values + sigma * rng.standard_normal(obs.values.shape)
-    return replace(obs, values=noisy, noise_sigma=float(sigma), seed=seed)
+    return replace(obs, values=obs.values + sigma * rng.standard_normal(obs.values.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +129,6 @@ class EstimationResult:
 # finite-difference linear estimator
 
 
-def _linear_block(sys: ParamSystem, x: np.ndarray) -> np.ndarray:
-    # For systems with f(x, a) = T(x) a the block is df/da, independent of a.
-    return sys.dfda(x, np.zeros(sys.param_dim))
-
-
 def fd_linear_estimate(obs: ObservationGrid, sys: ParamSystem) -> EstimationResult:
     """Central-difference least-squares estimate for linear-in-parameter f.
 
@@ -160,27 +150,26 @@ def fd_linear_estimate(obs: ObservationGrid, sys: ParamSystem) -> EstimationResu
     a = np.empty((k * n_int, n))
     b = np.empty(k * n_int)
     two_dt = 2.0 * obs.delta_t
+    zero = np.zeros(n)  # f = T(x) a, so the block T(x) = df/da is the same at any a
     with np.errstate(over="ignore", invalid="ignore"):  # tested just below
         for row, i in enumerate(range(1, n_int + 1)):
-            a[row * k:(row + 1) * k] = _linear_block(sys, obs.values[i])
+            a[row * k:(row + 1) * k] = sys.dfda(obs.values[i], zero)
             b[row * k:(row + 1) * k] = (obs.values[i + 1] - obs.values[i - 1]) / two_dt
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise RangeError("the difference quotients or df/da at the observations "
                          "leave the float range")
 
     sol = least_squares(a, b)
-    deficient = sol.rank < n
-    alpha_hat = sol.x
     return EstimationResult(
-        alpha_hat=alpha_hat,
+        alpha_hat=sol.x,
         residual=sol.residual,
         iterations=1,
-        converged=not deficient,
+        converged=not sol.rank_deficient,
         jacobian_rank=sol.rank,
         condition=sol.condition,
-        history=((alpha_hat, sol.residual),),
-        rank_deficient=deficient,
-        message="RankDeficient" if deficient else "",
+        history=((sol.x, sol.residual),),
+        rank_deficient=sol.rank_deficient,
+        message="RankDeficient" if sol.rank_deficient else "",
     )
 
 
@@ -209,7 +198,8 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
     Steps solve (J^T J + damping * diag(J^T J)) s = J^T (y - phi(a)); the
     damping factor halves after an accepted step and quadruples after a
     rejected one, so the residual is non-increasing across accepted
-    iterates. Convergence requires both the final step norm <= step_tol and
+    iterates; the search stops unconverged once the damping term leaves the
+    float range. Convergence requires both the final step norm <= step_tol and
     the residual gradient norm <= grad_tol. The reported rank and condition
     are those of the Jacobian at the returned ``alpha_hat``.
     """
@@ -253,11 +243,16 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
         accepted = False
         step_norm = 0.0
         for _attempt in range(30):
+            with np.errstate(over="ignore"):  # tested just below
+                damping = lam * diag
+            if not np.isfinite(damping).all():
+                message = f"stalled: damping {lam:.3g} x diag(J^T J) leaves the float range"
+                break
+            damped = jtj + np.diag(damping)
             try:
-                step = np.linalg.solve(jtj + lam * np.diag(diag), grad)
+                step = np.linalg.solve(damped, grad)
             except np.linalg.LinAlgError:
-                step, *_ = np.linalg.lstsq(jtj + lam * np.diag(diag), grad,
-                                           rcond=None)
+                step, *_ = np.linalg.lstsq(damped, grad, rcond=None)
             step_norm = float(np.linalg.norm(step))
             trial = alpha + step
             try:
@@ -275,6 +270,8 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
         if not accepted:
             # stagnation: converged if the (rejected) proposal was already
             # below the step tolerance at a flat gradient
+            if message:  # the damping left the float range
+                break
             if grad_norm <= options.grad_tol and step_norm <= options.step_tol:
                 converged = True
             else:

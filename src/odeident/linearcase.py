@@ -366,15 +366,9 @@ class FullRankReport:
     rank: int
     sigma_min: float
     full: bool
-    derivative_quality: str = "exact"
 
     def to_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "sigma_min": self.sigma_min,
-            "full": self.full,
-            "derivative_quality": self.derivative_quality,
-        }
+        return {"rank": self.rank, "sigma_min": self.sigma_min, "full": self.full}
 
 
 def full_rank_check(alpha0, x0, h: float, m: int,

@@ -278,21 +278,11 @@ class Poly:
     def degree(self) -> int:
         return self.coefficients.size - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return self.degree == 0 and self.coefficients[0] == 0.0
-
     def derivative(self) -> "Poly":
         c = self.coefficients
         if c.size == 1:
             return Poly([0.0])
         return Poly(c[1:] * np.arange(1, c.size))
-
-    def __call__(self, x):
-        acc = 0.0
-        for c in self.coefficients[::-1]:
-            acc = acc * x + c
-        return acc
 
     def __repr__(self) -> str:
         return f"Poly({self.coefficients.tolist()})"

@@ -90,7 +90,6 @@ class InjectivityCertificate:
     # ||D2 phi|| is measured as the bilinear operator norm via directional
     # sampling; recorded so downstream consumers know the convention.
     d2_norm_model: str = "directional-bilinear"
-    derivative_quality: str = "exact"
 
     def __post_init__(self):
         if self.r_cert > self.r_work + 1e-15:
@@ -109,7 +108,6 @@ class InjectivityCertificate:
             "gamma_samples": self.gamma_samples,
             "safety_factor": self.safety_factor,
             "d2_norm_model": self.d2_norm_model,
-            "derivative_quality": self.derivative_quality,
         }
 
 
@@ -132,15 +130,13 @@ def _ball_point(rng: np.random.Generator, center: np.ndarray, radius: float) -> 
 
 def certify_radius(handle: ObservationMapHandle, alpha0, r_work: float,
                    gamma_samples: int = 32, safety: float = DEFAULTS.gamma_safety,
-                   seed: int = 0,
-                   gamma_raw: float | None = None) -> InjectivityCertificate:
+                   seed: int = 0) -> InjectivityCertificate:
     """Injectivity certificate around alpha0.
 
     beta is the squared smallest singular value of the Jacobian at alpha0
     (singular values rather than eigenvalues of J^T J, for accuracy on
     ill-conditioned Jacobians). gamma is ``safety`` times the largest sampled
-    directional second difference of the map over the working ball; pass
-    ``gamma_raw`` to inject a fixed estimate instead of sampling.
+    directional second difference of the map over the working ball.
 
     Raises NotIdentifiableError when m*k < n or when the Jacobian is too
     ill-conditioned to certify: beta <= n * eps * sigma_1^2, that is
@@ -154,7 +150,7 @@ def certify_radius(handle: ObservationMapHandle, alpha0, r_work: float,
     alpha0 = np.asarray(alpha0, dtype=float).reshape(-1)
     if not (r_work > 0.0):
         raise DomainError("r_work must be positive")
-    if gamma_raw is None and gamma_samples < 10:
+    if gamma_samples < 10:
         raise DomainError("gamma_samples must be >= 10")
     if safety < 1.0:
         raise DomainError("safety must be >= 1")
@@ -186,24 +182,20 @@ def certify_radius(handle: ObservationMapHandle, alpha0, r_work: float,
             f"Jacobian ill-conditioned at alpha0: sigma_min/sigma_1 = {ratio:.3e} "
             f"<= sqrt(n*eps) = {math.sqrt(n * EPS):.3e}", diagnostics)
 
-    samples_used = 0
-    if gamma_raw is None:
-        delta = DEFAULTS.gamma_fd_step * max(1.0, float(np.linalg.norm(alpha0)))
-        worst = 0.0
-        for i in range(gamma_samples):
-            rng = np.random.default_rng((seed, i))
-            point = _ball_point(rng, alpha0, r_work)
-            d, nrm = _normal_draw(rng, n)
-            direction = d / nrm
-            j_plus = phi_jacobian(handle, point + delta * direction)
-            j_minus = phi_jacobian(handle, point - delta * direction)
-            action = (j_plus - j_minus) / (2.0 * delta)
-            worst = max(worst, float(np.linalg.norm(action, 2)))
-        gamma_raw = worst
-        samples_used = int(gamma_samples)
-    if gamma_raw <= 0.0:
+    delta = DEFAULTS.gamma_fd_step * max(1.0, float(np.linalg.norm(alpha0)))
+    worst = 0.0
+    for i in range(gamma_samples):
+        rng = np.random.default_rng((seed, i))
+        point = _ball_point(rng, alpha0, r_work)
+        d, nrm = _normal_draw(rng, n)
+        direction = d / nrm
+        j_plus = phi_jacobian(handle, point + delta * direction)
+        j_minus = phi_jacobian(handle, point - delta * direction)
+        action = (j_plus - j_minus) / (2.0 * delta)
+        worst = max(worst, float(np.linalg.norm(action, 2)))
+    if worst <= 0.0:
         raise DomainError("second-derivative estimate is zero; cannot certify")
-    gamma = safety * gamma_raw
+    gamma = safety * worst
 
     r_cert = min(r_work, math.sqrt(beta) / (6.0 * gamma))
     return InjectivityCertificate(
@@ -213,9 +205,8 @@ def certify_radius(handle: ObservationMapHandle, alpha0, r_work: float,
         r_work=float(r_work),
         r_cert=float(r_cert),
         lipschitz_lower=math.sqrt(beta) / 2.0,
-        gamma_samples=samples_used,
+        gamma_samples=int(gamma_samples),
         safety_factor=float(safety),
-        derivative_quality="exact" if handle.sys.derivatives_exact else "approximate",
     )
 
 

@@ -81,16 +81,16 @@ class PolyMap:
 
 
 class ParamSystem:
-    """Vector field f(x, a) with exact (or flagged-approximate) partials.
+    """Vector field f(x, a) with exact partials.
 
-    ``f``, ``dfdx`` and ``dfda`` take float arrays of the right lengths and
-    do not check them: the integration entry points validate the inputs and
-    the output shapes once, at x0.
+    A species subclasses this, sets ``state_dim`` and ``param_dim``, and
+    supplies ``f``, ``dfdx`` and ``dfda``. They take float arrays of the
+    right lengths and do not check them: the integration entry points
+    validate the inputs and the output shapes once, at x0.
     """
 
     state_dim: int
     param_dim: int
-    derivatives_exact: bool = True
 
     def f(self, x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -302,52 +302,6 @@ class MatrixLinear(ParamSystem):
     # wraps vars(MatrixLinear)["rhs"] and ["sensitivity_rhs"]
     rhs = ParamSystem.rhs
     sensitivity_rhs = ParamSystem.sensitivity_rhs
-
-
-class CallbackSystem(ParamSystem):
-    """User-supplied f(x, a); partials default to central finite differences.
-
-    Finite-difference partials are flagged via ``derivatives_exact = False``
-    so downstream rank reports can mark the Jacobian as approximate.
-    """
-
-    def __init__(self, state_dim: int, param_dim: int, f_func,
-                 dfdx_func=None, dfda_func=None):
-        self.state_dim = int(state_dim)
-        self.param_dim = int(param_dim)
-        self._f = f_func
-        self._dfdx = dfdx_func
-        self._dfda = dfda_func
-        self.derivatives_exact = dfdx_func is not None and dfda_func is not None
-
-    def f(self, x, alpha):
-        return np.asarray(self._f(x, alpha), dtype=float).reshape(-1)
-
-    def _fd(self, x, alpha, wrt_x: bool) -> np.ndarray:
-        base = x if wrt_x else alpha
-        cols = []
-        for j in range(base.shape[0]):
-            h = DEFAULTS.fd_step_scale * max(1.0, abs(base[j]))
-            bumped_p = base.copy()
-            bumped_m = base.copy()
-            bumped_p[j] += h
-            bumped_m[j] -= h
-            if wrt_x:
-                fp, fm = self.f(bumped_p, alpha), self.f(bumped_m, alpha)
-            else:
-                fp, fm = self.f(x, bumped_p), self.f(x, bumped_m)
-            cols.append((fp - fm) / (2.0 * h))
-        return np.column_stack(cols)
-
-    def dfdx(self, x, alpha):
-        if self._dfdx is not None:
-            return np.asarray(self._dfdx(x, alpha), dtype=float)
-        return self._fd(x, alpha, wrt_x=True)
-
-    def dfda(self, x, alpha):
-        if self._dfda is not None:
-            return np.asarray(self._dfda(x, alpha), dtype=float)
-        return self._fd(x, alpha, wrt_x=False)
 
 
 # ---------------------------------------------------------------------------

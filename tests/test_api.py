@@ -1,0 +1,89 @@
+"""Names README lists as removed from the API stay removed.
+
+The list is the first column of README's "Names removed from the API"
+table, so a name added there is guarded here without a test edit.
+"""
+
+import importlib
+import inspect
+import pkgutil
+import re
+from pathlib import Path
+
+import pytest
+
+import odeident
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+MISSING = object()
+MODULES = [odeident] + [importlib.import_module(f"odeident.{info.name}")
+                        for info in pkgutil.iter_modules(odeident.__path__)]
+
+
+def removed_names():
+    """Every backticked name in the first column of the removed-names table."""
+    section = README.read_text().split("### Names removed from the API", 1)[1]
+    section = section.split("\n#", 1)[0]
+    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    return [name for cell in rows for name in re.findall(r"`([^`]+)`", cell)]
+
+
+def lookup(dotted):
+    """The object a dotted name reaches from odeident or one of its modules,
+    or MISSING.
+
+    A class attribute counts only when a class in the package's own hierarchy
+    defines it, so a name every class has (``__call__`` from ``type``) does not.
+    """
+    head, *rest = dotted.split(".")
+    found = [vars(module)[head] for module in MODULES if head in vars(module)]
+    if not found:
+        return MISSING
+    obj = found[0]
+    for name in rest:
+        if inspect.isclass(obj):
+            if not any(name in vars(cls) for cls in obj.__mro__ if cls is not object):
+                return MISSING
+        elif not hasattr(obj, name):
+            return MISSING
+        obj = getattr(obj, name)
+    return obj
+
+
+def public_callables():
+    """Functions and classes defined in the package, and their methods."""
+    seen = {}
+    for module in MODULES:
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", "").startswith("odeident") and callable(obj):
+                seen[id(obj)] = obj
+                if inspect.isclass(obj):
+                    for name, member in vars(obj).items():
+                        if isinstance(member, (staticmethod, classmethod)) \
+                                or inspect.isfunction(member):
+                            seen[id(member)] = getattr(obj, name)
+    return list(seen.values())
+
+
+def accepts(func, arg):
+    try:
+        return arg in inspect.signature(func).parameters
+    except (TypeError, ValueError):  # no signature to read
+        return False
+
+
+def test_table_is_read():
+    assert {"CallbackSystem", "rk4_fixed", "certify_radius(gamma_raw=)"} <= set(removed_names())
+
+
+@pytest.mark.parametrize("name", removed_names())
+def test_removed_name_stays_removed(name):
+    call = re.fullmatch(r"([\w.]*)\((.*)\)", name)
+    if call:  # owner(arg=, ...): the owner, if it is still there, takes none of them
+        owner = lookup(call.group(1))
+        args = [a.strip().rstrip("=") for a in call.group(2).split(",")]
+        assert owner is MISSING or not any(accepts(owner, a) for a in args)
+    elif name.endswith("="):  # an argument no function takes
+        assert not any(accepts(func, name[:-1]) for func in public_callables())
+    else:
+        assert lookup(name) is MISSING

@@ -282,21 +282,31 @@ class TestInvert:
         assert main(["invert", "--config", cfg, "--obs", str(obs),
                      "--mode", "gn", "--out", str(tmp_path / "x.json")]) == 2
 
-    def test_non_convergence_exits_5_with_result(self, tmp_path):
+    @pytest.mark.parametrize("sigma,gauss_newton,message", [
+        (0.0, {"max_iter": 1}, "max_iter exhausted"),
+        # every trial is rejected, and the damping grows x4 from 1e300 until
+        # damping * diag(J^T J) leaves the float range
+        (1e20, {"damping": 1e300}, "x diag(J^T J) leaves the float range"),
+    ])
+    def test_non_convergence_exits_5_with_result(self, tmp_path, sigma, gauss_newton,
+                                                 message):
         init = (np.array(ROT).ravel() + 0.2)
-        cfg_dict = rotation_config(h=0.3, m=6, x0=(1.0, 0.7),
+        cfg_dict = rotation_config(h=0.3, m=6, x0=(1.0, 0.7), sigma=sigma,
                                    extra_solver={
                                        "init": init.tolist(),
-                                       "gauss_newton": {"max_iter": 1},
+                                       "gauss_newton": gauss_newton,
                                    })
         cfg = write_config(tmp_path, "rot.json", cfg_dict)
         obs = tmp_path / "obs.csv"
         main(["simulate", "--config", cfg, "--out", str(obs)])
         out = tmp_path / "est.json"
-        assert main(["invert", "--config", cfg, "--obs", str(obs),
-                     "--mode", "gn", "--out", str(out)]) == 5
-        blob = json.loads(out.read_text())
-        assert blob["result"]["converged"] is False
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["invert", "--config", cfg, "--obs", str(obs),
+                         "--mode", "gn", "--out", str(out)]) == 5
+        result = strict_json(out.read_text())["result"]
+        assert result["converged"] is False
+        assert message in result["message"]
 
     def test_overflowing_observations_exit_3_with_no_report(self, tmp_path):
         # observations near 1e200: the fd residual norm and the GN cost overflow
@@ -401,6 +411,8 @@ class TestValidation:
         # certify would evaluate every sample and pair
         (("solver", "gamma_samples"), 10 ** 20, "solver.gamma_samples"),
         (("solver", "verify_pairs"), DEFAULTS.certify_budget + 1, "solver.verify_pairs"),
+        # a scan of no cell would report success
+        (("solver", "scan", "t_values"), [], "solver.scan.t_values"),
     ])
     def test_malformed_config_exits_2_naming_path(self, tmp_path, capsys, path, value,
                                                   named):
@@ -553,11 +565,13 @@ def test_mutated_config_invert_and_scan_exit_code_contract(edits):
     assert set(codes) <= {0, 2, 3, 4, 5}
 
 
-# the two explicit examples reach the overflowing residual norm and sigma_1^(2n)
+# the explicit examples reach the overflowing residual norm, sigma_1^(2n) and
+# Gauss-Newton damping
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @example(edits=[(("noise", "sigma"), 1e200)])
 @example(edits=[(("solver", "scan", "alpha_box", 0, 1), 50)])
+@example(edits=[(("noise", "sigma"), 1e20), (("solver", "gauss_newton", "damping"), 1e300)])
 @given(edits=_edits(fuzz_inversion_config(), st.sampled_from(_LEAF_POOL)))
 def test_mutated_linear_config_invert_and_scan_exit_code_contract(edits):
     """As above for both inversions and zeta-scan on a matrix_linear config."""

@@ -258,7 +258,6 @@ class TestAddNoise:
         grid = make_grid(scalar_decay_system(), [-0.5], [1.0], 1.0, 20)
         noisy = add_noise(grid, 0.0, seed=5)
         assert np.array_equal(noisy.values, grid.values)
-        assert noisy.noise_sigma == 0.0
 
     def test_seed_determinism(self):
         grid = make_grid(scalar_decay_system(), [-0.5], [1.0], 1.0, 20)
@@ -267,7 +266,6 @@ class TestAddNoise:
         c = add_noise(grid, 1e-3, seed=12)
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
-        assert a.noise_sigma == 1e-3 and a.seed == 11
 
     def test_negative_sigma_rejected(self):
         grid = make_grid(scalar_decay_system(), [-0.5], [1.0], 1.0, 20)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import warnings
 
@@ -302,6 +303,12 @@ class TestSerialization:
         assert d["in_set_A"] is True
         assert d["eigenvalues"] == [[0.0, -1.0], [0.0, 1.0]]
         assert d["krylov_rank"] == 2
+
+    def test_full_rank_report_dict(self):
+        report = full_rank_check(ROTATION, [1.0, 0.7], h=0.3, m=6)
+        back = json.loads(json.dumps(report.to_dict()))
+        assert set(back) == {"rank", "sigma_min", "full"}
+        assert back == {"rank": 4, "sigma_min": report.sigma_min, "full": True}
 
     def test_branch_set_dict(self):
         result = log_branches(ROTATION, h=1.0, k_max=1)

@@ -232,7 +232,7 @@ class TestPolyAndResultant:
     def test_degree_and_trim(self):
         p = Poly([1.0, 2.0, 0.0])
         assert p.degree == 1
-        assert Poly([0.0]).is_zero
+        assert Poly([0.0, 0.0]).coefficients.tolist() == [0.0]
         assert Poly([3.0]).degree == 0
 
     def test_derivative(self):

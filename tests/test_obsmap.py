@@ -243,12 +243,18 @@ class TestCertifyRadius:
             betas.append(svals[-1] ** 2)
         assert all(b2 >= b1 * (1.0 - 1e-10) for b1, b2 in zip(betas, betas[1:]))
 
-    def test_injected_gamma_scales_exactly_with_safety(self):
+    def test_sampled_gamma_scales_exactly_with_safety(self):
+        # the same seed samples the same gamma; doubling the safety factor then
+        # doubles gamma and halves r_cert exactly, unless r_work clips r_cert
         handle = scalar_exp_handle()
-        cert1 = certify_radius(handle, [0.0], r_work=10.0, gamma_raw=2.0, safety=1.0)
-        cert2 = certify_radius(handle, [0.0], r_work=10.0, gamma_raw=2.0, safety=2.0)
+        cert1 = certify_radius(handle, [0.0], r_work=1.0, gamma_samples=10, safety=1.0,
+                               seed=4)
+        cert2 = certify_radius(handle, [0.0], r_work=1.0, gamma_samples=10, safety=2.0,
+                               seed=4)
+        assert cert2.gamma == 2.0 * cert1.gamma
+        assert cert1.r_cert < cert1.r_work
         assert cert1.r_cert == 2.0 * cert2.r_cert
-        assert cert1.gamma_samples == 0
+        assert cert1.gamma_samples == cert2.gamma_samples == 10
 
     def test_precondition_errors(self):
         handle = scalar_exp_handle()
@@ -353,7 +359,7 @@ class TestSerialization:
         back = json.loads(blob)
         assert set(back) == {
             "alpha0", "beta", "gamma", "r_work", "r_cert", "lipschitz_lower",
-            "gamma_samples", "safety_factor", "d2_norm_model", "derivative_quality",
+            "gamma_samples", "safety_factor", "d2_norm_model",
         }
         assert back["beta"] == cert.beta
         assert back["alpha0"] == [0.0]

@@ -14,7 +14,6 @@ from conftest import (
     stable_matrix,
 )
 from odeident import (
-    CallbackSystem,
     DimensionError,
     DivergenceError,
     DomainError,
@@ -36,6 +35,24 @@ from odeident.ode import read_trajectory_csv, write_trajectory_csv
 def evaluate(sys, x, alpha):
     x, alpha = np.asarray(x, dtype=float), np.asarray(alpha, dtype=float)
     return sys.f(x, alpha), sys.dfdx(x, alpha), sys.dfda(x, alpha)
+
+
+class UserSpecies(ParamSystem):
+    """A species added the documented way, by subclassing ParamSystem and
+    supplying f, df/dx and df/da (here as plain functions)."""
+
+    def __init__(self, state_dim, param_dim, f, dfdx, dfda):
+        self.state_dim, self.param_dim = state_dim, param_dim
+        self._f, self._dfdx, self._dfda = f, dfdx, dfda
+
+    def f(self, x, alpha):
+        return self._f(x, alpha)
+
+    def dfdx(self, x, alpha):
+        return self._dfdx(x, alpha)
+
+    def dfda(self, x, alpha):
+        return self._dfda(x, alpha)
 
 
 class TestEvaluate:
@@ -75,16 +92,16 @@ class TestEvaluate:
         lambda x, a: np.array([a[0] * x[0]]),       # length 1: would broadcast
         lambda x, a: np.array([a[0], x[0], x[1]]),  # length 3
     ])
-    def test_callback_output_shape_checked_at_x0(self, f_func):
-        sys = CallbackSystem(2, 1, f_func)
+    def test_user_species_output_shape_checked_at_x0(self, f_func):
+        sys = UserSpecies(2, 1, f_func, lambda x, a: np.zeros((2, 2)),
+                          lambda x, a: np.zeros((2, 1)))
         for run in (integrate, integrate_with_sensitivity):
             with pytest.raises(DimensionError, match="f has shape"):
                 run(sys, [1.0], [1.0, 2.0], t_end=1.0, samples=2)
 
-    def test_callback_partial_shapes_checked_at_x0(self):
-        sys = CallbackSystem(1, 1, lambda x, a: a[0] * x,
-                             dfdx_func=lambda x, a: np.eye(2),
-                             dfda_func=lambda x, a: x[:, None])
+    def test_user_species_partial_shapes_checked_at_x0(self):
+        sys = UserSpecies(1, 1, lambda x, a: a[0] * x, lambda x, a: np.eye(2),
+                          lambda x, a: x[:, None])
         with pytest.raises(DimensionError, match="df/dx has shape"):
             integrate_with_sensitivity(sys, [1.0], [1.0], t_end=1.0, samples=2)
 
@@ -107,13 +124,6 @@ class TestEvaluate:
             fd_a = finite_difference_jacobian(lambda a: sys.f(x, a), alpha)
             assert np.abs(dfdx - fd_x).max() < 1e-7
             assert np.abs(dfda - fd_a).max() < 1e-7
-
-    def test_callback_defaults_to_fd_and_flags(self):
-        sys = CallbackSystem(1, 1, lambda x, a: np.array([a[0] * x[0] ** 2]))
-        assert not sys.derivatives_exact
-        x, alpha = np.array([1.5]), np.array([0.7])
-        assert abs(sys.dfdx(x, alpha)[0, 0] - 2.0 * 0.7 * 1.5) < 1e-8
-        assert abs(sys.dfda(x, alpha)[0, 0] - 1.5 ** 2) < 1e-8
 
 
 # PolyMap's term-by-term loops, from before PolynomialBasis compiled its maps
@@ -334,9 +344,8 @@ class TestIntegrate:
     def test_non_finite_stage_retries_then_diverges_at_the_same_time(self):
         # f = a below x = 1.5 and inf beyond: x = 1 + t reaches 1.5 at t = 0.5,
         # where every retry of the step is non-finite until the step floor
-        sys = CallbackSystem(1, 1, lambda x, a: a if x[0] < 1.5 else np.array([np.inf]),
-                             dfdx_func=lambda x, a: np.zeros((1, 1)),
-                             dfda_func=lambda x, a: np.ones((1, 1)))
+        sys = UserSpecies(1, 1, lambda x, a: a if x[0] < 1.5 else np.array([np.inf]),
+                          lambda x, a: np.zeros((1, 1)), lambda x, a: np.ones((1, 1)))
         for run in (integrate, integrate_with_sensitivity):
             with pytest.raises(DivergenceError) as err:
                 run(sys, [1.0], [1.0], t_end=2.0, samples=4)
