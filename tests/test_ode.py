@@ -92,14 +92,14 @@ class TestEvaluate:
         lambda x, a: np.array([a[0] * x[0]]),       # length 1: would broadcast
         lambda x, a: np.array([a[0], x[0], x[1]]),  # length 3
     ])
-    def test_user_species_output_shape_checked_at_x0(self, f_func):
+    def test_callback_output_shape_checked_at_x0(self, f_func):
         sys = UserSpecies(2, 1, f_func, lambda x, a: np.zeros((2, 2)),
                           lambda x, a: np.zeros((2, 1)))
         for run in (integrate, integrate_with_sensitivity):
             with pytest.raises(DimensionError, match="f has shape"):
                 run(sys, [1.0], [1.0, 2.0], t_end=1.0, samples=2)
 
-    def test_user_species_partial_shapes_checked_at_x0(self):
+    def test_callback_partial_shapes_checked_at_x0(self):
         sys = UserSpecies(1, 1, lambda x, a: a[0] * x, lambda x, a: np.eye(2),
                           lambda x, a: x[:, None])
         with pytest.raises(DimensionError, match="df/dx has shape"):
