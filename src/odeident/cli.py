@@ -373,12 +373,9 @@ def cmd_analyze_linear(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     rank_report = full_rank_check(amat, cfg.x0, cfg.h, cfg.m, tol=cfg.tol)
     divdiff = None
     if not report.double_eigenvalue and cfg.k >= 2:
-        try:
-            numeric, closed = exp_divided_difference_determinant(report.eigenvalues)
-            divdiff = {"numeric": [numeric.real, numeric.imag],
-                       "closed_form": [closed.real, closed.imag]}
-        except DomainError:
-            pass
+        numeric, closed = exp_divided_difference_determinant(report.eigenvalues)
+        divdiff = {"numeric": [numeric.real, numeric.imag],
+                   "closed_form": [closed.real, closed.imag]}
     _write_json(args.out, {
         "degeneracy": report.to_dict(),
         "branches": branch_dict,

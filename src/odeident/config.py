@@ -33,7 +33,6 @@ class Tolerances:
     k_scan: int = 16                    # aliasing search bound |k| <= k_scan
     krylov_rank_rel: float = 1e-10      # Krylov dependence threshold, rel. sigma1
     k_max: int = 2                      # default log-branch enumeration bound
-    eig_repeat_tol: float = 1e-9        # eigenvalues this close (times scale) coincide
     branch_budget: int = 10_000         # max enumerated branches
     aliasing_im_tol: float = 1e-7       # |Im(dl)*h/2pi - round(.)| threshold
     aliasing_re_tol: float = 1e-9       # |Re(dl)| threshold, times eigenvalue scale

@@ -199,9 +199,10 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
     damping factor halves after an accepted step and quadruples after a
     rejected one, so the residual is non-increasing across accepted
     iterates; the search stops unconverged once the damping term leaves the
-    float range. Convergence requires both the final step norm <= step_tol and
-    the residual gradient norm <= grad_tol. The reported rank and condition
-    are those of the Jacobian at the returned ``alpha_hat``.
+    float range, and raises RangeError when J^T J or J^T r does. Convergence
+    requires both the final step norm <= step_tol and the residual gradient
+    norm <= grad_tol. The reported rank and condition are those of the
+    Jacobian at the returned ``alpha_hat``.
     """
     y_obs = np.asarray(y_obs, dtype=float).reshape(-1)
     alpha = np.asarray(alpha_init, dtype=float).reshape(-1)
@@ -229,13 +230,16 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
 
     for _ in range(options.max_iter):
         jac = phi_jacobian(handle, alpha)
-        grad = jac.T @ residual_vec
+        with np.errstate(over="ignore", invalid="ignore"):  # tested just below
+            grad = jac.T @ residual_vec
+            jtj = jac.T @ jac
+        if not (np.isfinite(grad).all() and np.isfinite(jtj).all()):
+            raise RangeError("normal equations J^T J, J^T r leave the float range")
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= options.grad_tol and last_step <= options.step_tol:
             converged = True
             break
 
-        jtj = jac.T @ jac
         diag = np.diag(jtj).copy()
         floor = max(float(diag.max()), 1.0) * 1e-15
         diag[diag < floor] = floor

@@ -149,13 +149,13 @@ def krylov_rank(c: np.ndarray, x0: np.ndarray) -> int:
 def degeneracy_report(alpha, x0, h: float) -> DegeneracyReport:
     """Diagnose all uniqueness obstructions for the pair (A, x0) at spacing h.
 
-    ``double_eigenvalue`` uses both the eigenvalue gap (at
-    ``DEFAULTS.eig_repeat_tol`` relative to the spectral scale) and the
-    characteristic discriminant; aliasing scans eigenvalue differences
-    against the lattice 2*pi*i*Z/h up to |k| <= k_scan. The initial
-    condition is in the bad set E exactly when its Krylov sequence under
-    exp(h A) is linearly dependent. Raises RangeError when a discriminant
-    or exp(h A) leaves the float range.
+    ``double_eigenvalue`` and ``defective`` are ``eigenvalues(A).repeated``
+    and ``.defective``, the one rule that decides when eigenvalues coincide;
+    the discriminants are reported beside them but decide nothing. Aliasing
+    scans eigenvalue differences against the lattice 2*pi*i*Z/h up to
+    |k| <= k_scan. The initial condition is in the bad set E exactly when
+    its Krylov sequence under exp(h A) is linearly dependent. Raises
+    RangeError when a discriminant or exp(h A) leaves the float range.
     """
     a = as_square(alpha)
     x0 = as_vector(x0)
@@ -166,10 +166,6 @@ def degeneracy_report(alpha, x0, h: float) -> DegeneracyReport:
 
     eig = eigenvalues(a)
     vals = eig.values
-    scale = max(1.0, float(np.abs(vals).max()))
-    gaps = [abs(vals[i] - vals[j])
-            for i, j in itertools.combinations(range(len(vals)), 2)]
-    double = bool(gaps and min(gaps) <= DEFAULTS.eig_repeat_tol * scale)
 
     p = characteristic_poly(a)
     try:
@@ -191,7 +187,7 @@ def degeneracy_report(alpha, x0, h: float) -> DegeneracyReport:
         eigenvalues=vals,
         discriminant=float(resultant),
         discriminant_closed=closed,
-        double_eigenvalue=double,
+        double_eigenvalue=eig.repeated,
         defective=eig.defective,
         aliasing_pairs=pairs,
         in_set_A=in_set_a,
@@ -224,14 +220,16 @@ class BranchSet:
 
 
 def log_branches(alpha0, h: float, k_max: int = DEFAULTS.k_max) -> BranchSet:
-    """All real matrices sharing exp(h * alpha0), from eigenvalue shifts.
+    """All real matrices sharing exp(h * alpha0): the lattice
+    alpha0 + sum_p k_p S_p with |k_p| <= k_max.
 
-    For each conjugate complex eigenvalue pair (l, conj(l)) and each integer
-    k in [-k_max, k_max], the pair is replaced by (l + 2*pi*i*k/h,
-    conj(l) - 2*pi*i*k/h) and the matrix reassembled through its
-    diagonalization. A matrix with only real eigenvalues has the single
-    branch alpha0. Requires simple eigenvalues; defective or repeated input
-    raises DefectiveMatrixError.
+    Each conjugate complex eigenvalue pair (l_p, conj(l_p)) gives one real
+    generator S_p = P diag(+2*pi*i/h at l_p, -2*pi*i/h at conj(l_p)) P^-1,
+    P the eigenvectors; the branch with shifts k is alpha0 + sum_p k_p S_p,
+    so the k = 0 branch is alpha0 itself. A matrix with only real eigenvalues
+    has the single branch alpha0. Requires simple eigenvalues: input that
+    ``eigenvalues`` reports repeated (defective or not) raises
+    DefectiveMatrixError.
     """
     a = as_square(alpha0)
     if h <= 0.0:
@@ -239,77 +237,49 @@ def log_branches(alpha0, h: float, k_max: int = DEFAULTS.k_max) -> BranchSet:
     if k_max < 0:
         raise DomainError("k_max must be >= 0")
     eig = eigenvalues(a)
-    if eig.defective:
-        raise DefectiveMatrixError("alpha0 is defective; branches not enumerable")
+    if eig.repeated:
+        raise DefectiveMatrixError(
+            "alpha0 has repeated (or defective) eigenvalues; branches not enumerable")
     vals = eig.values
-    n = len(vals)
-    scale = max(1.0, float(np.abs(vals).max()))
-    same_tol = DEFAULTS.eig_repeat_tol * scale
-    for i, j in itertools.combinations(range(n), 2):
-        if abs(vals[i] - vals[j]) <= same_tol:
-            raise DefectiveMatrixError(
-                "alpha0 has repeated eigenvalues; branches not enumerable"
-            )
-
-    imag_tol = 1e-12 * scale
-    conj_pairs: list[tuple[int, int]] = []
-    used = set()
-    for i in range(n):
-        if i in used or vals[i].imag <= imag_tol:
-            continue
-        partner = None
-        for j in range(n):
-            if j in used or j == i:
-                continue
-            if abs(vals[j] - vals[i].conjugate()) <= same_tol:
-                partner = j
-                break
-        if partner is None:
-            raise DefectiveMatrixError("complex eigenvalue without conjugate partner")
-        conj_pairs.append((i, partner))
-        used.update({i, partner})
-
-    if not conj_pairs:
+    imag_tol = 1e-12 * max(1.0, float(np.abs(vals).max()))
+    upper = [i for i in range(len(vals)) if vals[i].imag > imag_tol]
+    if not upper:
         return BranchSet(base=a, h=float(h), branches=(a.copy(),),
                          k_range=int(k_max), k_vectors=((),))
 
-    count = (2 * k_max + 1) ** len(conj_pairs)
+    count = (2 * k_max + 1) ** len(upper)
     if count > DEFAULTS.branch_budget:
         raise DomainError(f"branch count {count} exceeds budget {DEFAULTS.branch_budget}")
 
     p = eig.vectors
     p_inv = np.linalg.inv(p)
+    step = 2j * math.pi / h
+    generators = []
+    for i in upper:
+        j = int(np.argmin(np.abs(vals - vals[i].conjugate())))
+        if abs(vals[j] - vals[i].conjugate()) > imag_tol:
+            raise DefectiveMatrixError("complex eigenvalue without conjugate partner")
+        gen = step * (np.outer(p[:, i], p_inv[i]) - np.outer(p[:, j], p_inv[j]))
+        generators.append(real_part(gen, tol=DEFAULTS.imag_residue_tol, name="generator"))
+
+    shifts = list(itertools.product(range(-k_max, k_max + 1), repeat=len(upper)))
+    lattice = a + np.tensordot(np.array(shifts), np.array(generators), axes=1)
     base_exp = mat_exp(a, h)
-    branches = []
-    k_vectors = []
-    for ks in itertools.product(range(-k_max, k_max + 1), repeat=len(conj_pairs)):
-        new_vals = vals.astype(complex).copy()
-        for (i, j), k in zip(conj_pairs, ks):
-            shift = 2.0 * math.pi * k / h
-            new_vals[i] = vals[i] + 1j * shift
-            new_vals[j] = vals[j] - 1j * shift
-        reassembled = p @ np.diag(new_vals) @ p_inv
-        branch = real_part(reassembled, tol=DEFAULTS.imag_residue_tol, name="branch")
+    kept = []
+    for i, branch in enumerate(lattice):
         err = float(np.abs(mat_exp(branch, h) - base_exp).max())
         if err > DEFAULTS.branch_exp_tol:
             raise DomainError(
-                f"branch for shifts {ks} fails exp check (error {err:.3e})"
+                f"branch for shifts {shifts[i]} fails exp check (error {err:.3e})"
             )
-        branches.append(branch)
-        k_vectors.append(ks)
-
-    order = sorted(range(len(branches)), key=lambda i: k_vectors[i])
-    # drop numerically duplicate branches (cannot happen for distinct shifts,
-    # but the contract promises pairwise-distinct output)
-    kept, kept_ks = [], []
-    for i in order:
-        if any(np.abs(branches[i] - b).max() <= DEFAULTS.branch_distinct_tol
-               for b in kept):
+        # the contract promises pairwise-distinct output; distinct shifts give
+        # distinct branches unless the generators are numerically tiny
+        if kept and np.abs(lattice[kept] - branch).max(axis=(1, 2)).min() \
+                <= DEFAULTS.branch_distinct_tol:
             continue
-        kept.append(branches[i])
-        kept_ks.append(k_vectors[i])
-    return BranchSet(base=a, h=float(h), branches=tuple(kept),
-                     k_range=int(k_max), k_vectors=tuple(kept_ks))
+        kept.append(i)
+    return BranchSet(base=a, h=float(h), branches=tuple(lattice[kept]),
+                     k_range=int(k_max), k_vectors=tuple(shifts[i] for i in kept))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +297,8 @@ def exp_divided_difference_determinant(lam) -> tuple[complex, complex]:
 
     the Vandermonde orientation of the product being the one that makes the
     identity hold sign-exactly. It is nonzero whenever no two entries of
-    ``lam`` differ by a multiple of 2*pi*i.
+    ``lam`` differ by a multiple of 2*pi*i. Raises RangeError when an
+    exponential, the determinant or the product leaves the float range.
     """
     lam = [complex(z) for z in lam]
     n = len(lam)
@@ -338,22 +309,25 @@ def exp_divided_difference_determinant(lam) -> tuple[complex, complex]:
         if abs(lam[i] - lam[j]) <= DEFAULTS.divdiff_min_gap * scale:
             raise DomainError(f"eigenvalues {i} and {j} coincide")
 
-    mat = np.empty((n, n), dtype=complex)
-    for j in range(1, n + 1):
-        mat[j - 1, 0] = cmath.exp(j * lam[0])
-        for i in range(2, n + 1):
-            mat[j - 1, i - 1] = (cmath.exp(j * lam[0]) - cmath.exp(j * lam[i - 1])) / (
-                lam[0] - lam[i - 1]
-            )
-    numeric = complex(np.linalg.det(mat))
-
-    prod = 1.0 + 0.0j
-    for i, j in itertools.combinations(range(n), 2):
-        prod *= cmath.exp(lam[j]) - cmath.exp(lam[i])
-    denom = 1.0 + 0.0j
-    for i in range(1, n):
-        denom *= lam[0] - lam[i]
-    closed = (-1.0) ** (n - 1) * cmath.exp(sum(lam)) * prod / denom
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # tested just below
+            mat = np.empty((n, n), dtype=complex)
+            for j in range(1, n + 1):
+                e = [cmath.exp(j * z) for z in lam]
+                mat[j - 1] = [e[0]] + [(e[0] - e[i]) / (lam[0] - lam[i])
+                                       for i in range(1, n)]
+            numeric = complex(np.linalg.det(mat))
+            prod = 1.0 + 0.0j
+            for i, j in itertools.combinations(range(n), 2):
+                prod *= cmath.exp(lam[j]) - cmath.exp(lam[i])
+            denom = 1.0 + 0.0j
+            for i in range(1, n):
+                denom *= lam[0] - lam[i]
+            closed = (-1.0) ** (n - 1) * cmath.exp(sum(lam)) * prod / denom
+    except OverflowError:  # cmath.exp beyond the float range
+        numeric = closed = complex(math.inf)
+    if not (cmath.isfinite(numeric) and cmath.isfinite(closed)):
+        raise RangeError("divided-difference determinant left the float range")
     return numeric, closed
 
 

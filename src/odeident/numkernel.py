@@ -139,6 +139,7 @@ class EigenResult:
     values: np.ndarray              # complex, shape (n,)
     vectors: np.ndarray | None      # complex, shape (n, n), columns; None if defective
     defective: bool
+    repeated: bool                  # some cluster holds two or more eigenvalues
 
 
 def _sorted_eigs(vals: np.ndarray) -> np.ndarray:
@@ -147,14 +148,17 @@ def _sorted_eigs(vals: np.ndarray) -> np.ndarray:
 
 
 def eigenvalues(a) -> EigenResult:
-    """Eigenvalues with multiplicity, eigenvectors, and a defectiveness flag.
+    """Eigenvalues with multiplicity, eigenvectors, and the one rule that
+    decides when eigenvalues coincide.
 
     Eigenvalues come from LAPACK's shifted-QR Hessenberg iteration
     (``np.linalg.eigvals``) for every size up to ``DEFAULTS.eig_max_dim``.
-    Geometric multiplicity is decided by the numerical rank of A - lambda*I
-    at tolerance n*eps*||A||; clusters with geometric multiplicity below
-    algebraic multiplicity set ``defective`` (borderline cases are flagged
-    rather than guessed).
+    They cluster as the connected components of |l_i - l_j| <= tol over all
+    pairs, with tol = sqrt(eps) * max(||A||_2, 1); ``repeated`` is set when a
+    cluster has two or more members. A cluster's geometric multiplicity is
+    the numerical nullity of A - mean*I at the cluster's own scale,
+    len(cluster) * tol, so a normal matrix is never defective; a cluster
+    whose geometric multiplicity is below its size sets ``defective``.
     """
     a = as_square(a)
     n = a.shape[0]
@@ -167,17 +171,13 @@ def eigenvalues(a) -> EigenResult:
         raise ConvergenceError(f"QR iteration did not converge: {exc}") from exc
     vals = _sorted_eigs(vals.astype(complex))
 
-    sigma1 = float(np.linalg.norm(a, 2))
-    rank_tol = n * EPS * sigma1
-    cluster_tol = math.sqrt(EPS) * max(sigma1, 1.0)
-
-    # group sorted eigenvalues into clusters of (numerically) equal values
-    clusters: list[list[int]] = []
-    for i in range(n):
-        if clusters and abs(vals[i] - vals[clusters[-1][-1]]) <= cluster_tol:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
+    tol = math.sqrt(EPS) * max(float(np.linalg.norm(a, 2)), 1.0)
+    # connected components of the closeness graph: square the reachability
+    # matrix until it is transitively closed; a row then lists its cluster
+    reach = (np.abs(vals[:, None] - vals[None, :]) <= tol).astype(int)
+    for _ in range(n.bit_length()):
+        reach = np.minimum(reach @ reach, 1)
+    clusters = [list(c) for c in dict.fromkeys(tuple(np.flatnonzero(r)) for r in reach)]
 
     vectors = np.zeros((n, n), dtype=complex)
     defective = False
@@ -185,18 +185,16 @@ def eigenvalues(a) -> EigenResult:
         lam = vals[idx].mean()
         shifted = a.astype(complex) - lam * np.eye(n)
         _, svals, vh = np.linalg.svd(shifted)
-        nullity = int(np.sum(svals <= rank_tol))
         alg = len(idx)
-        geo = max(nullity, 1) if alg == 1 else nullity
+        geo = max(int(np.sum(svals <= alg * tol)), 1)
         if geo < alg:
             defective = True
             continue
-        basis = vh.conj().T[:, n - alg:]
-        for col, i in enumerate(idx):
-            vectors[:, i] = basis[:, col]
+        vectors[:, idx] = vh.conj().T[:, n - alg:]
 
     return EigenResult(values=vals, vectors=None if defective else vectors,
-                       defective=defective)
+                       defective=defective,
+                       repeated=any(len(idx) > 1 for idx in clusters))
 
 
 # ---------------------------------------------------------------------------

@@ -70,11 +70,6 @@ class PolyMap:
     def is_zero(self) -> bool:
         return all(len(c) == 0 for c in self.components)
 
-    @staticmethod
-    def scalar(monomials: Sequence[tuple[float, int]]) -> "PolyMap":
-        """1-D convenience: [(coeff, power), ...]."""
-        return PolyMap(1, [[(c, (p,)) for c, p in monomials]])
-
 
 # ---------------------------------------------------------------------------
 # parameterized systems

@@ -7,14 +7,19 @@ from odeident import MatrixLinear, ObservationMapHandle, PolyMap, PolynomialBasi
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
+def scalar_map(monomials) -> PolyMap:
+    """A map of one state variable from [(coeff, power), ...]."""
+    return PolyMap(1, [[(c, (p,)) for c, p in monomials]])
+
+
 def scalar_decay_system() -> PolynomialBasis:
     """x' = a*x with the single basis map P1(x) = x."""
-    return PolynomialBasis([PolyMap.scalar([(1.0, 1)])])
+    return PolynomialBasis([scalar_map([(1.0, 1)])])
 
 
 def logistic_system() -> PolynomialBasis:
     """x' = a1*x + a2*x^2 (logistic for a1 > 0 > a2)."""
-    return PolynomialBasis([PolyMap.scalar([(1.0, 1)]), PolyMap.scalar([(1.0, 2)])])
+    return PolynomialBasis([scalar_map([(1.0, 1)]), scalar_map([(1.0, 2)])])
 
 
 def rotation_system() -> MatrixLinear:

@@ -9,12 +9,11 @@ import math
 
 import numpy as np
 
-from conftest import ROTATION, finite_difference_jacobian
+from conftest import ROTATION, finite_difference_jacobian, scalar_map
 from odeident import (
     MatrixLinear,
     ObservationGrid,
     ObservationMapHandle,
-    PolyMap,
     PolynomialBasis,
     add_noise,
     certify_radius,
@@ -45,7 +44,7 @@ def _gate(name: str, ok: bool, detail: str = "") -> None:
 
 
 def scalar_decay_map(tol=1e-10):
-    sys = PolynomialBasis([PolyMap.scalar([(1.0, 1)])])
+    sys = PolynomialBasis([scalar_map([(1.0, 1)])])
     return ObservationMapHandle(sys=sys, x0=np.array([1.0]), h=0.5, m=5, tol=tol), \
         np.array([-0.5])
 
@@ -56,7 +55,7 @@ def rotation_map(tol=1e-10):
 
 
 def logistic_sys():
-    return PolynomialBasis([PolyMap.scalar([(1.0, 1)]), PolyMap.scalar([(1.0, 2)])])
+    return PolynomialBasis([scalar_map([(1.0, 1)]), scalar_map([(1.0, 2)])])
 
 
 def test_rotation_branch_family():
@@ -131,7 +130,7 @@ def test_exp_divided_difference_determinant_oracle():
 
 def test_sensitivity_correctness():
     cases = [
-        (PolynomialBasis([PolyMap.scalar([(1.0, 1)])]), [-0.5], [1.0]),
+        (PolynomialBasis([scalar_map([(1.0, 1)])]), [-0.5], [1.0]),
         (logistic_sys(), [1.0, -1.0], [0.5]),
         (MatrixLinear(2), MatrixLinear.pack(ROTATION), [1.0, 0.7]),
     ]
@@ -291,7 +290,7 @@ def test_end_to_end_determinism(tmp_path):
         runs.append(obs.read_bytes() + out.read_bytes())
     identical = runs[0] == runs[1]
 
-    sys = PolynomialBasis([PolyMap.scalar([(1.0, 1)])])
+    sys = PolynomialBasis([scalar_map([(1.0, 1)])])
     traj = integrate(sys, [-0.5], [1.0], t_end=1.0, samples=100, tol=1e-12)
     grid = ObservationGrid.from_trajectory(traj)
     sigmas = [1e-4, 1e-3, 1e-2]

@@ -1,9 +1,11 @@
-"""Names README lists as removed from the API stay removed.
+"""Names README lists as removed from the API stay removed, and every
+threshold in ``Tolerances`` is still read.
 
 The list is the first column of README's "Names removed from the API"
 table, so a name added there is guarded here without a test edit.
 """
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -13,8 +15,10 @@ from pathlib import Path
 import pytest
 
 import odeident
+from odeident.config import Tolerances
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SOURCES = Path(odeident.__file__).resolve().parent
 MISSING = object()
 MODULES = [odeident] + [importlib.import_module(f"odeident.{info.name}")
                         for info in pkgutil.iter_modules(odeident.__path__)]
@@ -87,3 +91,11 @@ def test_removed_name_stays_removed(name):
         assert not any(accepts(func, name[:-1]) for func in public_callables())
     else:
         assert lookup(name) is MISSING
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Tolerances)])
+def test_threshold_is_read(field):
+    """A field that no module reads as DEFAULTS.<field> is a dead knob."""
+    use = re.compile(rf"\bDEFAULTS\.{field}\b")
+    assert any(use.search(path.read_text())
+               for path in SOURCES.glob("*.py") if path.name != "config.py")

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from odeident import DEFAULTS, __version__
+from odeident import DEFAULTS, MatrixLinear, ObservationMapHandle, __version__, phi
 from odeident.cli import main
+from odeident.ode import write_trajectory_csv
 
 ROT = [[0.0, 1.0], [-1.0, 0.0]]
 
@@ -227,6 +228,17 @@ class TestAnalyzeLinear:
         assert blob["degeneracy"]["defective"] is True
         assert blob["branches"] is None
 
+    def test_overflowing_divided_difference_exits_3(self, tmp_path):
+        # exp(2 * 400) in the divided-difference determinant
+        cfg = write_config(tmp_path, "big.json",
+                           rotation_config(h=0.01, m=8, x0=(1.0, 1.0),
+                                           alpha0=[[400.0, 0.0], [0.0, 1.0]]))
+        out = tmp_path / "lin.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze-linear", "--config", cfg, "--out", str(out)]) == 3
+        assert not out.exists()
+
     def test_wrong_species_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "dec.json", scalar_decay_config())
         assert main(["analyze-linear", "--config", cfg, "--out",
@@ -323,6 +335,24 @@ class TestInvert:
                 assert main(["invert", "--config", cfg, "--obs", str(obs),
                              "--mode", mode, "--out", str(out)]) == 3
             assert not out.exists()
+
+    def test_overflowing_normal_equations_exit_3_without_warning(self, tmp_path):
+        # x0 of 1e155: J^T J and J^T r overflow; simulate refuses this x0, so
+        # the observations are the exact phi
+        x0 = (1e155, 0.7)
+        init = (np.array(ROT).ravel() + 0.03).tolist()
+        cfg = write_config(tmp_path, "rot.json",
+                           rotation_config(h=0.3, m=6, x0=x0, extra_solver={"init": init}))
+        handle = ObservationMapHandle(sys=MatrixLinear(2), x0=x0, h=0.3, m=6)
+        values = phi(handle, MatrixLinear.pack(np.array(ROT))).reshape(6, 2)
+        obs = tmp_path / "obs.csv"
+        write_trajectory_csv(obs, 0.3 * np.arange(1, 7), values)
+        out = tmp_path / "gn.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["invert", "--config", cfg, "--obs", str(obs),
+                         "--mode", "gn", "--out", str(out)]) == 3
+        assert not out.exists()
 
     def test_pipeline_determinism(self, tmp_path):
         cfg = write_config(tmp_path, "logi.json", logistic_config(m=100))
@@ -527,9 +557,11 @@ def fuzz_rotation_config():
 
 
 # Leaves only: nested containers almost always fail validation (exit 2) before
-# any numerics run.
+# any numerics run. The explicit example overflows the divided-difference
+# determinant's exp(2 * 380).
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
+@example(edits=[(("system", "alpha0", 0, 0), 380)])
 @given(edits=_edits(fuzz_rotation_config(), st.sampled_from(_LEAF_POOL)))
 def test_mutated_linear_config_exit_code_contract(edits):
     """As above for certify and analyze-linear on a matrix_linear config."""

@@ -8,6 +8,7 @@ from conftest import (
     logistic_system,
     rotation_handle,
     scalar_decay_system,
+    scalar_map,
 )
 from odeident import (
     DimensionError,
@@ -17,7 +18,6 @@ from odeident import (
     MatrixLinear,
     ObservationGrid,
     ObservationMapHandle,
-    PolyMap,
     PolynomialBasis,
     add_noise,
     fd_linear_estimate,
@@ -104,8 +104,8 @@ class TestFdLinearEstimate:
 
     def test_basis_scaling_equivariance(self):
         sys = logistic_system()
-        scaled = PolynomialBasis([PolyMap.scalar([(2.5, 1)]),
-                                  PolyMap.scalar([(2.5, 2)])])
+        scaled = PolynomialBasis([scalar_map([(2.5, 1)]),
+                                  scalar_map([(2.5, 2)])])
         grid = make_grid(sys, [1.0, -1.0], [0.1], t_end=5.0, samples=400)
         plain = fd_linear_estimate(grid, sys).alpha_hat
         rescaled = fd_linear_estimate(grid, scaled).alpha_hat * 2.5

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ROTATION, rotation_system
 from odeident import (
@@ -16,6 +18,7 @@ from odeident import (
     RangeError,
     degeneracy_report,
     discriminant_closed_form,
+    eigenvalues,
     full_rank_check,
     integrate,
     krylov_rank,
@@ -122,6 +125,79 @@ class TestDiscriminants:
             assert abs(closed) <= 1e-8 * scale
 
 
+def near_tie_symmetric(rng, k):
+    """Orthogonal similarity of a diagonal whose entries form chains of
+    near-ties: gaps from 1e-16 to 1e-6 times the spectral scale, across the
+    clustering tolerance sqrt(eps) * ||A||."""
+    scale = 10.0 ** rng.uniform(-1.0, 2.0)
+    vals = [rng.uniform(-scale, scale)]
+    for _ in range(k - 1):
+        tie = rng.random() < 0.7
+        gap = 10.0 ** rng.uniform(-16.0, -6.0) if tie else rng.uniform(0.1, 1.0)
+        vals.append(vals[-1] + gap * scale)
+    q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    a = q @ np.diag(vals) @ q.T
+    return 0.5 * (a + a.T)
+
+
+def similar_jordan(rng, k):
+    """V J V^-1 with one Jordan block of size 2..k, the other eigenvalues
+    simple and at least 0.5 apart."""
+    size = int(rng.integers(2, k + 1))
+    lam = rng.uniform(-2.0, 2.0)
+    others = lam + np.cumsum(rng.uniform(0.5, 1.5, size=k - size))
+    j = np.diag(np.concatenate([np.full(size, lam), others]))
+    j[np.arange(size - 1), np.arange(1, size)] = 1.0
+    v = rng.normal(size=(k, k))
+    return v @ j @ np.linalg.inv(v)
+
+
+class TestOneRepeatedRule:
+    """``eigenvalues`` alone decides when eigenvalues coincide; the report's
+    flags and ``log_branches`` follow it."""
+
+    @pytest.mark.parametrize("a", [
+        np.diag([-1.0, -1.0 + 1e-8]),
+        np.diag([2.0, 2.0 + 1e-8, 2.0 + 2e-8, 2.0 + 3e-8]),  # a chain wider than tol
+    ])
+    def test_near_tied_diagonal_is_repeated_not_defective(self, a):
+        report = degeneracy_report(a, np.ones(a.shape[0]), h=1.0)
+        assert report.double_eigenvalue and not report.defective
+        with pytest.raises(DefectiveMatrixError, match="repeated"):
+            log_branches(a, h=1.0)
+
+    def test_split_jordan_block_is_repeated_and_defective(self):
+        # rounding splits the double eigenvalue -1 by 3.9e-8
+        rng = np.random.default_rng(0)
+        v = rng.normal(size=(2, 2))
+        a = v @ np.array([[-1.0, 1.0], [0.0, -1.0]]) @ np.linalg.inv(v)
+        eig = eigenvalues(a)
+        assert abs(eig.values[0] - eig.values[1]) > 1e-8
+        assert eig.repeated and eig.defective
+        assert degeneracy_report(a, [1.0, 0.3], h=1.0).double_eigenvalue
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(2, 6),
+           symmetric=st.booleans())
+    def test_flags_agree(self, seed, k, symmetric):
+        rng = np.random.default_rng(seed)
+        a = near_tie_symmetric(rng, k) if symmetric else similar_jordan(rng, k)
+        h = 1.0 / max(1.0, np.linalg.norm(a, 2))  # keeps exp(hA)^(k-1) in range
+        report = degeneracy_report(a, np.ones(k), h=h)
+        assert not (symmetric and report.defective)
+        assert report.double_eigenvalue or not report.defective
+        try:
+            # k_max = 0: the shifted branches of a near-Jordan matrix do not
+            # share exp(hA) in floating point, and are not what this tests
+            log_branches(a, h=h, k_max=0)
+            refused = False
+        except DefectiveMatrixError:
+            refused = True
+        except DomainError:  # a split Jordan block's eigenbasis is too
+            refused = False  # ill-conditioned to build real generators from
+        assert refused == report.double_eigenvalue
+
+
 class TestAliasing:
     def test_full_rotation_aliased(self):
         a = 2.0 * math.pi * ROTATION
@@ -200,6 +276,10 @@ class TestLogBranches:
             assert np.abs(branch - expected).max() <= 1e-9
             assert np.abs(mat_exp(branch, 1.0) - base_exp).max() <= 1e-9
 
+    def test_zero_shift_branch_is_alpha0(self):
+        result = log_branches(ROTATION, h=1.0, k_max=2)
+        assert np.array_equal(result.branches[result.k_vectors.index((0,))], ROTATION)
+
     def test_real_spectrum_single_branch(self):
         result = log_branches(np.diag([1.0, 2.0]), h=0.7, k_max=3)
         assert len(result.branches) == 1
@@ -249,6 +329,13 @@ class TestExpDividedDifferenceDeterminant:
             exp_divided_difference_determinant([1.0, 1.0, 2.0])
         with pytest.raises(DomainError):
             exp_divided_difference_determinant([0.5])
+
+    @pytest.mark.parametrize("lam", [[400.0, 1.0], [-1.0, 1000.0], [360.0, 361.0, 2.0]])
+    def test_overflow_is_a_range_error(self, lam):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RangeError):
+                exp_divided_difference_determinant(lam)
 
     def test_random_tuples_agree_and_are_nonzero(self):
         rng = np.random.default_rng(77)

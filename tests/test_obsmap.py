@@ -14,6 +14,7 @@ from conftest import (
     rotation_handle,
     rotation_system,
     scalar_decay_system,
+    scalar_map,
     stable_matrix,
 )
 from odeident import (
@@ -23,7 +24,6 @@ from odeident import (
     MatrixLinear,
     NotIdentifiableError,
     ObservationMapHandle,
-    PolyMap,
     PolynomialBasis,
     RangeError,
     certify_radius,
@@ -192,8 +192,8 @@ class TestCertifyRadius:
         assert abs(cert.beta - svals[-1] ** 2) <= 1e-8 * svals[-1] ** 2
 
     def test_duplicated_parameter_not_identifiable(self):
-        dup = PolynomialBasis([PolyMap.scalar([(1.0, 1)]),
-                               PolyMap.scalar([(1.0, 1)])])
+        dup = PolynomialBasis([scalar_map([(1.0, 1)]),
+                               scalar_map([(1.0, 1)])])
         handle = ObservationMapHandle(sys=dup, x0=np.array([1.0]), h=0.5, m=4)
         with pytest.raises(NotIdentifiableError) as err:
             certify_radius(handle, [0.3, -0.1], r_work=0.2, gamma_samples=10)
@@ -205,8 +205,8 @@ class TestCertifyRadius:
         # basis maps x and x + 1e-9 x^2: the Jacobian has eps-rank 2 but
         # sigma_min/sigma_1 ~ 1e-11 < sqrt(n*eps), so the verdict is "not
         # identifiable" (an integrator-built Jacobian is not eps-accurate)
-        near_dup = PolynomialBasis([PolyMap.scalar([(1.0, 1)]),
-                                    PolyMap.scalar([(1.0, 1), (1e-9, 2)])])
+        near_dup = PolynomialBasis([scalar_map([(1.0, 1)]),
+                                    scalar_map([(1.0, 1), (1e-9, 2)])])
         handle = ObservationMapHandle(sys=near_dup, x0=np.array([0.5]), h=0.3, m=6,
                                       tol=1e-12)
         alpha = np.array([-0.5, 0.2])
@@ -327,7 +327,7 @@ class TestZetaScan:
 
     def test_failed_cells_are_marked_and_scan_continues(self):
         # x' = a x^2 blows up inside the box for large a*x0
-        sys = PolynomialBasis([PolyMap.scalar([(1.0, 2)])])
+        sys = PolynomialBasis([scalar_map([(1.0, 2)])])
         handle = ObservationMapHandle(sys=sys, x0=np.array([1.0]), h=1.0, m=2,
                                       tol=1e-10)
         result = zeta_scan(handle, [1.0], [(0.1, 3.0)], [(0.5, 2.0)], [4, 4],

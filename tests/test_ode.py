@@ -11,6 +11,7 @@ from conftest import (
     logistic_system,
     rotation_system,
     scalar_decay_system,
+    scalar_map,
     stable_matrix,
 )
 from odeident import (
@@ -107,7 +108,7 @@ class TestEvaluate:
 
     def test_zero_basis_map_rejected(self):
         with pytest.raises(DomainError):
-            PolynomialBasis([PolyMap.scalar([(0.0, 1)])])
+            PolynomialBasis([scalar_map([(0.0, 1)])])
 
     def test_symbolic_partials_match_finite_differences(self):
         # 2-D basis with mixed monomials exercises the jacobian code
@@ -236,14 +237,14 @@ class TestCompiledPolynomialBasis:
         # each monomial is one pow per coordinate, bit for bit x ** e on a float scalar
         xs = np.random.default_rng(5).uniform(-2.0, 2.0, 200)
         for e in (2, 3, 4, 5):
-            sys = PolynomialBasis([PolyMap.scalar([(1.0, e)])])
+            sys = PolynomialBasis([scalar_map([(1.0, e)])])
             got = [sys.dfda(np.array([x]), np.ones(1))[0, 0] for x in xs]
             assert got == [x ** e for x in xs]
 
     def test_huge_exponent_evaluates_like_a_small_one(self):
         # u(x) = x^E with E an exponent array: no cost grows with the degree
-        sys = PolynomialBasis([PolyMap.scalar([(1.0, 2 ** 62)]),
-                               PolyMap.scalar([(1.0, 1)])])
+        sys = PolynomialBasis([scalar_map([(1.0, 2 ** 62)]),
+                               scalar_map([(1.0, 1)])])
         f, dfdx, dfda = evaluate(sys, [0.5], [1.0, -1.0])
         assert np.array_equal(dfda, [[0.0, 0.5]])
         assert np.array_equal(f, [-0.5]) and np.array_equal(dfdx, [[-1.0]])
@@ -336,7 +337,7 @@ class TestIntegrate:
 
     def test_blow_up_raises_with_time(self):
         # x' = x^2 from 1 blows up at t = 1
-        sys = PolynomialBasis([PolyMap.scalar([(1.0, 2)])])
+        sys = PolynomialBasis([scalar_map([(1.0, 2)])])
         with pytest.raises(IntegrationError) as err:
             integrate(sys, [1.0], [1.0], t_end=2.0, samples=2, tol=1e-10)
         assert 0.9 <= err.value.t_fail <= 1.1
