@@ -132,15 +132,20 @@ def krylov_rank(c: np.ndarray, x0: np.ndarray) -> int:
     transforms and the matrix exponential, so this rank decision uses the
     dedicated relative threshold ``DEFAULTS.krylov_rank_rel`` (1e-10)
     instead of the eps-level generic rank rule: dependent constructions sit
-    below ~1e-13 while generic spectra sit above ~1e-4.
+    below ~1e-13 while generic spectra sit above ~1e-4. Raises RangeError
+    when a column leaves the float range.
     """
     c = as_square(c)
     x0 = as_vector(x0)
     k = c.shape[0]
     cols = [x0]
-    for _ in range(k - 1):
-        cols.append(c @ cols[-1])
-    svals = singular_values(np.column_stack(cols))
+    with np.errstate(over="ignore", invalid="ignore"):  # tested just below
+        for _ in range(k - 1):
+            cols.append(c @ cols[-1])
+    krylov = np.column_stack(cols)
+    if not np.isfinite(krylov).all():
+        raise RangeError("Krylov sequence of x0 left the float range")
+    svals = singular_values(krylov)
     if svals[0] == 0.0:
         return 0
     return int(np.sum(svals > DEFAULTS.krylov_rank_rel * svals[0]))
@@ -155,7 +160,8 @@ def degeneracy_report(alpha, x0, h: float) -> DegeneracyReport:
     scans eigenvalue differences against the lattice 2*pi*i*Z/h up to
     |k| <= k_scan. The initial condition is in the bad set E exactly when
     its Krylov sequence under exp(h A) is linearly dependent. Raises
-    RangeError when a discriminant or exp(h A) leaves the float range.
+    RangeError when a discriminant, exp(h A) or the Krylov sequence leaves
+    the float range.
     """
     a = as_square(alpha)
     x0 = as_vector(x0)
@@ -228,8 +234,12 @@ def log_branches(alpha0, h: float, k_max: int = DEFAULTS.k_max) -> BranchSet:
     P the eigenvectors; the branch with shifts k is alpha0 + sum_p k_p S_p,
     so the k = 0 branch is alpha0 itself. A matrix with only real eigenvalues
     has the single branch alpha0. Requires simple eigenvalues: input that
-    ``eigenvalues`` reports repeated (defective or not) raises
-    DefectiveMatrixError.
+    ``eigenvalues`` reports repeated (defective or not), or whose eigenbasis
+    is too ill-conditioned to give real generators, raises
+    DefectiveMatrixError. The lattice is exponentiated in one stacked
+    ``mat_exp`` call, and each branch must match exp(h * alpha0) to
+    ``DEFAULTS.branch_exp_tol``; the first failing branch in shift order
+    decides the error.
     """
     a = as_square(alpha0)
     if h <= 0.0:
@@ -260,14 +270,27 @@ def log_branches(alpha0, h: float, k_max: int = DEFAULTS.k_max) -> BranchSet:
         if abs(vals[j] - vals[i].conjugate()) > imag_tol:
             raise DefectiveMatrixError("complex eigenvalue without conjugate partner")
         gen = step * (np.outer(p[:, i], p_inv[i]) - np.outer(p[:, j], p_inv[j]))
-        generators.append(real_part(gen, tol=DEFAULTS.imag_residue_tol, name="generator"))
+        try:
+            generators.append(real_part(gen, tol=DEFAULTS.imag_residue_tol,
+                                        name="generator"))
+        except DomainError as exc:
+            raise DefectiveMatrixError(
+                f"eigenbasis is numerically defective: {exc}") from exc
 
     shifts = list(itertools.product(range(-k_max, k_max + 1), repeat=len(upper)))
     lattice = a + np.tensordot(np.array(shifts), np.array(generators), axes=1)
-    base_exp = mat_exp(a, h)
+    try:
+        branch_exps = mat_exp(lattice, h)
+    except RangeError:
+        # some lane overflowed; exponentiate one branch at a time, so that the
+        # first failing branch in shift order decides the error
+        base_exp = mat_exp(a, h)
+        branch_exps = (mat_exp(branch, h) for branch in lattice)
+    else:
+        base_exp = branch_exps[shifts.index((0,) * len(upper))]  # alpha0's lane
     kept = []
-    for i, branch in enumerate(lattice):
-        err = float(np.abs(mat_exp(branch, h) - base_exp).max())
+    for i, (branch, branch_exp) in enumerate(zip(lattice, branch_exps)):
+        err = float(np.abs(branch_exp - base_exp).max())
         if err > DEFAULTS.branch_exp_tol:
             raise DomainError(
                 f"branch for shifts {shifts[i]} fails exp check (error {err:.3e})"

@@ -85,47 +85,63 @@ _PADE_B = _pade_coefficients(10)  # [10/10] rational approximant
 
 
 def mat_exp(a, t: float = 1.0) -> np.ndarray:
-    """exp(t*A) by scaling-and-squaring with a diagonal Padé approximant.
+    """exp(t*A) by scaling-and-squaring with a diagonal Padé approximant
+    (Higham 2005), for one matrix or a real (..., n, n) stack of them.
 
-    The input is scaled by 2**-s until its 1-norm is at most
-    ``DEFAULTS.mat_exp_scaled_norm`` (0.5), approximated, and squared
-    back s times. Works for defective matrices; raises RangeError when the
-    result, or the 1-norm of t*A over the scaled norm, overflows.
+    Each matrix is scaled by its own 2**-s until its 1-norm is at most
+    ``DEFAULTS.mat_exp_scaled_norm`` (0.5), approximated, and squared back
+    exactly s times; lanes whose s is reached sit out the later rounds. A
+    2-D input is a stack of one, so ``mat_exp(stack)[i]`` equals
+    ``mat_exp(stack[i])`` bit for bit, whatever the stack's size or order.
+    Works for defective matrices; raises RangeError when a result, or the
+    1-norm of t*A over the scaled norm, overflows.
     """
-    a = as_square(a)
+    a = np.asarray(a)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
+        raise DimensionError(f"matrix must be a non-empty square (..., n, n) array, "
+                             f"got shape {a.shape}")
     if not math.isfinite(t):
         raise DomainError("t must be finite")
-    n = a.shape[0]
+    shape, n = a.shape, a.shape[-1]
+    a = as_matrix(a.reshape(-1, n)).reshape(-1, n, n)
     with np.errstate(over="ignore"):
         b = t * a
-        nrm = float(np.linalg.norm(b, 1))
-    if not math.isfinite(nrm / DEFAULTS.mat_exp_scaled_norm):
+        ratios = (np.abs(b).sum(axis=1).max(axis=1) / DEFAULTS.mat_exp_scaled_norm).tolist()
+    if not all(map(math.isfinite, ratios)):
         raise RangeError("t*A is beyond the float range")
-    s = 0 if nrm <= DEFAULTS.mat_exp_scaled_norm else int(
-        math.ceil(math.log2(nrm / DEFAULTS.mat_exp_scaled_norm))
-    )
-    c = np.ldexp(b, -s)  # b / 2**s exactly, also where 2.0**s overflows (s = 1024)
+    # libm's log2 per lane: numpy's vector log2 differs from it in the last bit
+    # on some inputs, which could move ceil() across an integer
+    squarings = [0 if r <= 1.0 else math.ceil(math.log2(r)) for r in ratios]
+    s = np.array(squarings, dtype=int)
+    # b / 2**s exactly, also where 2.0**s overflows (s = 1024)
+    c = np.ldexp(b, -s[:, None, None])
 
-    coef = _PADE_B
-    order = len(coef) - 1
-    eye = np.eye(n)
-    pows = {0: eye, 1: c}
-    for k in range(2, order + 1):
-        pows[k] = pows[k - 1] @ c
-    u = sum(coef[j] * pows[j] for j in range(1, order + 1, 2))
-    v = sum(coef[j] * pows[j] for j in range(0, order + 1, 2))
+    # the [10/10] sums in sum()'s order, which starts from 0 (so -0.0 becomes 0.0)
+    u = 0.0 + _PADE_B[1] * c
+    v = 0.0 + _PADE_B[0] * np.eye(n)
+    power = c
+    for j in range(2, len(_PADE_B)):
+        power = power @ c
+        if j % 2:
+            u = u + _PADE_B[j] * power
+        else:
+            v = v + _PADE_B[j] * power
     try:
         f = np.linalg.solve(v - u, v + u)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - norm <= 0.5 keeps V-U regular
         raise ConvergenceError(f"Padé solve failed: {exc}") from exc
+    all_live = min(squarings, default=0)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(s):
-            f = f @ f
-            if not np.all(np.isfinite(f)):
-                raise RangeError("matrix exponential overflowed")
-    if not np.all(np.isfinite(f)):
+        for r in range(max(squarings, default=0)):
+            if r < all_live:
+                f = f @ f
+            else:  # square only the lanes that need this round
+                live = s > r
+                g = f[live]
+                f[live] = g @ g
+    if not np.isfinite(f).all():
         raise RangeError("matrix exponential overflowed")
-    return f
+    return f.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

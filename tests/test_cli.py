@@ -239,6 +239,35 @@ class TestAnalyzeLinear:
             assert main(["analyze-linear", "--config", cfg, "--out", str(out)]) == 3
         assert not out.exists()
 
+    def test_overflowing_krylov_sequence_exits_3(self, tmp_path):
+        # exp(0.3 * 2360) is finite, exp(0.3 * 2360) @ x0 is not
+        cfg = write_config(tmp_path, "big.json",
+                           rotation_config(h=0.3, m=6, x0=(10.0, 0.7),
+                                           alpha0=[[2360.0, 0.0], [0.0, 1.0]]))
+        out = tmp_path / "lin.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze-linear", "--config", cfg, "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_numerically_defective_eigenbasis_keeps_the_report(self, tmp_path):
+        # a 3x3 Jordan block that rounding splits into simple eigenvalues: no
+        # real generators, so no branches, but every other block is reported
+        v = np.random.default_rng(0).normal(size=(3, 3))
+        j = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]])
+        cfg = {"system": {"species": "matrix_linear", "k": 3, "n": 9,
+                          "alpha0": (v @ j @ np.linalg.inv(v)).tolist(),
+                          "x0": [1.0, 0.5, 0.2]},
+               "observation": {"h": 1.0, "m": 4, "tol": 1e-10}}
+        out = tmp_path / "lin.json"
+        assert main(["analyze-linear", "--config", write_config(tmp_path, "jordan.json", cfg),
+                     "--out", str(out)]) == 0
+        blob = strict_json(out.read_text())
+        assert blob["branches"] is None
+        assert blob["degeneracy"]["double_eigenvalue"] is False
+        assert blob["full_rank"]["rank"] == 9
+        assert blob["divided_difference_determinant"] is not None
+
     def test_wrong_species_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "dec.json", scalar_decay_config())
         assert main(["analyze-linear", "--config", cfg, "--out",
@@ -557,11 +586,12 @@ def fuzz_rotation_config():
 
 
 # Leaves only: nested containers almost always fail validation (exit 2) before
-# any numerics run. The explicit example overflows the divided-difference
-# determinant's exp(2 * 380).
+# any numerics run. The explicit examples overflow the divided-difference
+# determinant's exp(2 * 380) and the Krylov sequence exp(0.3 * 2360) x0.
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @example(edits=[(("system", "alpha0", 0, 0), 380)])
+@example(edits=[(("system", "alpha0"), [[2360, 0], [0, 1]]), (("system", "x0", 0), 10)])
 @given(edits=_edits(fuzz_rotation_config(), st.sampled_from(_LEAF_POOL)))
 def test_mutated_linear_config_exit_code_contract(edits):
     """As above for certify and analyze-linear on a matrix_linear config."""

@@ -27,6 +27,7 @@ from odeident import (
     phi,
     exp_divided_difference_determinant,
 )
+from odeident import linearcase
 from odeident.linearcase import CLOSED_FORM_SIGN, characteristic_poly
 from odeident.numkernel import sylvester_resultant
 
@@ -191,11 +192,48 @@ class TestOneRepeatedRule:
             # share exp(hA) in floating point, and are not what this tests
             log_branches(a, h=h, k_max=0)
             refused = False
-        except DefectiveMatrixError:
-            refused = True
-        except DomainError:  # a split Jordan block's eigenbasis is too
-            refused = False  # ill-conditioned to build real generators from
+        except DefectiveMatrixError as exc:
+            # a split Jordan block's eigenbasis can be too ill-conditioned to
+            # build real generators from; that refusal is not the repeat rule's
+            refused = "numerically defective" not in str(exc)
         assert refused == report.double_eigenvalue
+
+
+def _branch_outcome(a, k_max):
+    """The branches of log_branches(a, h=1), or its error's class and message."""
+    try:
+        result = log_branches(a, h=1.0, k_max=k_max)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", np.array(result.branches).tobytes(), result.k_vectors
+
+
+def test_stacked_exp_check_agrees_with_one_branch_at_a_time(monkeypatch):
+    """On the seeds 0..399 Jordan sweep (k = 2..6, h = 1, k_max 0, 2 and 6),
+    checking the lattice with one stacked exponential gives the branches, or
+    the error class and message, of exponentiating one branch at a time in
+    shift order."""
+    cases = [(similar_jordan(np.random.default_rng(seed), k), k_max)
+             for seed in range(400) for k in range(2, 7) for k_max in (0, 2, 6)]
+    stacked = [_branch_outcome(a, k_max) for a, k_max in cases]
+
+    def one_at_a_time(a, t=1.0):
+        if np.ndim(a) == 3:  # log_branches then exponentiates branch by branch
+            raise RangeError("stack refused")
+        return mat_exp(a, t)
+
+    # DefectiveMatrixError comes before any exponential, so only the rest can differ
+    exponentiated = [i for i, outcome in enumerate(stacked)
+                     if outcome[0] != "DefectiveMatrixError"]
+    monkeypatch.setattr(linearcase, "mat_exp", one_at_a_time)
+    assert [_branch_outcome(*cases[i]) for i in exponentiated] == \
+        [stacked[i] for i in exponentiated]
+    # the sweep reaches every outcome: branches, a failed exp check, an
+    # overflowing branch, and both kinds of defective input
+    messages = [outcome[1] for outcome in stacked if outcome[0] != "ok"]
+    assert len(messages) < len(stacked)
+    for needle in ("fails exp check", "overflowed", "repeated", "numerically defective"):
+        assert any(needle in message for message in messages)
 
 
 class TestAliasing:
@@ -303,6 +341,37 @@ class TestLogBranches:
     def test_defective_rejected(self):
         with pytest.raises(DefectiveMatrixError):
             log_branches(np.array([[1.0, 1.0], [0.0, 1.0]]), h=1.0)
+
+    def test_numerically_defective_eigenbasis_rejected(self):
+        # a 3x3 Jordan block that rounding splits into simple eigenvalues: the
+        # eigenbasis is too ill-conditioned to build a real generator from
+        v = np.random.default_rng(0).normal(size=(3, 3))
+        j = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]])
+        with pytest.raises(DefectiveMatrixError, match="numerically defective"):
+            log_branches(v @ j @ np.linalg.inv(v), h=1.0)
+
+    def test_lattice_is_exponentiated_in_one_call(self, monkeypatch):
+        shapes = []
+
+        def counting_mat_exp(a, t=1.0):
+            shapes.append(np.shape(a))
+            return mat_exp(a, t)
+
+        monkeypatch.setattr(linearcase, "mat_exp", counting_mat_exp)
+        a = np.zeros((4, 4))
+        a[:2, :2] = 1.0 * ROTATION
+        a[2:, 2:] = 2.3 * ROTATION
+        result = log_branches(a, h=1.0, k_max=4)
+        assert len(result.branches) == 81
+        assert shapes == [(81, 4, 4)]
+
+    def test_first_failing_branch_decides_the_error(self):
+        # the shift (-2,) fails the exp check; a later lane overflows exp, which
+        # must not turn the error into a RangeError
+        v = np.random.default_rng(213).normal(size=(2, 2))
+        a = v @ np.array([[-1.0, 1.0], [0.0, -1.0]]) @ np.linalg.inv(v)
+        with pytest.raises(DomainError, match=r"branch for shifts \(-2,\) fails exp check"):
+            log_branches(a, h=1.0, k_max=2)
 
     def test_repeated_eigenvalues_rejected(self):
         with pytest.raises(DefectiveMatrixError):

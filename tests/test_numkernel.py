@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odeident import (
     DimensionError,
@@ -85,6 +87,29 @@ class TestMatExp:
         with pytest.raises(DimensionError):
             mat_exp(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("shape", [(3,), (4, 2, 3), (0, 0), (2, 0, 0)])
+    def test_stack_of_non_square_raises(self, shape):
+        with pytest.raises(DimensionError):
+            mat_exp(np.ones(shape))
+
+    def test_complex_or_non_finite_lane_rejected(self):
+        stack = np.zeros((3, 2, 2))
+        stack[2, 1, 0] = np.inf
+        with pytest.raises(DimensionError, match="non-finite"):
+            mat_exp(stack)
+        with pytest.raises(DimensionError, match="real"):
+            mat_exp(np.zeros((3, 2, 2), dtype=complex))
+
+    def test_overflowing_lane_raises_range_error(self):
+        stack = np.stack([np.eye(2), np.diag([1000.0, 1.0])])
+        with pytest.raises(RangeError):
+            mat_exp(stack, 1.0)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_empty_stack_is_empty(self, n):
+        got = mat_exp(np.zeros((0, n, n)), 0.5)
+        assert got.shape == (0, n, n)
+
     def test_overflow_raises_range_error(self):
         with pytest.raises(RangeError):
             mat_exp(np.diag([1000.0, 1000.0]), 1.0)
@@ -92,6 +117,23 @@ class TestMatExp:
     def test_nan_rejected(self):
         with pytest.raises(DimensionError):
             mat_exp(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6), lanes=st.integers(0, 64))
+def test_stacked_lanes_have_their_own_bits(seed, n, lanes):
+    """Each lane of a stacked mat_exp has the bits of its own 2-D call, in any
+    order and beside any neighbours. Per-lane scales from 1e-3 to 1e2 give
+    the lanes different squaring counts; signed zeros must survive too."""
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(lanes, n, n)) * 10.0 ** rng.uniform(-3.0, 2.0, (lanes, 1, 1))
+    stack[rng.random(stack.shape) < 0.2] *= -0.0
+    got = mat_exp(stack, 0.7)
+    assert got.shape == stack.shape
+    for lane, lane_exp in zip(stack, got):
+        assert lane_exp.tobytes() == mat_exp(lane, 0.7).tobytes()
+    order = rng.permutation(lanes)
+    assert mat_exp(stack[order], 0.7).tobytes() == got[order].tobytes()
 
 
 class TestEigenvalues:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import warnings
@@ -29,6 +30,7 @@ from odeident import (
     certify_radius,
     integrate,
     integrate_with_sensitivity,
+    mat_exp,
     numerical_rank,
     phi,
     phi_jacobian,
@@ -147,6 +149,27 @@ class TestMatrixLinearExactMap:
     def test_huge_decay_underflows_to_zero(self):
         got = phi(rotation_handle(h=0.5), [-1e308, 0.0, 0.0, 0.0])
         assert np.array_equal(got, np.tile([0.0, 0.7], 6))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_jacobian_is_the_van_loan_exponential_bit_for_bit(self, k):
+        # the generator [[A, 0], [L, kron(A, I)]] built with np.kron, whose
+        # -0.0 products (a negative A entry times a zero) must be kept
+        rng = np.random.default_rng(k)
+        a = rng.normal(size=(k, k))
+        a[0, 0] = -abs(a[0, 0])
+        x0, h, m, n = rng.normal(size=k), 0.4, 3, k * k
+        gen = np.zeros((k + k * n, k + k * n))
+        gen[:k, :k] = a
+        gen[k:, k:] = np.kron(a, np.eye(n))
+        for i, j in itertools.product(range(k), repeat=2):
+            gen[k + i * n + i * k + j, j] = 1.0
+        step, y, blocks = mat_exp(gen, h), np.concatenate([x0, np.zeros(k * n)]), []
+        for _ in range(m):
+            y = step @ y
+            blocks.append(y[k:].reshape(k, n))
+        handle = ObservationMapHandle(sys=MatrixLinear(k), x0=x0, h=h, m=m)
+        got = phi_jacobian(handle, MatrixLinear.pack(a))
+        assert got.tobytes() == np.concatenate(blocks).tobytes()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
