@@ -130,15 +130,14 @@ def mat_exp(a, t: float = 1.0) -> np.ndarray:
         f = np.linalg.solve(v - u, v + u)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - norm <= 0.5 keeps V-U regular
         raise ConvergenceError(f"Padé solve failed: {exc}") from exc
-    all_live = min(squarings, default=0)
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(max(squarings, default=0)):
-            if r < all_live:
-                f = f @ f
-            else:  # square only the lanes that need this round
-                live = s > r
-                g = f[live]
-                f[live] = g @ g
+            live = s > r  # the lanes that still need this round
+            g = f[live]
+            g = g @ g
+            if not np.isfinite(g).all():
+                raise RangeError("matrix exponential overflowed")
+            f[live] = g
     if not np.isfinite(f).all():
         raise RangeError("matrix exponential overflowed")
     return f.reshape(shape)

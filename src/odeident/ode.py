@@ -239,10 +239,6 @@ class MatrixLinear(ParamSystem):
             raise DimensionError("state_dim must be >= 1")
         self.state_dim = int(state_dim)
         self.param_dim = self.state_dim ** 2
-        # where observe's Van Loan generator holds the ones of its L block
-        k, n = self.state_dim, self.param_dim
-        i, j = np.divmod(np.arange(n), k)
-        self._l_index = (k + i * n + i * k + j, j)
 
     @staticmethod
     def pack(matrix) -> np.ndarray:
@@ -279,7 +275,8 @@ class MatrixLinear(ParamSystem):
             # kron(A, I_n) written through a (k, n, k, n) view of its block:
             # the same products, so the same signed zeros
             gen[k:, k:].reshape(k, n, k, n)[...] = a[:, None, :, None] * np.eye(n)[:, None, :]
-            gen[self._l_index] = 1.0
+            i, j = np.divmod(np.arange(n), k)
+            gen[k + i * n + i * k + j, j] = 1.0
             y = np.concatenate([x0, np.zeros(k * n)])
         else:
             gen, y = a, x0
