@@ -31,7 +31,6 @@ from .ode import (
     MatrixLinear,
     ParamSystem,
     PolynomialBasis,
-    Trajectory,
     read_trajectory_csv,
 )
 
@@ -74,10 +73,6 @@ class ObservationGrid:
             raise DomainError("grid needs at least two samples")
         dt = float(times[1] - times[0])
         return ObservationGrid(times=times, values=np.atleast_2d(values), delta_t=dt)
-
-    @staticmethod
-    def from_trajectory(traj: Trajectory) -> "ObservationGrid":
-        return ObservationGrid.from_arrays(traj.times, traj.states)
 
     @staticmethod
     def from_csv(path) -> "ObservationGrid":

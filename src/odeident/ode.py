@@ -98,15 +98,18 @@ class ParamSystem:
 
     # The two factories are the one place every species' right-hand sides are
     # built, so a wrapper around them sees every integration (perfbench/tracing.py
-    # counts RHS evaluations that way); a species specializes the joint field
-    # through the _sensitivity_rhs hook, not by overriding these.
+    # counts RHS evaluations that way); a species specializes the fields through
+    # the _rhs and _sensitivity_rhs hooks, not by overriding these.
     def rhs(self, alpha: np.ndarray) -> Callable[[float, np.ndarray], np.ndarray]:
         """The field x -> f(x, alpha) as an integrator closure (t, x) -> x'."""
-        return lambda t, x: self.f(x, alpha)
+        return self._rhs(alpha)
 
     def sensitivity_rhs(self, alpha) -> Callable[[float, np.ndarray], np.ndarray]:
         """The joint field y = [x; vec Z] -> [f; vec(df/dx Z + df/da)]."""
         return self._sensitivity_rhs(alpha)
+
+    def _rhs(self, alpha):
+        return lambda t, x: self.f(x, alpha)
 
     def _sensitivity_rhs(self, alpha):
         k, n = self.state_dim, self.param_dim
@@ -193,7 +196,14 @@ class PolynomialBasis(ParamSystem):
         return self._dfda_coef @ self._monomials(x)
 
     # alpha times a coefficient may overflow: the integrator's finiteness tests
-    # reject the non-finite field that results, so the weights build silently
+    # reject the non-finite field that results, so both fields build silently
+    @np.errstate(over="ignore", invalid="ignore")
+    def _rhs(self, alpha):
+        """f(x, alpha) = (alpha @ C_a) u(x), with alpha @ C_a formed once."""
+        coef = alpha @ self._dfda_coef
+        monomials = self._monomials
+        return lambda t, x: coef @ monomials(x)
+
     @np.errstate(over="ignore", invalid="ignore")
     def _sensitivity_rhs(self, alpha):
         """[f; vec(J Z + P)] = W(alpha) (u(x) kron [1; vec Z]), W assembled once.
@@ -326,7 +336,7 @@ class SensitivityBundle:
 # ---------------------------------------------------------------------------
 # Dormand-Prince 5(4) core
 
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -342,16 +352,21 @@ _DP_ERR = _DP_B5 - np.array(
 )
 
 
+def _rms(v: np.ndarray) -> float:
+    """sqrt(np.mean(v ** 2)) with np.mean's own sum and divide, so its bits."""
+    return math.sqrt(float(np.add.reduce(v ** 2)) / v.shape[0])
+
+
 def _initial_step(rhs, y0, f0, tol, t_span):
     sc = tol + tol * np.abs(y0)
-    d0 = math.sqrt(float(np.mean((y0 / sc) ** 2)))
-    d1 = math.sqrt(float(np.mean((f0 / sc) ** 2)))
+    d0 = _rms(y0 / sc)
+    d1 = _rms(f0 / sc)
     if not math.isfinite(d1):
         raise DivergenceError("derivative overflows at the initial state", 0.0)
     h0 = 1e-6 * t_span if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, t_span)
     f1 = rhs(h0, y0 + h0 * f0)
-    d2 = math.sqrt(float(np.mean(((f1 - f0) / sc) ** 2))) / h0
+    d2 = _rms((f1 - f0) / sc) / h0
     if not math.isfinite(d2):
         return h0
     dmax = max(d1, d2)
@@ -377,7 +392,8 @@ def _integrate_grid(rhs, y0, times, tol, max_steps=DEFAULTS.integrator_max_steps
 
     steps = 0
     k = np.empty((7, y.shape[0]))
-    for target_i, t_target in enumerate(times):
+    # Python floats: t and h are scalars, and numpy scalar arithmetic is slower
+    for target_i, t_target in enumerate(times.tolist()):
         while t < t_target - h_min:
             if steps >= max_steps:
                 raise IntegrationError("step budget exhausted", t)
@@ -402,7 +418,7 @@ def _integrate_grid(rhs, y0, times, tol, max_steps=DEFAULTS.integrator_max_steps
                 continue
 
             sc = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-            err = math.sqrt(float(np.mean((err_vec / sc) ** 2)))
+            err = _rms(err_vec / sc)
             steps += 1
             if err <= 1.0:
                 t = t_target if (t_target - t - h) < h_min else t + h

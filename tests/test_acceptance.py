@@ -178,7 +178,7 @@ def test_fd_estimator_order():
     for dt in dts:
         traj = integrate(sys, [1.0, -1.0], [0.1], t_end=4.0,
                          samples=int(round(4.0 / dt)), tol=1e-12)
-        res = fd_linear_estimate(ObservationGrid.from_trajectory(traj), sys)
+        res = fd_linear_estimate(ObservationGrid.from_arrays(traj.times, traj.states), sys)
         errors.append(np.abs(res.alpha_hat - [1.0, -1.0]).max())
     slope = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
     ok = 1.8 <= slope <= 2.2 and errors[-1] <= 1e-3
@@ -292,7 +292,7 @@ def test_end_to_end_determinism(tmp_path):
 
     sys = PolynomialBasis([scalar_map([(1.0, 1)])])
     traj = integrate(sys, [-0.5], [1.0], t_end=1.0, samples=100, tol=1e-12)
-    grid = ObservationGrid.from_trajectory(traj)
+    grid = ObservationGrid.from_arrays(traj.times, traj.states)
     sigmas = [1e-4, 1e-3, 1e-2]
     means = []
     for sigma in sigmas:

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from odeident import DEFAULTS, MatrixLinear, ObservationMapHandle, __version__, phi
-from odeident.cli import main
-from odeident.ode import write_trajectory_csv
+import odeident.ode
+from odeident import DEFAULTS, MatrixLinear, ObservationMapHandle, __version__, integrate, phi
+from odeident.cli import load_config, main
+from odeident.ode import read_trajectory_csv, write_trajectory_csv
 
 ROT = [[0.0, 1.0], [-1.0, 0.0]]
 
@@ -77,6 +78,57 @@ class TestSimulate:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "t,x1,x2"
         assert len(lines) == 51
+
+    @pytest.mark.parametrize("cfg_dict", [rotation_config(h=0.3, m=6, x0=(1.0, 0.7)),
+                                          logistic_config(m=40, h=0.05)],
+                             ids=["rotation", "logistic"])
+    def test_samples_are_phi(self, tmp_path, cfg_dict):
+        path = write_config(tmp_path, "cfg.json", cfg_dict)
+        out = tmp_path / "obs.csv"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        times, values = read_trajectory_csv(out)
+        cfg = load_config(path)
+        expected = phi(cfg.build_handle(), cfg.alpha0).reshape(cfg.m, cfg.k)
+        assert np.array_equal(values, expected)
+        traj = integrate(cfg.system, cfg.alpha0, cfg.x0, t_end=cfg.h * cfg.m, samples=cfg.m,
+                         tol=cfg.tol)
+        assert np.array_equal(times, traj.times)
+        if cfg.species == "polynomial_basis":  # phi is this integration, byte for byte
+            ref = tmp_path / "ref.csv"
+            write_trajectory_csv(ref, traj.times, traj.states)
+            assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("x0", [(1e20, 0.7), (1e50, 0.7), (1e100, 0.7), (1e155, 0.7)])
+    def test_widely_scaled_x0_writes_phi(self, tmp_path, x0):
+        # Dormand-Prince's error scale tol * (1 + |x_i|) failed these at t = 0;
+        # the exact map has none
+        cfg = write_config(tmp_path, "rot.json", rotation_config(h=0.3, m=6, x0=x0))
+        out = tmp_path / "obs.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        handle = ObservationMapHandle(sys=MatrixLinear(2), x0=x0, h=0.3, m=6)
+        expected = phi(handle, MatrixLinear.pack(ROT)).reshape(6, 2)
+        assert np.array_equal(read_trajectory_csv(out)[1], expected)
+
+    def test_integrates_only_polynomial_basis(self, tmp_path, monkeypatch):
+        integrate_grid = odeident.ode._integrate_grid
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("matrix_linear data must come from the exact map")
+
+        monkeypatch.setattr(odeident.ode, "_integrate_grid", refuse)
+        cfg = write_config(tmp_path, "rot.json", rotation_config(h=0.3, m=6))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return integrate_grid(*args, **kwargs)
+
+        monkeypatch.setattr(odeident.ode, "_integrate_grid", counted)
+        cfg = write_config(tmp_path, "logi.json", logistic_config(m=20, h=0.05))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "l.csv")]) == 0
+        assert len(calls) == 1
 
     def test_dimension_mismatch_exits_2(self, tmp_path):
         bad = rotation_config(x0=(1.0, 0.0, 3.0))
@@ -302,6 +354,21 @@ class TestInvert:
         assert np.abs(alpha - np.array(ROT).ravel()).max() <= 1e-6
         assert blob["result"]["converged"] is True
 
+    def test_gn_fits_the_map_simulate_wrote(self, tmp_path):
+        # simulate and invert --mode gn share phi, so noise-free data fit to
+        # rounding; data from Dormand-Prince at tol 1e-11 left 4e-13 and 4e-12
+        init = (np.array(ROT).ravel() + 0.003).tolist()
+        cfg = write_config(tmp_path, "rot.json",
+                           rotation_config(h=0.5, m=8, x0=(0.6, 0.8), tol=1e-11,
+                                           extra_solver={"init": init}))
+        obs, out = tmp_path / "obs.csv", tmp_path / "gn.json"
+        assert main(["simulate", "--config", cfg, "--out", str(obs)]) == 0
+        assert main(["invert", "--config", cfg, "--obs", str(obs),
+                     "--mode", "gn", "--out", str(out)]) == 0
+        result = json.loads(out.read_text())["result"]
+        assert result["residual"] <= 1e-13
+        assert np.abs(np.array(result["alpha_hat"]) - np.ravel(ROT)).max() <= 1e-13
+
     def test_two_row_file_fd_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "logi.json", logistic_config())
         obs = tmp_path / "obs.csv"
@@ -366,17 +433,13 @@ class TestInvert:
             assert not out.exists()
 
     def test_overflowing_normal_equations_exit_3_without_warning(self, tmp_path):
-        # x0 of 1e155: J^T J and J^T r overflow; simulate refuses this x0, so
-        # the observations are the exact phi
-        x0 = (1e155, 0.7)
+        # x0 of 1e155: J^T J and J^T r overflow
         init = (np.array(ROT).ravel() + 0.03).tolist()
         cfg = write_config(tmp_path, "rot.json",
-                           rotation_config(h=0.3, m=6, x0=x0, extra_solver={"init": init}))
-        handle = ObservationMapHandle(sys=MatrixLinear(2), x0=x0, h=0.3, m=6)
-        values = phi(handle, MatrixLinear.pack(np.array(ROT))).reshape(6, 2)
-        obs = tmp_path / "obs.csv"
-        write_trajectory_csv(obs, 0.3 * np.arange(1, 7), values)
-        out = tmp_path / "gn.json"
+                           rotation_config(h=0.3, m=6, x0=(1e155, 0.7),
+                                           extra_solver={"init": init}))
+        obs, out = tmp_path / "obs.csv", tmp_path / "gn.json"
+        assert main(["simulate", "--config", cfg, "--out", str(obs)]) == 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["invert", "--config", cfg, "--obs", str(obs),

@@ -33,7 +33,7 @@ from odeident import (
 
 def make_grid(sys, alpha, x0, t_end, samples, tol=1e-12):
     traj = integrate(sys, alpha, x0, t_end=t_end, samples=samples, tol=tol)
-    return ObservationGrid.from_trajectory(traj)
+    return ObservationGrid.from_arrays(traj.times, traj.states)
 
 
 class TestObservationGrid:
