@@ -317,10 +317,9 @@ def _write_json(path, payload: dict, cfg: ExperimentConfig) -> None:
 
 
 def cmd_simulate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    samples = phi(cfg.build_handle(), cfg.alpha0).reshape(cfg.m, cfg.k)
-    # the integrators' grid, t_end / samples * j, so the time column keeps its bytes
-    times = (cfg.h * cfg.m / cfg.m) * np.arange(1, cfg.m + 1)
-    grid = ObservationGrid.from_arrays(times, samples)
+    handle = cfg.build_handle()
+    samples = phi(handle, cfg.alpha0).reshape(cfg.m, cfg.k)
+    grid = ObservationGrid.from_arrays(handle.times, samples)
     if cfg.sigma > 0.0:
         grid = add_noise(grid, cfg.sigma, cfg.seed)
     write_trajectory_csv(args.out, grid.times, grid.values)

@@ -30,7 +30,7 @@ from .errors import (
     RangeError,
 )
 from .numkernel import EPS, numerical_rank, singular_values
-from .ode import ParamSystem, _check_grid
+from .ode import ParamSystem, _check_grid, _sample_times
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,11 @@ class ObservationMapHandle:
         # the integrators' own rule, so a handle that builds is one phi accepts
         object.__setattr__(self, "x0", _check_grid(self.sys, self.x0, self.h * self.m,
                                                    self.m, self.tol))
+
+    @property
+    def times(self) -> np.ndarray:
+        """The sample times j*h, j = 1..m, on the integrators' own grid."""
+        return _sample_times(self.h * self.m, self.m)
 
     @property
     def n_params(self) -> int:

@@ -98,18 +98,15 @@ class ParamSystem:
 
     # The two factories are the one place every species' right-hand sides are
     # built, so a wrapper around them sees every integration (perfbench/tracing.py
-    # counts RHS evaluations that way); a species specializes the fields through
-    # the _rhs and _sensitivity_rhs hooks, not by overriding these.
+    # counts RHS evaluations that way); a species specializes the joint field
+    # through the _sensitivity_rhs hook, not by overriding these.
     def rhs(self, alpha: np.ndarray) -> Callable[[float, np.ndarray], np.ndarray]:
         """The field x -> f(x, alpha) as an integrator closure (t, x) -> x'."""
-        return self._rhs(alpha)
+        return lambda t, x: self.f(x, alpha)
 
     def sensitivity_rhs(self, alpha) -> Callable[[float, np.ndarray], np.ndarray]:
         """The joint field y = [x; vec Z] -> [f; vec(df/dx Z + df/da)]."""
         return self._sensitivity_rhs(alpha)
-
-    def _rhs(self, alpha):
-        return lambda t, x: self.f(x, alpha)
 
     def _sensitivity_rhs(self, alpha):
         k, n = self.state_dim, self.param_dim
@@ -196,14 +193,7 @@ class PolynomialBasis(ParamSystem):
         return self._dfda_coef @ self._monomials(x)
 
     # alpha times a coefficient may overflow: the integrator's finiteness tests
-    # reject the non-finite field that results, so both fields build silently
-    @np.errstate(over="ignore", invalid="ignore")
-    def _rhs(self, alpha):
-        """f(x, alpha) = (alpha @ C_a) u(x), with alpha @ C_a formed once."""
-        coef = alpha @ self._dfda_coef
-        monomials = self._monomials
-        return lambda t, x: coef @ monomials(x)
-
+    # reject the non-finite field that results, so the weights build silently
     @np.errstate(over="ignore", invalid="ignore")
     def _sensitivity_rhs(self, alpha):
         """[f; vec(J Z + P)] = W(alpha) (u(x) kron [1; vec Z]), W assembled once.
@@ -460,6 +450,11 @@ def _check_grid(sys: ParamSystem, x0, t_end: float, samples: int,
     return x0
 
 
+def _sample_times(t_end: float, samples: int) -> np.ndarray:
+    """The integrators' grid j*h, j = 1..samples, h = t_end/samples."""
+    return (t_end / samples) * np.arange(1, samples + 1)
+
+
 def _check_integration_args(sys, alpha, x0, t_end, samples,
                             tol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validate the inputs, and the shapes of f, df/dx and df/da at x0."""
@@ -481,9 +476,7 @@ def _check_integration_args(sys, alpha, x0, t_end, samples,
         if np.shape(value) != shape:
             raise DimensionError(
                 f"{name} has shape {np.shape(value)} at x0, expected {shape}")
-    h = t_end / samples
-    times = h * np.arange(1, samples + 1)
-    return x0, alpha, times
+    return x0, alpha, _sample_times(t_end, samples)
 
 
 def integrate(sys: ParamSystem, alpha, x0, t_end: float, samples: int,

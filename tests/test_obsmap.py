@@ -75,6 +75,14 @@ class TestPhi:
             ObservationMapHandle(sys=scalar_decay_system(), x0=np.array([1.0]),
                                  h=h, m=m, tol=tol)
 
+    # h*m/m is not h for (0.05, 3) or (0.2, 3): the grid is t_end / m, not h
+    @pytest.mark.parametrize("h,m", [(0.3, 6), (0.05, 3), (0.2, 3), (1 / 3, 9)])
+    def test_times_are_the_integrators_grid(self, h, m):
+        handle = ObservationMapHandle(sys=scalar_decay_system(), x0=np.array([1.0]),
+                                      h=h, m=m)
+        traj = integrate(handle.sys, [-0.5], handle.x0, t_end=h * m, samples=m)
+        assert np.array_equal(handle.times, traj.times)
+
     def test_stacking_is_sample_major(self):
         handle = rotation_handle(m=3)
         traj_states = phi(handle, MatrixLinear.pack(ROTATION)).reshape(3, 2)

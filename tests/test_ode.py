@@ -229,8 +229,6 @@ class TestCompiledPolynomialBasis:
                                  getattr(size, name)(ax, aa))
         _within_summed_terms(sys.rhs(alpha)(0.0, x), ref.rhs(alpha)(0.0, x),
                              size.rhs(aa)(0.0, ax))
-        # the closure forms alpha @ C_a once; the field keeps f's bits
-        assert np.array_equal(sys.rhs(alpha)(0.0, x), sys.f(x, alpha))
         _within_summed_terms(sys.sensitivity_rhs(alpha)(0.0, y),
                              ref.sensitivity_rhs(alpha)(0.0, y),
                              size.sensitivity_rhs(aa)(0.0, ay))
@@ -353,14 +351,6 @@ class TestIntegrate:
             with pytest.raises(DivergenceError) as err:
                 run(sys, [1.0], [1.0], t_end=2.0, samples=4)
             assert err.value.t_fail == 0.5
-
-    def test_overflowing_field_coefficients_diverge_without_warning(self):
-        # alpha @ C_a overflows to inf as each closure is built: the integrator
-        # rejects the non-finite field, and no RuntimeWarning is raised
-        sys = PolynomialBasis([scalar_map([(1.0, 1)]), scalar_map([(1.0, 1)])])
-        for run in (integrate, integrate_with_sensitivity):
-            with pytest.raises(DivergenceError):
-                run(sys, [1e308, 1e308], [1.0], t_end=1.0, samples=2)
 
     def test_precondition_errors(self):
         sys = scalar_decay_system()
