@@ -193,7 +193,8 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
     Steps solve (J^T J + damping * diag(J^T J)) s = J^T (y - phi(a)); the
     damping factor halves after an accepted step and quadruples after a
     rejected one, so the residual is non-increasing across accepted
-    iterates; the search stops unconverged once the damping term leaves the
+    iterates (a step too small to move alpha is rejected without evaluating
+    phi); the search stops unconverged once the damping term leaves the
     float range, and raises RangeError when J^T J or J^T r does. Convergence
     requires both the final step norm <= step_tol and the residual gradient
     norm <= grad_tol. The reported rank and condition are those of the
@@ -254,6 +255,10 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
                 step, *_ = np.linalg.lstsq(damped, grad, rcond=None)
             step_norm = float(np.linalg.norm(step))
             trial = alpha + step
+            if trial.tobytes() == alpha.tobytes():
+                # phi(trial) is phi(alpha) bit for bit: its cost equals cost, a rejection
+                lam *= DEFAULTS.gn_damping_up
+                continue
             try:
                 with np.errstate(over="ignore"):  # an overflowing cost is rejected below
                     trial_res = y_obs - phi(handle, trial)

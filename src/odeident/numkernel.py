@@ -113,19 +113,18 @@ def mat_exp(a, t: float = 1.0) -> np.ndarray:
     # on some inputs, which could move ceil() across an integer
     squarings = [0 if r <= 1.0 else math.ceil(math.log2(r)) for r in ratios]
     s = np.array(squarings, dtype=int)
-    # b / 2**s exactly, also where 2.0**s overflows (s = 1024)
-    c = np.ldexp(b, -s[:, None, None])
-
-    # the [10/10] sums in sum()'s order, which starts from 0 (so -0.0 becomes 0.0)
-    u = 0.0 + _PADE_B[1] * c
-    v = 0.0 + _PADE_B[0] * np.eye(n)
-    power = c
+    powers = np.empty((len(_PADE_B),) + b.shape)  # c**0 .. c**10, scaled in place
+    powers[0] = np.eye(n)
+    # c = b / 2**s exactly, also where 2.0**s overflows (s = 1024)
+    c = np.ldexp(b, -s[:, None, None], out=powers[1])
     for j in range(2, len(_PADE_B)):
-        power = power @ c
-        if j % 2:
-            u = u + _PADE_B[j] * power
-        else:
-            v = v + _PADE_B[j] * power
+        np.matmul(powers[j - 1], c, out=powers[j])
+    powers *= _PADE_B[:, None, None, None]
+    # the [10/10] sums in sum()'s order: a reduction over the leading axis adds
+    # term by term, and starting from 0.0 turns -0.0 into 0.0 as sum() does
+    u = np.add.reduce(powers[1::2], axis=0, initial=0.0)
+    v = np.add.reduce(powers[0::2], axis=0, initial=0.0)
+    del powers, c  # eleven matrices per lane: free them before the solve's copies
     try:
         f = np.linalg.solve(v - u, v + u)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - norm <= 0.5 keeps V-U regular

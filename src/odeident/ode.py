@@ -266,8 +266,9 @@ class MatrixLinear(ParamSystem):
         k = self.state_dim
         if jacobian and k > _EXACT_JACOBIAN_MAX_K:
             return super().observe(alpha, x0, h, m, tol, jacobian=True)
-        x0, alpha, _ = _check_integration_args(self, alpha, x0, h * m, m, tol)
-        a = alpha.reshape(k, k)
+        # f, dfdx and dfda are not called here, so their shapes need no check
+        x0 = _check_grid(self, x0, h * m, m, tol)
+        a = _check_alpha(self, alpha).reshape(k, k)
         n = self.param_dim
         if jacobian:
             gen = np.zeros((k + k * n, k + k * n))
@@ -455,19 +456,26 @@ def _sample_times(t_end: float, samples: int) -> np.ndarray:
     return (t_end / samples) * np.arange(1, samples + 1)
 
 
-def _check_integration_args(sys, alpha, x0, t_end, samples,
-                            tol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validate the inputs, and the shapes of f, df/dx and df/da at x0."""
-    x0 = _check_grid(sys, x0, t_end, samples, tol)
+def _check_alpha(sys: ParamSystem, alpha) -> np.ndarray:
+    """Validate the parameter vector's length and finiteness; return it as floats."""
     alpha = np.asarray(alpha, dtype=float).reshape(-1)
-    k, n = sys.state_dim, sys.param_dim
-    if alpha.shape[0] != n:
+    if alpha.shape[0] != sys.param_dim:
         raise DimensionError(
-            f"parameter vector has dimension {alpha.shape[0]}, expected {n}")
-    if not np.all(np.isfinite(alpha)):
+            f"parameter vector has dimension {alpha.shape[0]}, expected {sys.param_dim}")
+    if not np.isfinite(alpha).all():
         # an IntegrationError, as the state it would produce, so that callers
         # probing trial points (Gauss-Newton, zeta_scan) reject it alike
         raise DivergenceError("parameter vector is non-finite", 0.0)
+    return alpha
+
+
+def _check_integration_args(sys, alpha, x0, t_end, samples,
+                            tol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate x0, the grid, tol and alpha, then the shapes of f, df/dx and
+    df/da at x0, which a species that integrates supplies unchecked."""
+    x0 = _check_grid(sys, x0, t_end, samples, tol)
+    alpha = _check_alpha(sys, alpha)
+    k, n = sys.state_dim, sys.param_dim
     # only the shapes are checked here, so overflow in the values stays silent
     with np.errstate(over="ignore", invalid="ignore"):
         values = (sys.f(x0, alpha), sys.dfdx(x0, alpha), sys.dfda(x0, alpha))

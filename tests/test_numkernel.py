@@ -19,7 +19,8 @@ from odeident import (
     sylvester_matrix,
     sylvester_resultant,
 )
-from odeident.numkernel import as_square, real_part
+from odeident.config import DEFAULTS
+from odeident.numkernel import _PADE_B, as_square, real_part
 
 
 class TestMatExp:
@@ -134,6 +135,43 @@ def test_stacked_lanes_have_their_own_bits(seed, n, lanes):
         assert lane_exp.tobytes() == mat_exp(lane, 0.7).tobytes()
     order = rng.permutation(lanes)
     assert mat_exp(stack[order], 0.7).tobytes() == got[order].tobytes()
+
+
+def reference_mat_exp(stack: np.ndarray, t: float) -> np.ndarray:
+    """mat_exp of a valid (B, n, n) stack with the [10/10] sums formed by the
+    sequential loop: a running power, added term by term to u and v."""
+    b = t * stack
+    ratios = (np.abs(b).sum(axis=1).max(axis=1) / DEFAULTS.mat_exp_scaled_norm).tolist()
+    s = np.array([0 if r <= 1.0 else math.ceil(math.log2(r)) for r in ratios], dtype=int)
+    c = np.ldexp(b, -s[:, None, None])
+    u = 0.0 + _PADE_B[1] * c
+    v = 0.0 + _PADE_B[0] * np.eye(stack.shape[-1])
+    power = c
+    for j in range(2, len(_PADE_B)):
+        power = power @ c
+        if j % 2:
+            u = u + _PADE_B[j] * power
+        else:
+            v = v + _PADE_B[j] * power
+    f = np.linalg.solve(v - u, v + u)
+    for r in range(int(s.max(initial=0))):
+        live = s > r
+        g = f[live]
+        f[live] = g @ g
+    return f
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8), lanes=st.integers(1, 16))
+def test_pade_sums_have_the_sequential_loops_bits(seed, n, lanes):
+    """mat_exp has the bits of the sequential Padé loop. Per-lane scales from
+    1e-4 to 300 give the lanes different squaring counts; signed zeros must
+    keep their bits through every product, sum and squaring."""
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(lanes, n, n)) * 10.0 ** rng.uniform(-4.0, math.log10(300.0),
+                                                                 (lanes, 1, 1))
+    stack[rng.random(stack.shape) < 0.2] *= -0.0
+    assert mat_exp(stack, 0.7).tobytes() == reference_mat_exp(stack, 0.7).tobytes()
 
 
 class TestEigenvalues:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -153,6 +154,39 @@ class TestMatrixLinearExactMap:
     def test_wrong_length_alpha_is_a_dimension_error(self, observe):
         with pytest.raises(DimensionError):
             observe(rotation_handle(h=0.5), [0.0, 1.0, -1.0])
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_checks_inputs_without_evaluating_the_field(self, k, monkeypatch):
+        # the exact map reads A, never f, df/dx or df/da, so it checks x0, the
+        # grid, tol and alpha only; its bits are those of the full check
+        rng = np.random.default_rng(k)
+        alpha = MatrixLinear.pack(rng.normal(size=(k, k)))
+        handle = ObservationMapHandle(sys=MatrixLinear(k), x0=rng.normal(size=k),
+                                      h=0.4, m=3)
+        expected = [observe(handle, alpha).tobytes() for observe in (phi, phi_jacobian)]
+
+        def refuse(x, alpha):
+            raise AssertionError("the exact map evaluated the field")
+
+        for name in ("f", "dfdx", "dfda"):
+            monkeypatch.setattr(handle.sys, name, refuse)
+        for observe, bits in zip((phi, phi_jacobian), expected):
+            assert observe(handle, alpha).tobytes() == bits
+            with pytest.raises(DimensionError):
+                observe(handle, alpha[1:])
+            with pytest.raises(DivergenceError) as info:
+                observe(handle, np.full(k * k, math.nan))
+            assert info.value.t_fail == 0.0
+
+    @pytest.mark.parametrize("observe", [phi, phi_jacobian])
+    @pytest.mark.parametrize("name,shape", [("f", (2,)), ("dfdx", (1, 2)), ("dfda", (2, 2))])
+    def test_integrating_species_keeps_its_shape_check_at_x0(self, observe, name, shape,
+                                                             monkeypatch):
+        handle = ObservationMapHandle(sys=logistic_system(), x0=np.array([0.1]),
+                                      h=0.5, m=4)
+        monkeypatch.setattr(handle.sys, name, lambda x, alpha: np.zeros(shape))
+        with pytest.raises(DimensionError, match=re.escape(f"has shape {shape} at x0")):
+            observe(handle, [1.0, -1.0])
 
     def test_huge_decay_underflows_to_zero(self):
         got = phi(rotation_handle(h=0.5), [-1e308, 0.0, 0.0, 0.0])
