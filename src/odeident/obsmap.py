@@ -149,10 +149,12 @@ def certify_radius(handle: ObservationMapHandle, alpha0, r_work: float,
     ill-conditioned to certify: beta <= n * eps * sigma_1^2, that is
     sigma_min / sigma_1 <= sqrt(n * eps). This conditioning threshold is
     deliberately looser than the eps-level ``numerical_rank`` rule (the
-    reported ``rank``): the Jacobian comes from an integrator run at
-    ``handle.tol``, so its smallest singular values cannot be trusted to
-    eps relative accuracy, and a nominally full-rank Jacobian with
-    sigma_min / sigma_1 ~ 1e-11 is reported as not identifiable.
+    reported ``rank``): for an integrating species the Jacobian comes from
+    an integrator run at ``handle.tol``, so its smallest singular values
+    cannot be trusted to eps relative accuracy, and a nominally full-rank
+    Jacobian with sigma_min / sigma_1 ~ 1e-11 is reported as not
+    identifiable. The exact ``matrix_linear`` Jacobian is held to the same
+    threshold, so one rule serves every species.
     """
     alpha0 = np.asarray(alpha0, dtype=float).reshape(-1)
     if not (r_work > 0.0):

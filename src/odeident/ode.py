@@ -222,9 +222,28 @@ class PolynomialBasis(ParamSystem):
         return rhs
 
 
-# largest k whose Jacobian comes from the (k + k^3)-square block exponential;
-# above it the Dormand-Prince sensitivity integration is cheaper
-_EXACT_JACOBIAN_MAX_K = 4
+def _sensitivity_step(a: np.ndarray, h: float) -> np.ndarray:
+    """One step h of the joint state and sensitivity system of x' = A x:
+    [[C, 0], [D, kron(C, I_n)]] with C = exp(hA), n = k^2, and row (i, p) of
+    D row i of dC/dA_p. The n derivatives are the top-right blocks of one
+    exponential of the stack [[A, E_p], [0, A]] (Van Loan 1978); C is lane
+    0's top-left block.
+    """
+    k = a.shape[0]
+    n = k * k
+    gens = np.zeros((n, 2 * k, 2 * k))
+    gens[:, :k, :k] = gens[:, k:, k:] = a
+    p = np.arange(n)
+    gens[p, p // k, k + p % k] = 1.0  # E_p = E_ij for p = i*k + j
+    blocks = mat_exp(gens, h)
+    c = blocks[0, :k, :k]
+    step = np.zeros((k + k * n, k + k * n))
+    step[:k, :k] = c
+    step[k:, :k] = blocks[:, :k, k:].transpose(1, 0, 2).reshape(k * n, k)
+    # np.kron(C, I_n) written through a (k, n, k, n) view of its block, at a
+    # fraction of np.kron's cost
+    step[k:, k:].reshape(k, n, k, n)[...] = c[:, None, :, None] * np.eye(n)[:, None, :]
+    return step
 
 
 class MatrixLinear(ParamSystem):
@@ -251,40 +270,27 @@ class MatrixLinear(ParamSystem):
         return alpha.reshape(self.state_dim, self.state_dim)
 
     def dfda(self, x, alpha):
-        # np.kron(I, x) bit for bit (signed zeros included), at a fraction of its cost
+        # np.kron(I, x) bit for bit (signed zeros included), at a fraction of its
+        # cost: fd_linear_estimate calls it once per observed sample
         k = self.state_dim
         return (np.eye(k)[:, :, None] * x).reshape(k, k * k)
 
     def observe(self, alpha, x0, h, m, tol, jacobian=False):
         """Exact: X(jh) = C^j x0 with C = exp(hA); ``tol`` is validated only.
 
-        The Jacobian (k <= 4; Dormand-Prince above) steps the joint state and
-        sensitivity system y = [x; vec Z], itself linear with the constant
-        block-triangular generator [[A, 0], [L, kron(A, I_n)]], where L puts
-        x_j into row i of Z's column i*k + j (Van Loan 1978).
+        The Jacobian, exact for every k, steps the joint state and sensitivity
+        system y = [x; vec Z] with ``_sensitivity_step``.
         """
         k = self.state_dim
-        if jacobian and k > _EXACT_JACOBIAN_MAX_K:
-            return super().observe(alpha, x0, h, m, tol, jacobian=True)
         # f, dfdx and dfda are not called here, so their shapes need no check
         x0 = _check_grid(self, x0, h * m, m, tol)
         a = _check_alpha(self, alpha).reshape(k, k)
         n = self.param_dim
-        if jacobian:
-            gen = np.zeros((k + k * n, k + k * n))
-            gen[:k, :k] = a
-            # kron(A, I_n) written through a (k, n, k, n) view of its block:
-            # the same products, so the same signed zeros
-            gen[k:, k:].reshape(k, n, k, n)[...] = a[:, None, :, None] * np.eye(n)[:, None, :]
-            i, j = np.divmod(np.arange(n), k)
-            gen[k + i * n + i * k + j, j] = 1.0
-            y = np.concatenate([x0, np.zeros(k * n)])
-        else:
-            gen, y = a, x0
+        y = np.concatenate([x0, np.zeros(k * n)]) if jacobian else x0
         out = np.empty((m, y.shape[0]))
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                step = mat_exp(gen, h)
+                step = _sensitivity_step(a, h) if jacobian else mat_exp(a, h)
             except RangeError as exc:
                 raise DivergenceError(f"exp(hA) left the float range: {exc}", h) from exc
             for sample in range(m):

@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 import re
@@ -6,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +31,6 @@ from odeident import (
     certify_radius,
     integrate,
     integrate_with_sensitivity,
-    mat_exp,
     numerical_rank,
     phi,
     phi_jacobian,
@@ -155,7 +154,7 @@ class TestMatrixLinearExactMap:
         with pytest.raises(DimensionError):
             observe(rotation_handle(h=0.5), [0.0, 1.0, -1.0])
 
-    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("k", [1, 2, 4, 5, 8])
     def test_checks_inputs_without_evaluating_the_field(self, k, monkeypatch):
         # the exact map reads A, never f, df/dx or df/da, so it checks x0, the
         # grid, tol and alpha only; its bits are those of the full check
@@ -192,34 +191,34 @@ class TestMatrixLinearExactMap:
         got = phi(rotation_handle(h=0.5), [-1e308, 0.0, 0.0, 0.0])
         assert np.array_equal(got, np.tile([0.0, 0.7], 6))
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_jacobian_is_the_van_loan_exponential_bit_for_bit(self, k):
-        # the generator [[A, 0], [L, kron(A, I)]] built with np.kron, whose
-        # -0.0 products (a negative A entry times a zero) must be kept
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_jacobian_matches_scipy_frechet_derivatives(self, k):
+        # d(C^j x0)/dA_p = sum_{l<j} C^l dC_p C^(j-1-l) x0, with C = exp(hA) and
+        # dC_p = h L(hA, E_p) from scipy's expm_frechet (Al-Mohy and Higham 2009)
         rng = np.random.default_rng(k)
         a = rng.normal(size=(k, k))
         a[0, 0] = -abs(a[0, 0])
         x0, h, m, n = rng.normal(size=k), 0.4, 3, k * k
-        gen = np.zeros((k + k * n, k + k * n))
-        gen[:k, :k] = a
-        gen[k:, k:] = np.kron(a, np.eye(n))
-        for i, j in itertools.product(range(k), repeat=2):
-            gen[k + i * n + i * k + j, j] = 1.0
-        step, y, blocks = mat_exp(gen, h), np.concatenate([x0, np.zeros(k * n)]), []
-        for _ in range(m):
-            y = step @ y
-            blocks.append(y[k:].reshape(k, n))
+        c = scipy.linalg.expm(h * a)
+        powers = [np.linalg.matrix_power(c, j) for j in range(m)]
+        ref = np.empty((m, k, n))
+        for p in range(n):
+            dc = scipy.linalg.expm_frechet(h * a, h * np.eye(n)[p].reshape(k, k),
+                                           compute_expm=False)
+            for j in range(1, m + 1):
+                ref[j - 1, :, p] = sum(powers[l] @ dc @ powers[j - 1 - l] @ x0
+                                       for l in range(j))
         handle = ObservationMapHandle(sys=MatrixLinear(k), x0=x0, h=h, m=m)
         got = phi_jacobian(handle, MatrixLinear.pack(a))
-        assert got.tobytes() == np.concatenate(blocks).tobytes()
+        assert np.abs(got - ref.reshape(m * k, n)).max() <= 1e-12 * np.abs(ref).max()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(k=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
        h=st.floats(0.05, 0.5), m=st.integers(1, 8))
 def test_exact_linear_map_matches_integrators(k, seed, h, m):
-    """Exact phi (every k) and Jacobian (k <= 4) agree with Dormand-Prince at
-    tol 1e-12; at k = 5 the Jacobian is Dormand-Prince's, bit for bit."""
+    """Exact phi and Jacobian agree with Dormand-Prince at tol 1e-12 for
+    every k."""
     rng = np.random.default_rng(seed)
     alpha = MatrixLinear.pack(stable_matrix(rng, k))
     x0 = rng.uniform(-1.0, 1.0, size=k)
@@ -230,10 +229,7 @@ def test_exact_linear_map_matches_integrators(k, seed, h, m):
     ref_jac = integrate_with_sensitivity(sys, alpha, x0, t_end=h * m, samples=m,
                                          tol=1e-12).stacked_jacobian()
     assert np.abs(got_phi - ref_phi).max() <= 1e-9 * np.abs(ref_phi).max()
-    if k <= 4:
-        assert np.abs(got_jac - ref_jac).max() <= 1e-9 * np.abs(ref_jac).max()
-    else:
-        assert got_jac.tobytes() == ref_jac.tobytes()
+    assert np.abs(got_jac - ref_jac).max() <= 1e-9 * np.abs(ref_jac).max()
     assert phi(handle, alpha).tobytes() == got_phi.tobytes()
     assert phi_jacobian(handle, alpha).tobytes() == got_jac.tobytes()
 
