@@ -74,7 +74,6 @@ from .obsmap import (
 from .ode import (
     MatrixLinear,
     ParamSystem,
-    PolyMap,
     PolynomialBasis,
     SensitivityBundle,
     Trajectory,
@@ -132,7 +131,6 @@ __all__ = [
     "zeta_scan",
     "MatrixLinear",
     "ParamSystem",
-    "PolyMap",
     "PolynomialBasis",
     "SensitivityBundle",
     "Trajectory",

@@ -73,7 +73,7 @@ from .linearcase import (
 )
 from .numkernel import as_square
 from .obsmap import ObservationMapHandle, certify_radius, phi, verify_lower_bound, zeta_scan
-from .ode import MatrixLinear, ParamSystem, PolyMap, PolynomialBasis, write_trajectory_csv
+from .ode import MatrixLinear, ParamSystem, PolynomialBasis, write_trajectory_csv
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -143,8 +143,11 @@ def _basis_system(basis, k: int, n: int) -> PolynomialBasis:
     maps = []
     for mi, comp_list in enumerate(basis):
         path = f"system.basis[{mi}]"
+        comp_list = _as_list(comp_list, path)
+        if len(comp_list) != k:
+            raise ConfigError(f"'{path}' must list k={k} components")
         comps = []
-        for ci, component in enumerate(_as_list(comp_list, path)):
+        for ci, component in enumerate(comp_list):
             terms = []
             for ti, term in enumerate(_as_list(component, f"{path}[{ci}]")):
                 tpath = f"{path}[{ci}][{ti}]"
@@ -154,10 +157,7 @@ def _basis_system(basis, k: int, n: int) -> PolynomialBasis:
                 terms.append((coeff, tuple(_as_int(e, f"{tpath}.exponents", 0)
                                            for e in exps)))
             comps.append(terms)
-        try:
-            maps.append(PolyMap(k, comps))
-        except (DomainError, DimensionError) as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        maps.append(comps)
     try:
         return PolynomialBasis(maps)
     except (DomainError, DimensionError) as exc:

@@ -54,6 +54,9 @@ class ObservationGrid:
             raise DimensionError("times and values lengths differ")
         if t.shape[0] < 2:
             raise DomainError("grid needs at least two samples")
+        # every comparison with nan is false, so the grid checks below pass it
+        if not (np.isfinite(t).all() and np.isfinite(v).all()):
+            raise DomainError("observation times and values must be finite")
         gaps = np.diff(t)
         if np.any(gaps <= 0.0):
             raise DomainError("times must be strictly increasing")

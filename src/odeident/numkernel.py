@@ -23,17 +23,14 @@ EPS = float(np.finfo(float).eps)
 # validation helpers
 
 
-def as_matrix(a, name: str = "matrix", complex_ok: bool = False) -> np.ndarray:
-    """Validate *a* as a finite 2-D array and return it as float/complex."""
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Validate *a* as a finite real 2-D array and return it as floats."""
     arr = np.asarray(a)
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {arr.shape}")
-    if complex_ok and np.iscomplexobj(arr):
-        arr = arr.astype(complex)
-    else:
-        if np.iscomplexobj(arr):
-            raise DimensionError(f"{name} must be real")
-        arr = arr.astype(float)
+    if np.iscomplexobj(arr):
+        raise DimensionError(f"{name} must be real")
+    arr = arr.astype(float)
     if not np.all(np.isfinite(arr)):
         raise DimensionError(f"{name} contains non-finite entries")
     return arr
@@ -250,7 +247,7 @@ def least_squares(a, b) -> LeastSquaresResult:
 
 def singular_values(a) -> np.ndarray:
     """Singular values in descending order."""
-    a = as_matrix(a, "A", complex_ok=True)
+    a = as_matrix(a, "A")
     return np.linalg.svd(a, compute_uv=False)
 
 

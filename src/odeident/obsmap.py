@@ -284,7 +284,6 @@ class ZetaCell:
     alpha: tuple
     x: tuple
     zeta: float
-    sigma1: float
     flagged: bool
     failed: bool = False
 
@@ -292,8 +291,6 @@ class ZetaCell:
 @dataclass(frozen=True)
 class ZetaScanResult:
     cells: list
-    rank_tol: float
-    n_params: int
 
     @property
     def flagged_fraction(self) -> float:
@@ -366,8 +363,7 @@ def zeta_scan(handle: ObservationMapHandle, t_values, alpha_box, x_box,
                 jac = phi_jacobian(cell_handle, alpha)
             except IntegrationError:
                 cells.append(ZetaCell(t=float(t), alpha=tuple(alpha), x=tuple(x),
-                                      zeta=math.nan, sigma1=math.nan,
-                                      flagged=False, failed=True))
+                                      zeta=math.nan, flagged=False, failed=True))
                 continue
             svals = np.zeros(n)
             svals[: min(jac.shape)] = singular_values(jac)
@@ -382,5 +378,5 @@ def zeta_scan(handle: ObservationMapHandle, t_values, alpha_box, x_box,
             zeta = float(np.prod(svals ** 2))
             flagged = zeta <= rank_tol * scale
             cells.append(ZetaCell(t=float(t), alpha=tuple(alpha), x=tuple(x),
-                                  zeta=zeta, sigma1=sigma1, flagged=flagged))
-    return ZetaScanResult(cells=cells, rank_tol=rank_tol, n_params=n)
+                                  zeta=zeta, flagged=flagged))
+    return ZetaScanResult(cells=cells)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from sys import float_info
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,48 +28,6 @@ from .errors import (
     RangeError,
 )
 from .numkernel import EPS, mat_exp
-
-
-# ---------------------------------------------------------------------------
-# polynomial maps R^k -> R^k
-
-
-class PolyMap:
-    """Polynomial map R^k -> R^k given as monomial lists.
-
-    ``components[r]`` is a list of ``(coeff, exponents)`` pairs for output
-    coordinate r, with ``exponents`` a length-k tuple of non-negative ints.
-    The map holds data only: ``PolynomialBasis`` compiles its maps into one
-    monomial table and evaluates them from that.
-    """
-
-    def __init__(self, state_dim: int, components: Sequence[Sequence[tuple]]):
-        if state_dim < 1:
-            raise DimensionError("state_dim must be >= 1")
-        if len(components) != state_dim:
-            raise DimensionError(
-                f"expected {state_dim} components, got {len(components)}"
-            )
-        self.state_dim = int(state_dim)
-        comps = []
-        for r, comp in enumerate(components):
-            terms = []
-            for coeff, exps in comp:
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != state_dim or any(e < 0 for e in exps):
-                    raise DimensionError(
-                        f"component {r}: exponent multi-index {exps} invalid"
-                    )
-                if not math.isfinite(float(coeff)):
-                    raise DomainError("monomial coefficient must be finite")
-                if coeff != 0.0:
-                    terms.append((float(coeff), exps))
-            comps.append(tuple(terms))
-        self.components = tuple(comps)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(len(c) == 0 for c in self.components)
 
 
 # ---------------------------------------------------------------------------
@@ -134,39 +93,54 @@ class ParamSystem:
 
 
 class PolynomialBasis(ParamSystem):
-    """f(x, a) = a_1 P_1(x) + ... + a_n P_n(x) for polynomial maps P_i.
+    """f(x, a) = a_1 P_1(x) + ... + a_n P_n(x) for polynomial maps P_i: R^k -> R^k.
 
-    The maps are compiled once, here, into the exponent array E (U x k) of
-    the U distinct monomials that f and its first partials need, and two
-    constant coefficient arrays over them: df/da = C_a u(x) and
-    df/dx = (a . C_x) u(x), with u(x) = prod_i x_i^E[:, i]. Each evaluation
-    computes u(x) once.
+    Each map is its k component lists: component r lists the ``(coeff,
+    exponents)`` pairs of output coordinate r, with ``exponents`` a length-k
+    tuple of non-negative ints that a float holds exactly. k is read from the
+    first map. One pass validates the maps, naming the offending map, and
+    compiles them into the exponent array E (U x k) of the U distinct
+    monomials that f and its first partials need, and two constant
+    coefficient arrays over them: df/da = C_a u(x) and df/dx = (a . C_x) u(x),
+    with u(x) = prod_i x_i^E[:, i]. Each evaluation computes u(x) once.
     """
 
-    def __init__(self, maps: Sequence[PolyMap]):
-        if len(maps) == 0:
-            raise DimensionError("at least one basis map required")
-        k = maps[0].state_dim
-        for i, m in enumerate(maps):
-            if m.state_dim != k:
-                raise DimensionError(f"basis map {i} has state_dim {m.state_dim} != {k}")
-            if m.is_zero:
-                raise DomainError(f"basis map {i} is identically zero")
-        self.maps = tuple(maps)
-        self.state_dim = k
+    def __init__(self, maps: Sequence[Sequence[Sequence[tuple]]]):
+        if len(maps) == 0 or len(maps[0]) == 0:
+            raise DimensionError("at least one basis map of at least one component required")
+        self.state_dim = k = len(maps[0])
         self.param_dim = n = len(maps)
 
         slots: dict[tuple, int] = {}  # exponent tuple -> monomial index
         da_terms, dx_terms = [], []   # (coefficient entry, monomial index, value)
-        for i, m in enumerate(self.maps):
-            for r, comp in enumerate(m.components):
+        for i, components in enumerate(maps):
+            if len(components) != k:
+                raise DimensionError(
+                    f"basis map {i} has {len(components)} components, expected {k}")
+            terms_before = len(da_terms)
+            for r, comp in enumerate(components):
+                where = f"basis map {i}, component {r}"
                 for coeff, exps in comp:
+                    exps = tuple(int(e) for e in exps)
+                    if len(exps) != k or any(e < 0 for e in exps):
+                        raise DimensionError(f"{where}: exponent multi-index {exps} invalid")
+                    # int-float comparisons are exact, so 2**53 + 1 is caught
+                    if any(e > float_info.max or float(e) != e for e in exps):
+                        raise DomainError(f"{where}: exponent multi-index {exps} "
+                                          "holds an int no float equals")
+                    coeff = float(coeff)
+                    if not math.isfinite(coeff):
+                        raise DomainError(f"{where}: monomial coefficient must be finite")
+                    if coeff == 0.0:
+                        continue
                     da_terms.append(((r, i), slots.setdefault(exps, len(slots)), coeff))
                     for s, e in enumerate(exps):
                         if e:
                             lowered = exps[:s] + (e - 1,) + exps[s + 1:]
                             dx_terms.append(((r, s, i), slots.setdefault(lowered, len(slots)),
                                              coeff * e))
+            if len(da_terms) == terms_before:
+                raise DomainError(f"basis map {i} is identically zero")
         # float exponents: u(x) costs one libm pow per entry, whatever the degree
         self._exponents = np.array(list(slots), dtype=float)
         self._dfda_coef = np.zeros((k, n, len(slots)))     # df/da = C_a @ u

@@ -2,14 +2,14 @@
 
 import numpy as np
 
-from odeident import MatrixLinear, ObservationMapHandle, PolyMap, PolynomialBasis
+from odeident import MatrixLinear, ObservationMapHandle, PolynomialBasis
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def scalar_map(monomials) -> PolyMap:
+def scalar_map(monomials) -> list:
     """A map of one state variable from [(coeff, power), ...]."""
-    return PolyMap(1, [[(c, (p,)) for c, p in monomials]])
+    return [[(c, (p,)) for c, p in monomials]]
 
 
 def scalar_decay_system() -> PolynomialBasis:

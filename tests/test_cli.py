@@ -432,6 +432,27 @@ class TestInvert:
                              "--mode", mode, "--out", str(out)]) == 3
             assert not out.exists()
 
+    def test_non_finite_observations_exit_2_with_no_report(self, tmp_path):
+        # every comparison with nan is false, so the grid checks alone let a nan
+        # time column through, and gn then converged on it
+        init = (np.array(ROT).ravel() + 0.03).tolist()
+        cfg = write_config(tmp_path, "rot.json",
+                           rotation_config(h=0.3, m=6, x0=(1.0, 0.7),
+                                           extra_solver={"init": init}))
+        obs = tmp_path / "obs.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(obs)]) == 0
+        header, *rows = obs.read_text().splitlines()
+        nan_t = [header] + ["nan," + row.split(",", 1)[1] for row in rows]
+        inf_x = [header] + rows[:2] + [rows[2].rsplit(",", 1)[0] + ",inf"] + rows[3:]
+        for name, lines in (("nan_t", nan_t), ("inf_x", inf_x)):
+            bad = tmp_path / f"{name}.csv"
+            bad.write_text("\n".join(lines) + "\n")
+            for mode in ("fd", "gn"):
+                out = tmp_path / f"{name}_{mode}.json"
+                assert main(["invert", "--config", cfg, "--obs", str(bad),
+                             "--mode", mode, "--out", str(out)]) == 2
+                assert not out.exists()
+
     def test_overflowing_normal_equations_exit_3_without_warning(self, tmp_path):
         # x0 of 1e155: J^T J and J^T r overflow
         init = (np.array(ROT).ravel() + 0.03).tolist()
@@ -522,6 +543,9 @@ class TestValidation:
         (("system", "alpha0"), ["a", 1.0], "system.alpha0"),
         (("solver", "scan", "grid"), ["x", 2, 2], "solver.scan.grid"),
         (("system", "basis", 1), 7, "system.basis[1]"),
+        (("system", "basis", 1), [[], []], "system.basis[1]"),
+        # 2**53 + 1 would run as the even 2**53, flipping the sign of x^e for x < 0
+        (("system", "basis", 0, 0, 0, "exponents"), [2 ** 53 + 1], "system.basis"),
         (("noise",), [1], "noise"),
         (("noise", "seed"), -1, "noise.seed"),
         (("observation", "h"), float("nan"), "observation.h"),

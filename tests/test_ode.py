@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from odeident import (
     MatrixLinear,
     ObservationMapHandle,
     ParamSystem,
-    PolyMap,
     PolynomialBasis,
     integrate,
     integrate_with_sensitivity,
@@ -110,10 +110,31 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             PolynomialBasis([scalar_map([(0.0, 1)])])
 
+    # map 0 is valid wherever a case can follow it, so the error must name map 1
+    @pytest.mark.parametrize("maps,error,match", [
+        ([], DimensionError, "at least one"),
+        ([[]], DimensionError, "at least one component"),
+        ([scalar_map([(1.0, 1)]), [[(1.0, (1, 0))], [(1.0, (0, 1))]]],
+         DimensionError, "basis map 1 has 2 components"),
+        ([scalar_map([(1.0, 1)]), [[(1.0, (1, 0))]]], DimensionError, "basis map 1"),
+        ([scalar_map([(1.0, 1)]), scalar_map([(1.0, -1)])], DimensionError, "basis map 1"),
+        ([scalar_map([(1.0, 1)]), scalar_map([(math.nan, 1)])], DomainError, "basis map 1"),
+        ([scalar_map([(1.0, 1)]), scalar_map([(-math.inf, 1)])], DomainError, "basis map 1"),
+        ([scalar_map([(1.0, 1)]), [[]]], DomainError, "basis map 1 is identically zero"),
+        # 2**53 + 1 would compile to the even 2**53, so (-1)^e would come out +1
+        ([scalar_map([(1.0, 1)]), scalar_map([(1.0, 2 ** 53 + 1)])], DomainError,
+         "basis map 1"),
+        ([scalar_map([(1.0, 1)]), scalar_map([(1.0, 10 ** 400)])], DomainError,
+         "basis map 1"),
+    ])
+    def test_malformed_basis_rejected_naming_the_map(self, maps, error, match):
+        with pytest.raises(error, match=match):
+            PolynomialBasis(maps)
+
     def test_symbolic_partials_match_finite_differences(self):
         # 2-D basis with mixed monomials exercises the jacobian code
-        p1 = PolyMap(2, [[(1.0, (1, 2))], [(0.5, (2, 0)), (-1.0, (0, 1))]])
-        p2 = PolyMap(2, [[(2.0, (0, 1))], [(1.0, (1, 1))]])
+        p1 = [[(1.0, (1, 2))], [(0.5, (2, 0)), (-1.0, (0, 1))]]
+        p2 = [[(2.0, (0, 1))], [(1.0, (1, 1))]]
         sys = PolynomialBasis([p1, p2])
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -127,11 +148,12 @@ class TestEvaluate:
             assert np.abs(dfda - fd_a).max() < 1e-7
 
 
-# PolyMap's term-by-term loops, from before PolynomialBasis compiled its maps
-# into one monomial table: the reference the compiled field is checked against.
+# Term-by-term loops over a map's component lists, from before PolynomialBasis
+# compiled its maps into one monomial table: the reference the compiled field
+# is checked against.
 def reference_value(poly, x):
-    out = np.zeros(poly.state_dim)
-    for r, comp in enumerate(poly.components):
+    out = np.zeros(len(poly))
+    for r, comp in enumerate(poly):
         acc = 0.0
         for coeff, exps in comp:
             term = coeff
@@ -144,8 +166,8 @@ def reference_value(poly, x):
 
 
 def reference_jacobian(poly, x):
-    jac = np.zeros((poly.state_dim, poly.state_dim))
-    for r, comp in enumerate(poly.components):
+    jac = np.zeros((len(poly), len(poly)))
+    for r, comp in enumerate(poly):
         for coeff, exps in comp:
             for s, e in enumerate(exps):
                 if e == 0:
@@ -164,7 +186,7 @@ class ReferenceBasis(ParamSystem):
 
     def __init__(self, maps):
         self.maps = maps
-        self.state_dim = maps[0].state_dim
+        self.state_dim = len(maps[0])
         self.param_dim = len(maps)
 
     def f(self, x, alpha):
@@ -216,11 +238,10 @@ class TestCompiledPolynomialBasis:
     @given(case=_basis_case())
     def test_matches_the_reference_loops(self, case):
         comps, x, alpha, z = case
-        k = x.shape[0]
-        sys = PolynomialBasis([PolyMap(k, c) for c in comps])
-        ref = ReferenceBasis([PolyMap(k, c) for c in comps])
+        sys = PolynomialBasis(comps)
+        ref = ReferenceBasis(comps)
         # the same sums with |coefficients| and |inputs|: the sum of |terms| per entry
-        size = ReferenceBasis([PolyMap(k, [[(abs(c), e) for c, e in comp] for comp in cs])
+        size = ReferenceBasis([[[(abs(c), e) for c, e in comp] for comp in cs]
                                for cs in comps])
         ax, aa = np.abs(x), np.abs(alpha)
         y, ay = np.concatenate([x, z]), np.concatenate([ax, np.abs(z)])
