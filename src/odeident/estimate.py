@@ -144,15 +144,12 @@ def fd_linear_estimate(obs: ObservationGrid, sys: ParamSystem) -> EstimationResu
         raise DomainError("need at least one interior sample (N >= 2)")
 
     k, n = sys.state_dim, sys.param_dim
-    n_int = obs.n_interior
-    a = np.empty((k * n_int, n))
-    b = np.empty(k * n_int)
-    two_dt = 2.0 * obs.delta_t
+    values = obs.values
     zero = np.zeros(n)  # f = T(x) a, so the block T(x) = df/da is the same at any a
     with np.errstate(over="ignore", invalid="ignore"):  # tested just below
-        for row, i in enumerate(range(1, n_int + 1)):
-            a[row * k:(row + 1) * k] = sys.dfda(obs.values[i], zero)
-            b[row * k:(row + 1) * k] = (obs.values[i + 1] - obs.values[i - 1]) / two_dt
+        # one stacked df/da call: the blocks T(x_i) of every interior sample
+        a = sys.dfda(values[1:-1], zero).reshape(k * obs.n_interior, n)
+        b = ((values[2:] - values[:-2]) / (2.0 * obs.delta_t)).ravel()
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise RangeError("the difference quotients or df/da at the observations "
                          "leave the float range")

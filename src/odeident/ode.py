@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from sys import float_info
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,6 +52,9 @@ class ParamSystem:
         raise NotImplementedError
 
     def dfda(self, x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+        """df/da (k x n) at x. The two linear-in-parameter species also take an
+        (N, k) stack of states and return the (N, k, n) stack, each block bit
+        for bit the one of its row."""
         raise NotImplementedError
 
     # The two factories are the one place every species' right-hand sides are
@@ -97,12 +99,13 @@ class PolynomialBasis(ParamSystem):
 
     Each map is its k component lists: component r lists the ``(coeff,
     exponents)`` pairs of output coordinate r, with ``exponents`` a length-k
-    tuple of non-negative ints that a float holds exactly. k is read from the
-    first map. One pass validates the maps, naming the offending map, and
-    compiles them into the exponent array E (U x k) of the U distinct
-    monomials that f and its first partials need, and two constant
-    coefficient arrays over them: df/da = C_a u(x) and df/dx = (a . C_x) u(x),
-    with u(x) = prod_i x_i^E[:, i]. Each evaluation computes u(x) once.
+    tuple of ints in [0, 2**53], so that a float holds each exponent e and the
+    e - 1 of df/dx exactly. k is read from the first map. One pass validates
+    the maps, naming the offending map, and compiles them into the exponent
+    array E (U x k) of the U distinct monomials that f and its first partials
+    need, and two constant coefficient arrays over them: df/da = C_a u(x) and
+    df/dx = (a . C_x) u(x), with u(x) = prod_i x_i^E[:, i]. Each evaluation
+    computes u(x) once.
     """
 
     def __init__(self, maps: Sequence[Sequence[Sequence[tuple]]]):
@@ -124,10 +127,10 @@ class PolynomialBasis(ParamSystem):
                     exps = tuple(int(e) for e in exps)
                     if len(exps) != k or any(e < 0 for e in exps):
                         raise DimensionError(f"{where}: exponent multi-index {exps} invalid")
-                    # int-float comparisons are exact, so 2**53 + 1 is caught
-                    if any(e > float_info.max or float(e) != e for e in exps):
+                    # e and the e - 1 of df/dx are both exact floats only up to 2**53
+                    if any(e > 2 ** 53 for e in exps):
                         raise DomainError(f"{where}: exponent multi-index {exps} "
-                                          "holds an int no float equals")
+                                          "has an entry above 2**53")
                     coeff = float(coeff)
                     if not math.isfinite(coeff):
                         raise DomainError(f"{where}: monomial coefficient must be finite")
@@ -164,7 +167,12 @@ class PolynomialBasis(ParamSystem):
         return (alpha @ self._dfdx_coef) @ self._monomials(x)
 
     def dfda(self, x, alpha):
-        return self._dfda_coef @ self._monomials(x)
+        # u for a stack of states, here and not in _monomials, which every
+        # right-hand side calls; the batched product has the per-row bits,
+        # which a 2-D gemm over the stack does not
+        u = np.multiply.reduce(np.float_power(x[..., None, :self.state_dim],
+                                              self._exponents), axis=-1)
+        return (self._dfda_coef @ u[..., None, :, None])[..., 0]
 
     # alpha times a coefficient may overflow: the integrator's finiteness tests
     # reject the non-finite field that results, so the weights build silently
@@ -210,14 +218,61 @@ def _sensitivity_step(a: np.ndarray, h: float) -> np.ndarray:
     p = np.arange(n)
     gens[p, p // k, k + p % k] = 1.0  # E_p = E_ij for p = i*k + j
     blocks = mat_exp(gens, h)
-    c = blocks[0, :k, :k]
+    return _joint_step(blocks[0, :k, :k],
+                       blocks[:, :k, k:].transpose(1, 0, 2).reshape(k * n, k))
+
+
+def _joint_step(c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """[[C, 0], [D, kron(C, I_n)]] from its blocks C (k x k) and D (k*n x k)."""
+    k = c.shape[0]
+    n = d.shape[0] // k
     step = np.zeros((k + k * n, k + k * n))
     step[:k, :k] = c
-    step[k:, :k] = blocks[:, :k, k:].transpose(1, 0, 2).reshape(k * n, k)
-    # np.kron(C, I_n) written through a (k, n, k, n) view of its block, at a
-    # fraction of np.kron's cost
-    step[k:, k:].reshape(k, n, k, n)[...] = c[:, None, :, None] * np.eye(n)[:, None, :]
+    step[k:, :k] = d
+    # kron(C, I_n) holds C[i, j] on the diagonal of its block (i, j): write
+    # that diagonal through a view, at a fraction of np.kron's cost
+    np.einsum("ipjp->ijp", step[k:, k:].reshape(k, n, k, n))[...] = c[:, :, None]
     return step
+
+
+def _square_joint_step(step: np.ndarray, k: int) -> np.ndarray:
+    """S^2 of a joint step by its blocks, never as a dense square:
+    [[C C, 0], [D C + kron(C, I_n) D, kron(C C, I_n)]]."""
+    c, d = step[:k, :k], step[k:, :k]
+    return _joint_step(c @ c, d @ c + (c @ d.reshape(k, -1)).reshape(-1, k))
+
+
+# A square and its finiteness test cost as much as a few to a dozen block
+# products (a joint square about 9 us at k = 2..4, a product 1-2 us), so one
+# is formed only while more than this many blocks are left: a short map,
+# m <= 9, steps row by row.
+_BLOCKS_PER_SQUARE = 8
+
+
+def _fill_by_doubling(out: np.ndarray, step: np.ndarray,
+                      square: Callable[[np.ndarray], np.ndarray]) -> None:
+    """Fill row j of ``out`` with S^j times row 0, S = ``step``.
+
+    Rows [p, 2p) are rows [0, p) times (S^p)^T, so a long map takes about
+    log2(m) block products, not m matrix-vector steps.
+    ``square(S^p)`` replaces S^p with S^2p only while it is finite: after the
+    first non-finite square the rest goes in blocks of the last finite power,
+    so no inf * 0 inside a power that the row-by-row products never form
+    makes a state non-finite. The caller silences overflow and invalid
+    arithmetic and tests the rows.
+    """
+    rows = out.shape[0]
+    done, p, growing = 1, 1, True
+    step_t = step.T
+    while done < rows:
+        if growing and done >= 2 * p and rows - done > _BLOCKS_PER_SQUARE * p:
+            squared = square(step)
+            growing = np.isfinite(squared).all()
+            if growing:
+                step, step_t, p = squared, squared.T, 2 * p
+        b = p if p < rows - done else rows - done
+        np.dot(out[done - p:done - p + b], step_t, out=out[done:done + b])
+        done += b
 
 
 class MatrixLinear(ParamSystem):
@@ -244,37 +299,39 @@ class MatrixLinear(ParamSystem):
         return alpha.reshape(self.state_dim, self.state_dim)
 
     def dfda(self, x, alpha):
-        # np.kron(I, x) bit for bit (signed zeros included), at a fraction of its
-        # cost: fd_linear_estimate calls it once per observed sample
+        # np.kron(I, x) bit for bit (signed zeros included), for each state of a stack
         k = self.state_dim
-        return (np.eye(k)[:, :, None] * x).reshape(k, k * k)
+        blocks = np.eye(k)[:, :, None] * x[..., None, None, :]
+        return blocks.reshape(*x.shape[:-1], k, k * k)
 
     def observe(self, alpha, x0, h, m, tol, jacobian=False):
         """Exact: X(jh) = C^j x0 with C = exp(hA); ``tol`` is validated only.
 
         The Jacobian, exact for every k, steps the joint state and sensitivity
-        system y = [x; vec Z] with ``_sensitivity_step``.
+        system y = [x; vec Z] with ``_sensitivity_step``. Either step S goes
+        over the samples by doubling (``_fill_by_doubling``): blocks of rows
+        times squared powers of S.
         """
         k = self.state_dim
         # f, dfdx and dfda are not called here, so their shapes need no check
         x0 = _check_grid(self, x0, h * m, m, tol)
         a = _check_alpha(self, alpha).reshape(k, k)
         n = self.param_dim
-        y = np.concatenate([x0, np.zeros(k * n)]) if jacobian else x0
-        out = np.empty((m, y.shape[0]))
+        out = np.zeros((m + 1, k + k * n if jacobian else k))  # row j: [X(jh); vec Z(jh)]
+        out[0, :k] = x0
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 step = _sensitivity_step(a, h) if jacobian else mat_exp(a, h)
             except RangeError as exc:
                 raise DivergenceError(f"exp(hA) left the float range: {exc}", h) from exc
-            for sample in range(m):
-                y = out[sample] = step @ y
-        finite = np.isfinite(out).all(axis=1)
+            _fill_by_doubling(out, step, (lambda s: _square_joint_step(s, k)) if jacobian
+                              else (lambda s: s @ s))
+        finite = np.isfinite(out[1:]).all(axis=1)
         if not finite.all():
             raise DivergenceError("state diverged", h * (int(np.argmin(finite)) + 1))
         if jacobian:
-            return out[:, k:].reshape(m * k, n)
-        return out.ravel()
+            return out[1:, k:].reshape(m * k, n)
+        return out[1:].ravel()
 
     # the generic factories, bound here by name because perfbench/tracing.py
     # wraps vars(MatrixLinear)["rhs"] and ["sensitivity_rhs"]

@@ -26,6 +26,7 @@ from odeident import (
     fd_linear_estimate,
     gauss_newton_invert,
     integrate,
+    least_squares,
     log_branches,
     numerical_rank,
     phi,
@@ -104,6 +105,28 @@ class TestFdLinearEstimate:
         grid = make_grid(sys, alpha, [1.0, 0.7], t_end=2.0, samples=200)
         result = fd_linear_estimate(grid, sys)
         assert np.abs(result.alpha_hat - alpha).max() <= 1e-3
+
+    @pytest.mark.parametrize("species", ["logistic", "rotation"])
+    def test_dense_grid_estimate_is_the_per_sample_loops(self, species):
+        # the stacked df/da call builds the least-squares system of the loop
+        # over samples bit for bit, so alpha_hat keeps its bytes
+        if species == "logistic":
+            sys = logistic_system()
+            t = 0.01 * np.arange(201)
+            values = (0.1 * np.exp(t) / (1.0 + 0.1 * np.expm1(t)))[:, None]
+            block = lambda x: sys._dfda_coef @ sys._monomials(x)
+        else:
+            sys = MatrixLinear(2)
+            grid = make_grid(sys, MatrixLinear.pack(ROTATION), [1.0, 0.7], t_end=2.0,
+                             samples=200)
+            t, values = grid.times, grid.values
+            block = lambda x: np.kron(np.eye(2), x)
+        two_dt = 2.0 * (t[1] - t[0])
+        a = np.concatenate([block(x) for x in values[1:-1]])
+        b = np.concatenate([(values[i + 1] - values[i - 1]) / two_dt
+                            for i in range(1, len(t) - 1)])
+        got = fd_linear_estimate(ObservationGrid.from_arrays(t, values), sys)
+        assert got.alpha_hat.tobytes() == least_squares(a, b).x.tobytes()
 
     def test_basis_scaling_equivariance(self):
         sys = logistic_system()

@@ -31,6 +31,7 @@ from odeident import (
     certify_radius,
     integrate,
     integrate_with_sensitivity,
+    mat_exp,
     numerical_rank,
     phi,
     phi_jacobian,
@@ -187,6 +188,28 @@ class TestMatrixLinearExactMap:
         with pytest.raises(DimensionError, match=re.escape(f"has shape {shape} at x0")):
             observe(handle, [1.0, -1.0])
 
+    # m = 400 reaches the square C^8, whose first entry e^1200 overflows: a
+    # block product with it would make 0 * inf = nan of the zero first state
+    @pytest.mark.parametrize("m", [16, 400])
+    def test_overflowing_power_times_zero_stays_finite(self, m):
+        handle = ObservationMapHandle(sys=MatrixLinear(2), x0=np.array([0.0, 1.0]),
+                                      h=0.5, m=m)
+        alpha = [300.0, 0.0, 0.0, -1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = phi(handle, alpha).reshape(m, 2)
+            # dX_1/dA_12 grows as e^{300 t}/301 and leaves the float range at t = 2.5
+            with pytest.raises(DivergenceError) as info:
+                phi_jacobian(handle, alpha)
+        assert info.value.t_fail == 2.5
+        assert np.array_equal(got[:, 0], np.zeros(m))
+        # X_2(jh) = c^j with c = exp(hA)[1, 1]; mat_exp's c is e^{-h} only to
+        # 1.5e-14, as it scales the e^150 entry, so e^{-jh} holds to j times that
+        j = np.arange(1, m + 1)
+        c = mat_exp(np.diag([300.0, -1.0]), 0.5)[1, 1]
+        assert np.all(np.abs(got[:, 1] / c ** j - 1.0) <= 2e-14)
+        assert np.all(np.abs(got[:, 1] / np.exp(-0.5 * j) - 1.0) <= 2e-14 * j)
+
     def test_huge_decay_underflows_to_zero(self):
         got = phi(rotation_handle(h=0.5), [-1e308, 0.0, 0.0, 0.0])
         assert np.array_equal(got, np.tile([0.0, 0.7], 6))
@@ -230,6 +253,38 @@ def test_exact_linear_map_matches_integrators(k, seed, h, m):
                                          tol=1e-12).stacked_jacobian()
     assert np.abs(got_phi - ref_phi).max() <= 1e-9 * np.abs(ref_phi).max()
     assert np.abs(got_jac - ref_jac).max() <= 1e-9 * np.abs(ref_jac).max()
+    assert phi(handle, alpha).tobytes() == got_phi.tobytes()
+    assert phi_jacobian(handle, alpha).tobytes() == got_jac.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
+       h=st.floats(0.01, 0.5), m=st.integers(1, 400))
+def test_doubled_map_matches_per_sample_exponentials(k, seed, h, m):
+    """The exact map, formed by doubling, against scipy: phi per sample as
+    expm(j h A) x0, the Jacobian as the Frechet sum of
+    test_jacobian_matches_scipy_frechet_derivatives, summed by its recurrence
+    Z_j = C Z_(j-1) + dC X_(j-1). Both agree to 1e-12 of the largest entry
+    (measured: 1e-13); repeated calls give the same bits."""
+    rng = np.random.default_rng(seed)
+    a = stable_matrix(rng, k)
+    x0 = rng.uniform(-1.0, 1.0, size=k)
+    n = k * k
+    ref_phi = np.array([scipy.linalg.expm(j * h * a) @ x0 for j in range(1, m + 1)])
+    c = scipy.linalg.expm(h * a)
+    dc = np.array([scipy.linalg.expm_frechet(h * a, h * np.eye(n)[p].reshape(k, k),
+                                             compute_expm=False) for p in range(n)])
+    ref_jac = np.empty((m, k, n))
+    x, z = x0, np.zeros((k, n))
+    for j in range(m):
+        z = c @ z + (dc @ x).T
+        x = c @ x
+        ref_jac[j] = z
+    handle = ObservationMapHandle(sys=MatrixLinear(k), x0=x0, h=h, m=m)
+    alpha = MatrixLinear.pack(a)
+    got_phi, got_jac = phi(handle, alpha), phi_jacobian(handle, alpha)
+    assert np.abs(got_phi - ref_phi.ravel()).max() <= 1e-12 * np.abs(ref_phi).max()
+    assert np.abs(got_jac - ref_jac.reshape(m * k, n)).max() <= 1e-12 * np.abs(ref_jac).max()
     assert phi(handle, alpha).tobytes() == got_phi.tobytes()
     assert phi_jacobian(handle, alpha).tobytes() == got_jac.tobytes()
 

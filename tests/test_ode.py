@@ -124,6 +124,9 @@ class TestEvaluate:
         # 2**53 + 1 would compile to the even 2**53, so (-1)^e would come out +1
         ([scalar_map([(1.0, 1)]), scalar_map([(1.0, 2 ** 53 + 1)])], DomainError,
          "basis map 1"),
+        # a float holds 2**54, but not the odd 2**54 - 1 of its df/dx
+        ([scalar_map([(1.0, 1)]), scalar_map([(1.0, 2 ** 54)])], DomainError,
+         "basis map 1"),
         ([scalar_map([(1.0, 1)]), scalar_map([(1.0, 10 ** 400)])], DomainError,
          "basis map 1"),
     ])
@@ -263,8 +266,9 @@ class TestCompiledPolynomialBasis:
             assert got == [x ** e for x in xs]
 
     def test_huge_exponent_evaluates_like_a_small_one(self):
-        # u(x) = x^E with E an exponent array: no cost grows with the degree
-        sys = PolynomialBasis([scalar_map([(1.0, 2 ** 62)]),
+        # u(x) = x^E with E an exponent array: no cost grows with the degree;
+        # 2**53 is the largest exponent accepted
+        sys = PolynomialBasis([scalar_map([(1.0, 2 ** 53)]),
                                scalar_map([(1.0, 1)])])
         f, dfdx, dfda = evaluate(sys, [0.5], [1.0, -1.0])
         assert np.array_equal(dfda, [[0.0, 0.5]])
@@ -274,6 +278,13 @@ class TestCompiledPolynomialBasis:
         # Z' = (d/dx x^E) Z + [x^E, x] = [0, 0.5]
         assert np.allclose(bundle.sensitivities, [[[0.0, 0.25]], [[0.0, 0.5]]],
                            rtol=0.0, atol=1e-12)
+
+    def test_largest_exponent_keeps_the_sign_of_its_derivative(self):
+        # d/dx x^(2**53) = 2**53 x^(2**53 - 1), an odd power: -2**53 at x = -1
+        sys = PolynomialBasis([scalar_map([(1.0, 2 ** 53)])])
+        f, dfdx, dfda = evaluate(sys, [-1.0], [1.0])
+        assert np.array_equal(f, [1.0]) and np.array_equal(dfda, [[1.0]])
+        assert np.array_equal(dfdx, [[-float(2 ** 53)]])
 
     def test_evaluations_counted_through_the_parameter_system_factories(self,
                                                                         monkeypatch):
@@ -299,6 +310,52 @@ class TestCompiledPolynomialBasis:
         assert counts["rhs"] > 0
         monkeypatch.undo()
         assert np.array_equal(phi_jacobian(handle, [1.0, -1.0]), jac)
+
+
+def _quartic_maps():
+    # 15 monomials of degree <= 4 in two variables, each map using most of them
+    rng = np.random.default_rng(15)
+    exps = [e for e in itertools.product(range(5), repeat=2) if sum(e) <= 4]
+    return [[[(float(rng.normal()), e) for e in exps if rng.random() < 0.8]
+             for _ in range(2)] for _ in range(3)]
+
+
+LOTKA_VOLTERRA = [[[(1.0, (1, 0))], []], [[(1.0, (1, 1))], []],
+                  [[], [(1.0, (0, 1))]], [[], [(1.0, (1, 1))]]]
+
+
+class TestStackedDfda:
+    """df/da of the two linear-in-parameter species takes an (N, k) stack and
+    returns each block bit for bit as the one-state form computes it."""
+
+    @staticmethod
+    def _states(k):
+        x = np.random.default_rng(k).uniform(-2.0, 2.0, size=(40, k))
+        x[::5] = -0.0
+        x[1::7, 0] = 0.0
+        return x
+
+    # a plain 2-D gemm over the stack differs from the per-row products in the
+    # last bit on the quartic basis
+    @pytest.mark.parametrize("build", [logistic_system,
+                                       lambda: PolynomialBasis(LOTKA_VOLTERRA),
+                                       lambda: PolynomialBasis(_quartic_maps())],
+                             ids=["logistic", "lotka-volterra", "quartic"])
+    def test_polynomial_basis_stack_is_the_per_row_product(self, build):
+        sys = build()
+        x = self._states(sys.state_dim)
+        got = sys.dfda(x, np.zeros(sys.param_dim))
+        # the one-state form: C_a times the monomials every right-hand side uses
+        ref = np.array([sys._dfda_coef @ sys._monomials(row) for row in x])
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matrix_linear_stack_is_kron_per_row(self, k):
+        x = self._states(k)
+        got = MatrixLinear(k).dfda(x, np.zeros(k * k))
+        ref = np.array([np.kron(np.eye(k), row) for row in x])
+        assert got.tobytes() == ref.tobytes()
+        assert np.signbit(got).any()  # the signed zeros are compared too
 
 
 class TestIntegrate:
