@@ -19,6 +19,7 @@ from conftest import (
     scalar_map,
     stable_matrix,
 )
+import odeident.ode as ode
 from odeident import (
     DimensionError,
     DivergenceError,
@@ -214,26 +215,50 @@ class TestMatrixLinearExactMap:
         got = phi(rotation_handle(h=0.5), [-1e308, 0.0, 0.0, 0.0])
         assert np.array_equal(got, np.tile([0.0, 0.7], 6))
 
+    @pytest.mark.parametrize("m", [3, 40])
     @pytest.mark.parametrize("k", range(1, 9))
-    def test_jacobian_matches_scipy_frechet_derivatives(self, k):
+    def test_jacobian_matches_scipy_frechet_derivatives(self, k, m):
         # d(C^j x0)/dA_p = sum_{l<j} C^l dC_p C^(j-1-l) x0, with C = exp(hA) and
-        # dC_p = h L(hA, E_p) from scipy's expm_frechet (Al-Mohy and Higham 2009)
+        # dC_p = h L(hA, E_p) from scipy's expm_frechet (Al-Mohy and Higham 2009),
+        # summed by its recurrence Z_j = C Z_(j-1) + dC X_(j-1); m = 40 squares
+        # the step, m = 3 does not
         rng = np.random.default_rng(k)
         a = rng.normal(size=(k, k))
         a[0, 0] = -abs(a[0, 0])
-        x0, h, m, n = rng.normal(size=k), 0.4, 3, k * k
+        x0, h, n = rng.normal(size=k), 0.4, k * k
         c = scipy.linalg.expm(h * a)
-        powers = [np.linalg.matrix_power(c, j) for j in range(m)]
+        dc = np.array([scipy.linalg.expm_frechet(h * a, h * np.eye(n)[p].reshape(k, k),
+                                                 compute_expm=False) for p in range(n)])
         ref = np.empty((m, k, n))
-        for p in range(n):
-            dc = scipy.linalg.expm_frechet(h * a, h * np.eye(n)[p].reshape(k, k),
-                                           compute_expm=False)
-            for j in range(1, m + 1):
-                ref[j - 1, :, p] = sum(powers[l] @ dc @ powers[j - 1 - l] @ x0
-                                       for l in range(j))
+        x, z = x0, np.zeros((k, n))
+        for j in range(m):
+            z = c @ z + (dc @ x).T
+            x = c @ x
+            ref[j] = z
         handle = ObservationMapHandle(sys=MatrixLinear(k), x0=x0, h=h, m=m)
         got = phi_jacobian(handle, MatrixLinear.pack(a))
         assert np.abs(got - ref.reshape(m * k, n)).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("m", [3, 40])
+    @pytest.mark.parametrize("k", [1, 2, 4, 8])
+    def test_one_exponential_per_call(self, k, m, monkeypatch):
+        # phi exponentiates A, the Jacobian the stack of its k^2 Van Loan
+        # generators: one mat_exp call each, whatever k and m
+        shapes = []
+
+        def counting_mat_exp(a, t=1.0):
+            shapes.append(np.shape(a))
+            return mat_exp(a, t)
+
+        monkeypatch.setattr(ode, "mat_exp", counting_mat_exp)
+        rng = np.random.default_rng(k)
+        handle = ObservationMapHandle(sys=MatrixLinear(k), x0=rng.normal(size=k),
+                                      h=0.1, m=m)
+        alpha = MatrixLinear.pack(stable_matrix(rng, k))
+        phi(handle, alpha)
+        assert shapes == [(k, k)]
+        phi_jacobian(handle, alpha)
+        assert shapes == [(k, k), (k * k, 2 * k, 2 * k)]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

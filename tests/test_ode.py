@@ -30,7 +30,7 @@ from odeident import (
     phi,
     phi_jacobian,
 )
-from odeident.ode import read_trajectory_csv, write_trajectory_csv
+from odeident.ode import read_trajectory_csv, trajectory_csv_lines, write_trajectory_csv
 
 
 def evaluate(sys, x, alpha):
@@ -516,6 +516,18 @@ class TestCsv:
         assert np.array_equal(values, traj.states)
         header = path.read_text().splitlines()[0]
         assert header == "t,x1"
+
+    def test_lines_are_the_per_value_format(self):
+        # signed zeros, subnormals, the float range's ends and integral floats
+        edge = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-300,
+                1.7e308, -1.7e308, 3.0, -42.0, 2.0 ** 53, 0.1]
+        values = np.array(edge + edge[::-1]).reshape(-1, 3)
+        times = np.array([-0.0, 1.0, 1e-300, 5e-324, 0.1, 2.0 ** 60, 7.0, 1.7e308])
+        lines = trajectory_csv_lines(times, values)
+        assert lines[0] == "t,x1,x2,x3"
+        assert lines[1:] == [",".join(f"{v:.17g}" for v in (t, *row))
+                             for t, row in zip(times, values)]
+        assert lines[1] == "-0,0,-0,4.9406564584124654e-324"
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
