@@ -59,15 +59,19 @@ class ParamSystem:
 
     # The two factories are the one place every species' right-hand sides are
     # built, so a wrapper around them sees every integration (perfbench/tracing.py
-    # counts RHS evaluations that way); a species specializes the joint field
-    # through the _sensitivity_rhs hook, not by overriding these.
+    # counts RHS evaluations that way); a species specializes the plain and the
+    # joint field through the _rhs and _sensitivity_rhs hooks, not by overriding
+    # these.
     def rhs(self, alpha: np.ndarray) -> Callable[[float, np.ndarray], np.ndarray]:
         """The field x -> f(x, alpha) as an integrator closure (t, x) -> x'."""
-        return lambda t, x: self.f(x, alpha)
+        return self._rhs(alpha)
 
     def sensitivity_rhs(self, alpha) -> Callable[[float, np.ndarray], np.ndarray]:
         """The joint field y = [x; vec Z] -> [f; vec(df/dx Z + df/da)]."""
         return self._sensitivity_rhs(alpha)
+
+    def _rhs(self, alpha):
+        return lambda t, x: self.f(x, alpha)
 
     def _sensitivity_rhs(self, alpha):
         k, n = self.state_dim, self.param_dim
@@ -175,7 +179,15 @@ class PolynomialBasis(ParamSystem):
         return (self._dfda_coef @ u[..., None, :, None])[..., 0]
 
     # alpha times a coefficient may overflow: the integrator's finiteness tests
-    # reject the non-finite field that results, so the weights build silently
+    # reject the non-finite field that results, so both fields build silently
+    @np.errstate(over="ignore", invalid="ignore")
+    def _rhs(self, alpha):
+        """f with alpha @ C_a formed once: the same two products, so f's bits
+        (np.dot runs the gemv that @ does, with less call overhead)."""
+        coef = alpha @ self._dfda_coef
+        monomials = self._monomials
+        return lambda t, x: np.dot(coef, monomials(x))
+
     @np.errstate(over="ignore", invalid="ignore")
     def _sensitivity_rhs(self, alpha):
         """[f; vec(J Z + P)] = W(alpha) (u(x) kron [1; vec Z]), W assembled once.
@@ -196,10 +208,13 @@ class PolynomialBasis(ParamSystem):
         w = w.reshape(k + k * n, n_mono * (1 + k * n))
         monomials = self._monomials
         one_z = np.ones(1 + k * n)  # [1; vec Z], refilled per call
+        buf = np.empty((n_mono, 1 + k * n))
+        flat = buf.reshape(-1)  # a view of buf
 
         def rhs(t, y):
             one_z[1:] = y[k:]
-            return w @ (monomials(y)[:, None] * one_z).ravel()
+            np.multiply.outer(monomials(y), one_z, out=buf)
+            return np.dot(w, flat)
 
         return rhs
 
@@ -343,19 +358,27 @@ class SensitivityBundle:
 # Dormand-Prince 5(4) core
 
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_ERR = _DP_B5 - np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
+
+
+def _dp_tableau() -> np.ndarray:
+    """The step as one (8, 8) matrix over [y; k_0; ...; k_6]: rows 0-5 are the
+    inputs of stages 1-6, row 6 the 5th-order solution and row 7 the error
+    estimate. Column 0 is y's weight; the integrator scales the rest by h."""
+    b5 = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]
+    b4 = [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+    a = [[1 / 5], [3 / 40, 9 / 40], [44 / 45, -56 / 15, 32 / 9],
+         [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+         [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+         b5, b5]  # stage 6 is taken at the solution, whose k_6 is the next k_0
+    t = np.zeros((8, 8))
+    t[:7, 0] = 1.0
+    for s, row in enumerate(a):
+        t[s, 1:len(row) + 1] = row
+    t[7, 1:] = np.subtract(b5, b4)
+    return t
+
+
+_DP_T = _dp_tableau()
 
 
 def _rms(v: np.ndarray) -> float:
@@ -384,20 +407,28 @@ def _initial_step(rhs, y0, f0, tol, t_span):
 # the checks on f0, so the overflow and nan arithmetic that leads there stays silent
 @np.errstate(over="ignore", invalid="ignore")
 def _integrate_grid(rhs, y0, times, tol, max_steps=DEFAULTS.integrator_max_steps):
-    """Adaptive DP 5(4) from t=0 delivering exactly the grid `times`."""
-    y = np.asarray(y0, dtype=float).copy()
+    """Adaptive DP 5(4) from t=0 delivering exactly the grid `times`. The stages
+    live in one buffer ys = [y; k_0; ...; k_6]; stage s is row s - 1 of ``_DP_T``
+    (k columns times h) over ys[:s + 1], and [y_new; err] is rows 6-7 over ys."""
+    ys = np.empty((8, len(y0)))
+    ys[0] = y0
     t = 0.0
     t_final = float(times[-1])
     h_min = 16.0 * EPS * t_final
-    out = np.empty((len(times), y.shape[0]))
+    out = np.empty((len(times), ys.shape[1]))
 
-    f_now = rhs(t, y)
-    if not np.all(np.isfinite(f_now)):
+    ys[1] = rhs(t, ys[0])
+    if not np.all(np.isfinite(ys[1])):
         raise DivergenceError("derivative non-finite at initial state", t)
-    h_nat = _initial_step(rhs, y, f_now, tol, t_final)
+    h_nat = _initial_step(rhs, ys[0], ys[1], tol, t_final)
 
+    coef = _DP_T.copy()
+    weights, scaled = _DP_T[:, 1:], coef[:, 1:]
+    # stage s reads ys rows 0..s only, so a stale row from a failed attempt never enters
+    stages = [(_DP_C[s], coef[s - 1, :s + 1], ys[:s + 1], ys[s + 1]) for s in range(1, 7)]
+    sol_err = coef[6:]
+    abs_y = np.abs(ys[0])
     steps = 0
-    k = np.empty((7, y.shape[0]))
     # Python floats: t and h are scalars, and numpy scalar arithmetic is slower
     for target_i, t_target in enumerate(times.tolist()):
         while t < t_target - h_min:
@@ -408,28 +439,29 @@ def _integrate_grid(rhs, y0, times, tol, max_steps=DEFAULTS.integrator_max_steps
             if h < h_min:
                 raise IntegrationError("step size underflow", t)
 
-            k[0] = f_now
-            for stage in range(1, 7):
-                k[stage] = rhs(t + _DP_C[stage] * h,
-                               y + h * (_DP_A[stage] @ k[:stage]))
-            y_new = y + h * (_DP_B5 @ k)
-            err_vec = h * (_DP_ERR @ k)
-            # every stage enters both sums (a zero weight gives 0*inf = nan),
+            np.multiply(weights, h, out=scaled)
+            for c, row, block, k in stages:
+                k[...] = rhs(t + c * h, np.dot(row, block))
+            new = np.dot(sol_err, ys)  # [y_new; err_vec]
+            # every stage enters both rows (a zero weight gives 0*inf = nan),
             # so this one test sees any non-finite stage
-            if not (np.isfinite(y_new).all() and np.isfinite(err_vec).all()):
+            if not np.isfinite(new).all():
                 # retry smaller; if the step floor is hit the state is blowing up
                 h_nat = h * 0.25
                 if h_nat < h_min:
                     raise DivergenceError("state diverged", t)
                 continue
 
-            sc = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
+            y_new, err_vec = new
+            abs_new = np.abs(y_new)
+            sc = tol + tol * np.maximum(abs_y, abs_new)
             err = _rms(err_vec / sc)
             steps += 1
             if err <= 1.0:
                 t = t_target if (t_target - t - h) < h_min else t + h
-                y = y_new
-                f_now = k[6].copy()  # FSAL; k[6] is overwritten by the next attempt
+                ys[0] = y_new
+                ys[1] = ys[7]  # FSAL
+                abs_y = abs_new
                 factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
                 if clamped:
                     h_nat = max(h_nat, h * factor)
@@ -437,7 +469,7 @@ def _integrate_grid(rhs, y0, times, tol, max_steps=DEFAULTS.integrator_max_steps
                     h_nat = h * factor
             else:
                 h_nat = h * max(0.2, 0.9 * err ** -0.2)
-        out[target_i] = y
+        out[target_i] = ys[0]
         t = t_target
     return out
 
@@ -540,7 +572,12 @@ def write_trajectory_csv(path, times: np.ndarray, values: np.ndarray) -> None:
 
 
 def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Parse the trajectory CSV format; errors carry the offending row."""
+    """Parse the trajectory CSV format; errors carry the offending row.
+
+    One ``np.array`` call parses every cell, with float()'s rules and bits;
+    when it fails, or the rows do not have the header's k + 1 columns, the
+    per-row loop finds the first offending row.
+    """
     text = Path(path).read_text()
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -548,9 +585,15 @@ def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray]:
     if not lines[0].startswith("t,"):
         raise InputFormatError("missing 't,x1,...' header", 1)
     k = len(lines[0].split(",")) - 1
+    rows = [line.split(",") for line in lines[1:]]
+    try:
+        table = np.array(rows, dtype=float)
+        if table.shape[1:] == (k + 1,):
+            return table[:, 0].copy(), table[:, 1:].copy()
+    except ValueError:
+        pass
     times, values = [], []
-    for rowno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
+    for rowno, cells in enumerate(rows, start=2):
         if len(cells) != k + 1:
             raise InputFormatError(
                 f"expected {k + 1} columns, got {len(cells)}", rowno

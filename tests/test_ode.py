@@ -30,6 +30,7 @@ from odeident import (
     phi,
     phi_jacobian,
 )
+import odeident.ode
 from odeident.ode import read_trajectory_csv, trajectory_csv_lines, write_trajectory_csv
 
 
@@ -358,6 +359,94 @@ class TestStackedDfda:
         assert np.signbit(got).any()  # the signed zeros are compared too
 
 
+class TestPlainField:
+    """PolynomialBasis compiles the plain field with alpha @ C_a formed once:
+    the same two products as f, so f's bits."""
+
+    @pytest.mark.parametrize("build", [logistic_system,
+                                       lambda: PolynomialBasis(LOTKA_VOLTERRA),
+                                       lambda: PolynomialBasis(_quartic_maps())],
+                             ids=["logistic", "lotka-volterra", "quartic"])
+    def test_compiled_field_is_f(self, build):
+        sys = build()
+        k, n = sys.state_dim, sys.param_dim
+        rng = np.random.default_rng(k + n)
+        xs = rng.uniform(-2.0, 2.0, size=(20, k))
+        xs[::4] = -0.0
+        xs[1::3, 0] = 0.0
+        alphas = rng.uniform(-3.0, 3.0, size=(5, n))
+        alphas[0] = -0.0
+        alphas[1, 0] = 0.0
+        # products with the coefficients that overflow
+        alphas[2] = 1.7e308
+        alphas[3] = np.where(np.arange(n) % 2, -1.7e308, 1.7e308)
+        values = []
+        for alpha in alphas:
+            field = sys.rhs(alpha)  # builds silently: RuntimeWarnings are errors here
+            # evaluated as the integrator does, where a non-finite field is rejected
+            with np.errstate(over="ignore", invalid="ignore"):
+                for x in xs:
+                    values.append(field(0.0, x))
+                    assert values[-1].tobytes() == sys.f(x, alpha).tobytes()
+        assert not np.isfinite(values).all()  # the overflow cases are exercised
+        assert np.signbit(values).any()  # and the signed zeros
+
+    def test_overflowing_coefficients_diverge_without_warning(self):
+        sys = PolynomialBasis(_quartic_maps())
+        with pytest.raises(DivergenceError):
+            integrate(sys, np.full(3, 1.7e308), [0.5, -0.5], t_end=1.0, samples=2)
+
+    def test_generic_species_reaches_f(self):
+        seen = []
+
+        def f(x, a):
+            seen.append(x.copy())
+            return a * x
+
+        sys = UserSpecies(1, 1, f, lambda x, a: a[None, :], lambda x, a: x[None, :])
+        assert np.array_equal(sys.rhs(np.array([-2.0]))(0.0, np.array([3.0])), [-6.0])
+        assert np.array_equal(seen, [[3.0]])
+
+
+class TestDormandPrinceTableau:
+    """ode._DP_T, the step over [y; k_0; ...; k_6], is the Dormand-Prince 5(4)
+    tableau: rows 0-5 the stage inputs, row 6 the solution, row 7 the error."""
+
+    @property
+    def t(self):
+        return odeident.ode._DP_T
+
+    @property
+    def c(self):
+        return np.array(odeident.ode._DP_C)
+
+    def test_shape_and_the_weight_of_y(self):
+        assert self.t.shape == (8, 8)
+        assert np.array_equal(self.t[:, 0], [1, 1, 1, 1, 1, 1, 1, 0])
+
+    def test_stage_s_reads_only_the_stages_before_it(self):
+        for s in range(1, 7):
+            assert not self.t[s - 1, s + 1:].any()
+            assert self.t[s - 1, s] != 0.0
+        # FSAL: stage 6 is taken at the solution, whose k_6 weight is 0
+        assert np.array_equal(self.t[5], self.t[6]) and self.t[6, 7] == 0.0
+
+    def test_row_sums(self):
+        assert np.allclose(self.t[:6, 1:].sum(axis=1), self.c[1:], rtol=0.0, atol=1e-14)
+        assert abs(self.t[6, 1:].sum() - 1.0) <= 1e-14
+        assert abs(self.t[7, 1:].sum()) <= 1e-14
+
+    def test_order_conditions(self):
+        b, e = self.t[6, 1:], self.t[7, 1:]
+        for q in range(5):  # the 5th-order quadrature conditions
+            assert abs(b @ self.c ** q - 1.0 / (q + 1)) <= 1e-14
+        for q in range(4):  # the 4th-order solution b - e meets them to q = 3
+            assert abs(e @ self.c ** q) <= 1e-14
+        assert abs(e @ self.c ** 4) > 1e-6  # and the estimate is not identically zero
+        for s in range(2, 7):  # stage order 2: sum_j a_sj c_j = c_s^2 / 2
+            assert abs(self.t[s - 1, 1:] @ self.c - self.c[s] ** 2 / 2) <= 1e-14
+
+
 class TestIntegrate:
     def test_scalar_decay_closed_form(self):
         traj = integrate(scalar_decay_system(), [-0.5], [1.0], t_end=5.0,
@@ -528,6 +617,18 @@ class TestCsv:
         assert lines[1:] == [",".join(f"{v:.17g}" for v in (t, *row))
                              for t, row in zip(times, values)]
         assert lines[1] == "-0,0,-0,4.9406564584124654e-324"
+
+    def test_reader_parses_every_cell_as_float_does(self, tmp_path):
+        cells = ["-0", "0", "5e-324", "-4.9406564584124654e-324", "2.2250738585072009e-308",
+                 "1.7e308", "-1.7e308", "1e400", "-1e400", " 0.1 ", "\t-3\t", "1_000"]
+        rows = [cells[i:i + 3] for i in range(0, len(cells), 3)]
+        path = tmp_path / "edge.csv"
+        path.write_text("t,x1,x2\n" + "".join(",".join(r) + "\n" for r in rows))
+        times, values = read_trajectory_csv(path)
+        ref = np.array([[float(c) for c in r] for r in rows])
+        assert times.tobytes() == ref[:, 0].tobytes()
+        assert values.tobytes() == ref[:, 1:].tobytes()
+        assert np.signbit(times[0]) and values[1, 1] == 1.7e308 and values[3, 1] == 1000.0
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
