@@ -39,11 +39,13 @@ class ParamSystem:
     A species subclasses this, sets ``state_dim`` and ``param_dim``, and
     supplies ``f``, ``dfdx`` and ``dfda``. They take float arrays of the
     right lengths and do not check them: the integration entry points
-    validate the inputs and the output shapes once, at x0.
+    validate the inputs on every call, and the output shapes at x0 until
+    they have passed once for the system.
     """
 
     state_dim: int
     param_dim: int
+    _shapes_checked = False  # set on the instance once f, dfdx and dfda pass
 
     def f(self, x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -98,6 +100,27 @@ class ParamSystem:
         return integrate(self, alpha, x0, t_end=h * m, samples=m, tol=tol).states.ravel()
 
 
+def _monomial_rule(rows: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """u(x) = prod_i x_i ** E_i over the exponent rows E_0..E_{k-1}, one per
+    coordinate, as a closure over z with z[i] = x_i: one pow per row, multiplied
+    in ``np.multiply.reduce(x[:k] ** E, axis=1)``'s order, so its bits (but for
+    which nan a product of two nans keeps). A state, or the joint state
+    [x; vec Z], is its own z and gives u of shape (U,); an (N, k) stack passes
+    its coordinates as (N, 1) columns and gives (N, U)."""
+    # float_power runs libm's pow, as x[i] ** e does on a float scalar; the
+    # SIMD loop behind ** on arrays can differ from it in the last bit
+    pow_ = np.float_power
+    first, rest = rows[0], tuple(enumerate(rows[1:], start=1))
+
+    def monomials(z):
+        u = pow_(z[0], first)
+        for i, row in rest:
+            u *= pow_(z[i], row)
+        return u
+
+    return monomials
+
+
 class PolynomialBasis(ParamSystem):
     """f(x, a) = a_1 P_1(x) + ... + a_n P_n(x) for polynomial maps P_i: R^k -> R^k.
 
@@ -105,11 +128,11 @@ class PolynomialBasis(ParamSystem):
     exponents)`` pairs of output coordinate r, with ``exponents`` a length-k
     tuple of ints in [0, 2**53], so that a float holds each exponent e and the
     e - 1 of df/dx exactly. k is read from the first map. One pass validates
-    the maps, naming the offending map, and compiles them into the exponent
-    array E (U x k) of the U distinct monomials that f and its first partials
-    need, and two constant coefficient arrays over them: df/da = C_a u(x) and
-    df/dx = (a . C_x) u(x), with u(x) = prod_i x_i^E[:, i]. Each evaluation
-    computes u(x) once.
+    the maps, naming the offending map, and compiles the U distinct monomials
+    that f and its first partials need into k exponent rows, one per
+    coordinate (see ``_monomial_rule``), and two constant coefficient arrays
+    over them: df/da = C_a u(x) and df/dx = (a . C_x) u(x). Each evaluation
+    computes u(x) once, with one pow per coordinate row.
     """
 
     def __init__(self, maps: Sequence[Sequence[Sequence[tuple]]]):
@@ -149,20 +172,13 @@ class PolynomialBasis(ParamSystem):
             if len(da_terms) == terms_before:
                 raise DomainError(f"basis map {i} is identically zero")
         # float exponents: u(x) costs one libm pow per entry, whatever the degree
-        self._exponents = np.array(list(slots), dtype=float)
+        self._monomials = _monomial_rule(np.array(list(slots), dtype=float).T.copy())
         self._dfda_coef = np.zeros((k, n, len(slots)))     # df/da = C_a @ u
         for (r, i), slot, c in da_terms:
             self._dfda_coef[r, i, slot] += c
         self._dfdx_coef = np.zeros((k, k, n, len(slots)))  # df/dx = (a @ C_x) @ u
         for (r, s, i), slot, c in dx_terms:
             self._dfdx_coef[r, s, i, slot] += c
-
-    def _monomials(self, x: np.ndarray) -> np.ndarray:
-        """u(x); reads x[:k] only, so x may be the joint state [x; vec Z]."""
-        # float_power runs libm's pow, as x[i] ** e does on a float scalar; the
-        # SIMD loop behind ** on arrays can differ from it in the last bit
-        return np.multiply.reduce(np.float_power(x[:self.state_dim], self._exponents),
-                                  axis=1)
 
     def f(self, x, alpha):
         return (alpha @ self._dfda_coef) @ self._monomials(x)
@@ -171,11 +187,9 @@ class PolynomialBasis(ParamSystem):
         return (alpha @ self._dfdx_coef) @ self._monomials(x)
 
     def dfda(self, x, alpha):
-        # u for a stack of states, here and not in _monomials, which every
-        # right-hand side calls; the batched product has the per-row bits,
-        # which a 2-D gemm over the stack does not
-        u = np.multiply.reduce(np.float_power(x[..., None, :self.state_dim],
-                                              self._exponents), axis=-1)
+        # a state or a stack, its coordinates as columns; the batched product
+        # has the per-row bits, which a 2-D gemm over the stack does not
+        u = self._monomials(np.moveaxis(x, -1, 0)[..., None])
         return (self._dfda_coef @ u[..., None, :, None])[..., 0]
 
     # alpha times a coefficient may overflow: the integrator's finiteness tests
@@ -185,8 +199,8 @@ class PolynomialBasis(ParamSystem):
         """f with alpha @ C_a formed once: the same two products, so f's bits
         (np.dot runs the gemv that @ does, with less call overhead)."""
         coef = alpha @ self._dfda_coef
-        monomials = self._monomials
-        return lambda t, x: np.dot(coef, monomials(x))
+        monomials, dot = self._monomials, np.dot
+        return lambda t, x: dot(coef, monomials(x))
 
     @np.errstate(over="ignore", invalid="ignore")
     def _sensitivity_rhs(self, alpha):
@@ -197,7 +211,7 @@ class PolynomialBasis(ParamSystem):
         of u in column (u, 1 + s*n + j), which multiplies u(x) Z[s, j].
         """
         k, n = self.state_dim, self.param_dim
-        n_mono = self._exponents.shape[0]
+        n_mono = self._dfda_coef.shape[-1]
         w = np.zeros((k + k * n, n_mono, 1 + k * n))
         w[:k, :, 0] = alpha @ self._dfda_coef
         w[k:, :, 0] = self._dfda_coef.reshape(k * n, n_mono)
@@ -206,15 +220,15 @@ class PolynomialBasis(ParamSystem):
         for j in range(n):
             blocks[:, j, :, :, j] = jac
         w = w.reshape(k + k * n, n_mono * (1 + k * n))
-        monomials = self._monomials
+        monomials, outer, dot = self._monomials, np.multiply.outer, np.dot
         one_z = np.ones(1 + k * n)  # [1; vec Z], refilled per call
         buf = np.empty((n_mono, 1 + k * n))
         flat = buf.reshape(-1)  # a view of buf
 
         def rhs(t, y):
             one_z[1:] = y[k:]
-            np.multiply.outer(monomials(y), one_z, out=buf)
-            return np.dot(w, flat)
+            outer(monomials(y), one_z, out=buf)
+            return dot(w, flat)
 
         return rhs
 
@@ -519,18 +533,21 @@ def _check_alpha(sys: ParamSystem, alpha) -> np.ndarray:
 def _check_integration_args(sys, alpha, x0, t_end, samples,
                             tol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validate x0, the grid, tol and alpha, then the shapes of f, df/dx and
-    df/da at x0, which a species that integrates supplies unchecked."""
+    df/da at x0, which a species that integrates supplies unchecked. The
+    shapes are fixed by the system, so they are checked until they pass once."""
     x0 = _check_grid(sys, x0, t_end, samples, tol)
     alpha = _check_alpha(sys, alpha)
-    k, n = sys.state_dim, sys.param_dim
-    # only the shapes are checked here, so overflow in the values stays silent
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = (sys.f(x0, alpha), sys.dfdx(x0, alpha), sys.dfda(x0, alpha))
-    for name, value, shape in zip(("f", "df/dx", "df/da"), values,
-                                  ((k,), (k, k), (k, n))):
-        if np.shape(value) != shape:
-            raise DimensionError(
-                f"{name} has shape {np.shape(value)} at x0, expected {shape}")
+    if not sys._shapes_checked:
+        k, n = sys.state_dim, sys.param_dim
+        # only the shapes are checked here, so overflow in the values stays silent
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = (sys.f(x0, alpha), sys.dfdx(x0, alpha), sys.dfda(x0, alpha))
+        for name, value, shape in zip(("f", "df/dx", "df/da"), values,
+                                      ((k,), (k, k), (k, n))):
+            if np.shape(value) != shape:
+                raise DimensionError(
+                    f"{name} has shape {np.shape(value)} at x0, expected {shape}")
+        sys._shapes_checked = True
     return x0, alpha, _sample_times(t_end, samples)
 
 

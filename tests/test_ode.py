@@ -90,15 +90,18 @@ class TestEvaluate:
             integrate_with_sensitivity(logistic_system(), [1.0, -1.0], [1.0, 2.0],
                                        t_end=1.0, samples=1)
 
-    @pytest.mark.parametrize("f_func", [
-        lambda x, a: np.array([a[0] * x[0]]),       # length 1: would broadcast
-        lambda x, a: np.array([a[0], x[0], x[1]]),  # length 3
+    @pytest.mark.parametrize("f_func,dfda,match", [
+        (lambda x, a: np.array([a[0] * x[0]]),       # length 1: would broadcast
+         lambda x, a: np.zeros((2, 1)), "f has shape"),
+        (lambda x, a: np.array([a[0], x[0], x[1]]),  # length 3
+         lambda x, a: np.zeros((2, 1)), "f has shape"),
+        (lambda x, a: a[0] * x, lambda x, a: np.zeros(2), "df/da has shape"),
     ])
-    def test_callback_output_shape_checked_at_x0(self, f_func):
-        sys = UserSpecies(2, 1, f_func, lambda x, a: np.zeros((2, 2)),
-                          lambda x, a: np.zeros((2, 1)))
-        for run in (integrate, integrate_with_sensitivity):
-            with pytest.raises(DimensionError, match="f has shape"):
+    def test_callback_output_shape_checked_at_x0(self, f_func, dfda, match):
+        sys = UserSpecies(2, 1, f_func, lambda x, a: np.zeros((2, 2)), dfda)
+        # a system whose shapes fail is checked again on every integration
+        for run in (integrate, integrate_with_sensitivity) * 2:
+            with pytest.raises(DimensionError, match=match):
                 run(sys, [1.0], [1.0, 2.0], t_end=1.0, samples=2)
 
     def test_callback_partial_shapes_checked_at_x0(self):
@@ -106,6 +109,22 @@ class TestEvaluate:
                           lambda x, a: x[:, None])
         with pytest.raises(DimensionError, match="df/dx has shape"):
             integrate_with_sensitivity(sys, [1.0], [1.0], t_end=1.0, samples=2)
+
+    def test_shapes_checked_once_per_system(self):
+        # the plain field calls f only, so each df/dx call is the shape check's
+        calls = []
+
+        def dfdx(x, a):
+            calls.append(x.copy())
+            return a[None, :]
+
+        sys = UserSpecies(1, 1, lambda x, a: a * x, dfdx, lambda x, a: x[None, :])
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            integrate(sys, [-0.5], [1.0], t_end=1.0, samples=2)
+            counts.append(len(calls))
+        assert counts == [1, 0]
 
     def test_zero_basis_map_rejected(self):
         with pytest.raises(DomainError):
@@ -237,6 +256,34 @@ def _within_summed_terms(got, ref, terms):
     assert np.all(np.abs(got - ref) <= 8.0 * np.finfo(float).eps * terms)
 
 
+# states at the edges of pow and of the products: signed zeros, negative
+# bases, subnormals, bases whose powers overflow to inf, inf and nan
+_EDGE_VALUES = (0.0, -0.0, -1.0, -2.5, 5e-324, -5e-324, -1e-310, 2.2e-308, 1e200,
+                -1e200, 1e300, math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def _monomial_rows_case(draw):
+    """An exponent table E (U x k) with entries in 0..7 and one above 2**40,
+    an (N, k) stack of states and N parameter vectors."""
+    k, u = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    table = draw(st.lists(st.integers(0, 7), min_size=u * k, max_size=u * k))
+    table[draw(st.integers(0, u * k - 1))] = draw(st.integers(2 ** 40 + 1, 2 ** 53))
+    value = st.sampled_from(_EDGE_VALUES) | st.floats(-3.0, 3.0)
+    states = draw(st.lists(st.lists(value, min_size=k, max_size=k), min_size=1,
+                           max_size=6))
+    alphas = draw(st.lists(st.lists(st.floats(-2.0, 2.0), min_size=u, max_size=u),
+                           min_size=len(states), max_size=len(states)))
+    return np.array(table, dtype=float).reshape(u, k), np.array(states), np.array(alphas)
+
+
+def _bits(values):
+    # the bytes with every nan made the one quiet nan: when two nan factors
+    # meet, which one a product keeps depends on the loop numpy picks (a SIMD
+    # loop over 8 or more entries, a scalar one below), not on the factor order
+    return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
 class TestCompiledPolynomialBasis:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(case=_basis_case())
@@ -265,6 +312,30 @@ class TestCompiledPolynomialBasis:
             sys = PolynomialBasis([scalar_map([(1.0, e)])])
             got = [sys.dfda(np.array([x]), np.ones(1))[0, 0] for x in xs]
             assert got == [x ** e for x in xs]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=_monomial_rows_case())
+    def test_monomial_rule_is_the_reduced_power_table(self, case):
+        # one pow per coordinate row, multiplied in multiply.reduce's order:
+        # the bits of the (U, k) power table reduced over its k columns, up to
+        # the sign and payload of a nan
+        exponents, x, alphas = case
+        u, k = exponents.shape
+        rule = odeident.ode._monomial_rule(exponents.T.copy())
+        # map i is E[i]'s monomial in component i mod k
+        sys = PolynomialBasis([[[(1.0 + i, tuple(int(e) for e in exponents[i]))]
+                                if r == i % k else [] for r in range(k)]
+                               for i in range(u)])
+        with np.errstate(all="ignore"):
+            for row, alpha in zip(x, alphas):
+                ref = np.multiply.reduce(np.float_power(row, exponents), axis=1)
+                assert _bits(rule(row)) == _bits(ref)
+                # the joint state [x; vec Z] is read at its first k entries only
+                assert _bits(rule(np.append(row, 7.0))) == _bits(ref)
+                assert sys.rhs(alpha)(0.0, row).tobytes() == sys.f(row, alpha).tobytes()
+            # an (N, k) stack, as df/da passes it: its coordinates as columns
+            ref = np.multiply.reduce(np.float_power(x[:, None, :], exponents), axis=-1)
+            assert _bits(rule(np.moveaxis(x, -1, 0)[..., None])) == _bits(ref)
 
     def test_huge_exponent_evaluates_like_a_small_one(self):
         # u(x) = x^E with E an exponent array: no cost grows with the degree;
