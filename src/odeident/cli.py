@@ -37,6 +37,7 @@ Exit codes: 0 success, 2 input error, 3 numerical/integration failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -305,11 +306,37 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
 # output helpers
 
 
+def _jsonable(value):
+    """JSON data for a report value.
+
+    A dataclass is the object of its fields, a dict is encoded value by
+    value, a list or tuple is a list, an ndarray is ``tolist()`` (a complex
+    one as ``[re, im]`` pairs), a complex scalar is ``[re, im]`` and a
+    non-finite float is ``None``; anything else is returned as it is.
+    """
+    if value is None or isinstance(value, (str, int)):  # the most common leaves first
+        return value
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind == "c":
+            value = np.stack((value.real, value.imag), axis=-1)
+        return value.tolist()  # whole: a walk over the elements costs ~10x as much
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _jsonable(item) for key, item in value.items()}
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if dataclasses.is_dataclass(value):
+        return {field.name: _jsonable(getattr(value, field.name))
+                for field in dataclasses.fields(value)}
+    return value
+
+
 def _write_json(path, payload: dict, cfg: ExperimentConfig) -> None:
-    payload = dict(payload)
-    payload["toolkit_version"] = __version__
-    payload["config_digest"] = cfg.digest
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    payload = dict(payload, toolkit_version=__version__, config_digest=cfg.digest)
+    Path(path).write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +369,7 @@ def cmd_certify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         return EXIT_NOT_IDENTIFIABLE
     report = verify_lower_bound(handle, cert, pair_count=solver["verify_pairs"],
                                 seed=solver["seed"])
-    _write_json(args.out, {"certificate": cert.to_dict(),
-                           "verification": report.to_dict()}, cfg)
+    _write_json(args.out, {"certificate": cert, "verification": report}, cfg)
     print(f"certify: beta={cert.beta:.6g} gamma={cert.gamma:.6g} "
           f"r_cert={cert.r_cert:.6g}; verified {report.pairs_tested} pairs, "
           f"{report.violations} violations")
@@ -358,21 +384,19 @@ def cmd_analyze_linear(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     report = degeneracy_report(amat, cfg.x0, cfg.h)
     try:
         branches = log_branches(amat, cfg.h, k_max=k_max)
-        branch_dict = branches.to_dict()
         n_branches = len(branches.branches)
     except DefectiveMatrixError:
-        branch_dict = None
+        branches = None
         n_branches = 0
     rank_report = full_rank_check(amat, cfg.x0, cfg.h, cfg.m, tol=cfg.tol)
     divdiff = None
     if not report.double_eigenvalue and cfg.k >= 2:
         numeric, closed = exp_divided_difference_determinant(report.eigenvalues)
-        divdiff = {"numeric": [numeric.real, numeric.imag],
-                   "closed_form": [closed.real, closed.imag]}
+        divdiff = {"numeric": numeric, "closed_form": closed}
     _write_json(args.out, {
-        "degeneracy": report.to_dict(),
-        "branches": branch_dict,
-        "full_rank": rank_report.to_dict(),
+        "degeneracy": report,
+        "branches": branches,
+        "full_rank": rank_report,
         "divided_difference_determinant": divdiff,
     }, cfg)
     print(f"analyze-linear: in_set_A={report.in_set_A} "
@@ -404,7 +428,7 @@ def cmd_invert(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         result = gauss_newton_invert(handle, grid.values.ravel(), cfg.init,
                                      options=cfg.gn_options)
 
-    _write_json(args.out, {"mode": args.mode, "result": result.to_dict()}, cfg)
+    _write_json(args.out, {"mode": args.mode, "result": result}, cfg)
     ok = result.converged and not result.rank_deficient
     status = "converged" if result.converged else "NOT converged"
     if result.rank_deficient:

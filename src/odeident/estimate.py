@@ -109,19 +109,6 @@ class EstimationResult:
     rank_deficient: bool = False
     message: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha_hat": np.asarray(self.alpha_hat).tolist(),
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "jacobian_rank": self.jacobian_rank,
-            "condition": self.condition if math.isfinite(self.condition) else None,
-            "rank_deficient": self.rank_deficient,
-            "message": self.message,
-            "history": [[np.asarray(a).tolist(), float(r)] for a, r in self.history],
-        }
-
 
 # ---------------------------------------------------------------------------
 # finite-difference linear estimator
@@ -193,12 +180,13 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
     Steps solve (J^T J + damping * diag(J^T J)) s = J^T (y - phi(a)); the
     damping factor halves after an accepted step and quadruples after a
     rejected one, so the residual is non-increasing across accepted
-    iterates (a step too small to move alpha is rejected without evaluating
-    phi); the search stops unconverged once the damping term leaves the
-    float range, and raises RangeError when J^T J or J^T r does. Convergence
-    requires both the final step norm <= step_tol and the residual gradient
-    norm <= grad_tol. The reported rank and condition are those of the
-    Jacobian at the returned ``alpha_hat``.
+    iterates (a trial at a point phi has already seen cannot lower the cost,
+    so it is rejected without evaluating phi again); the search stops
+    unconverged once the damping term leaves the float range, and raises
+    RangeError when J^T J or J^T r does. Convergence requires both the
+    final step norm <= step_tol and the residual gradient norm <= grad_tol.
+    The reported rank and condition are those of the Jacobian at the
+    returned ``alpha_hat``.
     """
     y_obs = np.asarray(y_obs, dtype=float).reshape(-1)
     alpha = np.asarray(alpha_init, dtype=float).reshape(-1)
@@ -218,6 +206,7 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
     if not math.isfinite(cost):
         raise DivergenceError("residual non-finite at initial point", 0.0)
     history = [(alpha.copy(), cost)]
+    seen = {alpha.tobytes()}  # every point phi was evaluated at
     lam = options.damping
     last_step = 0.0
     iterations = 0
@@ -255,10 +244,11 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
                 step, *_ = np.linalg.lstsq(damped, grad, rcond=None)
             step_norm = float(np.linalg.norm(step))
             trial = alpha + step
-            if trial.tobytes() == alpha.tobytes():
-                # phi(trial) is phi(alpha) bit for bit: its cost equals cost, a rejection
+            if trial.tobytes() in seen:
+                # phi failed there, or its cost was not below the cost then nor now
                 lam *= DEFAULTS.gn_damping_up
                 continue
+            seen.add(trial.tobytes())
             try:
                 with np.errstate(over="ignore"):  # an overflowing cost is rejected below
                     trial_res = y_obs - phi(handle, trial)

@@ -91,20 +91,6 @@ class DegeneracyReport:
     x0_in_E: bool                      # Krylov sequence of x0 degenerate
     h: float
 
-    def to_dict(self) -> dict:
-        return {
-            "eigenvalues": [[z.real, z.imag] for z in self.eigenvalues],
-            "discriminant": self.discriminant,
-            "discriminant_closed": self.discriminant_closed,
-            "double_eigenvalue": self.double_eigenvalue,
-            "defective": self.defective,
-            "aliasing_pairs": [list(p) for p in self.aliasing_pairs],
-            "in_set_A": self.in_set_A,
-            "krylov_rank": self.krylov_rank,
-            "x0_in_E": self.x0_in_E,
-            "h": self.h,
-        }
-
 
 def _aliasing_pairs(vals: np.ndarray, h: float) -> list[tuple[int, int, int]]:
     n = len(vals)
@@ -214,15 +200,6 @@ class BranchSet:
     branches: tuple          # real matrices b with exp(h b) = exp(h base)
     k_range: int
     k_vectors: tuple         # per branch, the shift integers per conjugate pair
-
-    def to_dict(self) -> dict:
-        return {
-            "base": self.base.tolist(),
-            "h": self.h,
-            "branches": [b.tolist() for b in self.branches],
-            "k_range": self.k_range,
-            "k_vectors": [list(kv) for kv in self.k_vectors],
-        }
 
 
 def log_branches(alpha0, h: float, k_max: int = DEFAULTS.k_max) -> BranchSet:
@@ -363,9 +340,6 @@ class FullRankReport:
     rank: int
     sigma_min: float
     full: bool
-
-    def to_dict(self) -> dict:
-        return {"rank": self.rank, "sigma_min": self.sigma_min, "full": self.full}
 
 
 def full_rank_check(alpha0, x0, h: float, m: int,

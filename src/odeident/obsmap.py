@@ -102,19 +102,6 @@ class InjectivityCertificate:
         if abs(self.lipschitz_lower ** 2 - self.beta / 4.0) > 1e-12 * max(1.0, self.beta):
             raise DomainError("lipschitz_lower must equal sqrt(beta)/2")
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha0": np.asarray(self.alpha0).tolist(),
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "r_work": self.r_work,
-            "r_cert": self.r_cert,
-            "lipschitz_lower": self.lipschitz_lower,
-            "gamma_samples": self.gamma_samples,
-            "safety_factor": self.safety_factor,
-            "d2_norm_model": self.d2_norm_model,
-        }
-
 
 def _normal_draw(rng: np.random.Generator, n: int) -> tuple[np.ndarray, float]:
     """A nonzero standard-normal vector and its norm."""
@@ -223,19 +210,9 @@ def certify_radius(handle: ObservationMapHandle, alpha0, r_work: float,
 class VerificationReport:
     pairs_tested: int
     violations: int
-    worst_ratio: float
+    worst_ratio: float     # inf when no distinct pair was compared
     bound: float           # sqrt(beta)/2
     margin: float          # absolute slack subtracted from the bound
-
-    def to_dict(self) -> dict:
-        return {
-            "pairs_tested": self.pairs_tested,
-            "violations": self.violations,
-            # inf when no distinct pair was compared; JSON has no inf
-            "worst_ratio": self.worst_ratio if math.isfinite(self.worst_ratio) else None,
-            "bound": self.bound,
-            "margin": self.margin,
-        }
 
 
 def verify_lower_bound(handle: ObservationMapHandle, cert: InjectivityCertificate,
@@ -249,7 +226,7 @@ def verify_lower_bound(handle: ObservationMapHandle, cert: InjectivityCertificat
 
     ``pairs_tested`` is ``pair_count``: it counts pair 0, the identical
     control pair that is never compared. With ``pair_count == 1`` no pair is
-    compared and ``worst_ratio`` stays inf (``null`` in ``to_dict``).
+    compared and ``worst_ratio`` stays inf (``null`` in the CLI report).
     """
     if pair_count < 1:
         raise DomainError("pair_count must be >= 1")
@@ -306,23 +283,14 @@ class ZetaScanResult:
     def csv_lines(self) -> list[str]:
         if not self.cells:
             return ["t,zeta,flag"]
-        na = len(self.cells[0].alpha)
-        nx = len(self.cells[0].x)
-        header = ("t,"
-                  + ",".join(f"alpha{i + 1}" for i in range(na)) + ","
-                  + ",".join(f"x{i + 1}" for i in range(nx))
-                  + ",zeta,flag")
-        lines = [header]
-        for c in self.cells:
-            flag = 2 if c.failed else (1 if c.flagged else 0)
-            zeta = "nan" if c.failed else f"{c.zeta:.17g}"
-            lines.append(",".join(
-                [f"{c.t:.17g}"]
-                + [f"{v:.17g}" for v in c.alpha]
-                + [f"{v:.17g}" for v in c.x]
-                + [zeta, str(flag)]
-            ))
-        return lines
+        na, nx = len(self.cells[0].alpha), len(self.cells[0].x)
+        header = ",".join(["t"] + [f"alpha{i + 1}" for i in range(na)]
+                          + [f"x{i + 1}" for i in range(nx)] + ["zeta", "flag"])
+        # one format string per row, as in trajectory_csv_lines; a failed
+        # cell's zeta is nan, which "{:.17g}" writes as nan
+        row = ",".join(["{:.17g}"] * (na + nx + 2) + ["{:d}"]).format
+        return [header] + [row(c.t, *c.alpha, *c.x, c.zeta,
+                               2 if c.failed else int(c.flagged)) for c in self.cells]
 
 
 def zeta_scan(handle: ObservationMapHandle, t_values, alpha_box, x_box,

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import tempfile
@@ -11,8 +12,23 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import odeident.ode
-from odeident import DEFAULTS, MatrixLinear, ObservationMapHandle, __version__, integrate, phi
-from odeident.cli import load_config, main
+from conftest import ROTATION, scalar_decay_system
+from odeident import (
+    DEFAULTS,
+    MatrixLinear,
+    ObservationGrid,
+    ObservationMapHandle,
+    __version__,
+    certify_radius,
+    degeneracy_report,
+    fd_linear_estimate,
+    full_rank_check,
+    integrate,
+    log_branches,
+    phi,
+    verify_lower_bound,
+)
+from odeident.cli import _jsonable, load_config, main
 from odeident.ode import read_trajectory_csv, write_trajectory_csv
 
 ROT = [[0.0, 1.0], [-1.0, 0.0]]
@@ -189,7 +205,7 @@ class TestCertify:
         cfg = write_config(tmp_path, "dec.json", scalar_decay_config())
         out = tmp_path / "cert.json"
         assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
-        blob = json.loads(out.read_text())
+        blob = strict_json(out.read_text())
         cert = blob["certificate"]
         assert cert["beta"] > 0.0
         assert cert["gamma"] > 0.0
@@ -207,7 +223,7 @@ class TestCertify:
         cfg = write_config(tmp_path, "dup.json", dup)
         out = tmp_path / "cert.json"
         assert main(["certify", "--config", cfg, "--out", str(out)]) == 4
-        blob = json.loads(out.read_text())
+        blob = strict_json(out.read_text())
         assert blob["not_identifiable"] is True
         assert blob["diagnostics"]["beta"] <= 1e-10
 
@@ -215,7 +231,7 @@ class TestCertify:
         cfg = write_config(tmp_path, "rot.json", rotation_config(m=8))
         out = tmp_path / "cert.json"
         assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
-        blob = json.loads(out.read_text())
+        blob = strict_json(out.read_text())
         alpha0 = np.array(blob["certificate"]["alpha0"])
         assert np.array_equal(alpha0, np.array(ROT).ravel())
 
@@ -244,11 +260,12 @@ class TestAnalyzeLinear:
         out = tmp_path / "lin.json"
         assert main(["analyze-linear", "--config", cfg, "--out", str(out),
                      "--kmax", "2"]) == 0
-        blob = json.loads(out.read_text())
+        blob = strict_json(out.read_text())
         assert len(blob["branches"]["branches"]) == 5
         assert blob["degeneracy"]["in_set_A"] is True
         assert blob["full_rank"]["full"] is True
         dd = blob["divided_difference_determinant"]
+        assert len(dd["numeric"]) == len(dd["closed_form"]) == 2  # complex: [re, im]
         assert np.allclose(dd["numeric"], dd["closed_form"], rtol=1e-6)
 
     def test_real_spectrum_unique_branch(self, tmp_path):
@@ -257,7 +274,7 @@ class TestAnalyzeLinear:
                                            alpha0=[[1.0, 0.0], [0.0, 2.0]]))
         out = tmp_path / "lin.json"
         assert main(["analyze-linear", "--config", cfg, "--out", str(out)]) == 0
-        blob = json.loads(out.read_text())
+        blob = strict_json(out.read_text())
         assert len(blob["branches"]["branches"]) == 1
 
     def test_full_rotation_aliasing_flagged(self, tmp_path):
@@ -266,7 +283,7 @@ class TestAnalyzeLinear:
                            rotation_config(h=1.0, m=8, alpha0=alpha))
         out = tmp_path / "lin.json"
         assert main(["analyze-linear", "--config", cfg, "--out", str(out)]) == 0
-        blob = json.loads(out.read_text())
+        blob = strict_json(out.read_text())
         assert blob["degeneracy"]["in_set_A"] is False
         assert any(pair[2] == 2 for pair in blob["degeneracy"]["aliasing_pairs"])
 
@@ -276,7 +293,7 @@ class TestAnalyzeLinear:
                                            alpha0=[[1.0, 1.0], [0.0, 1.0]]))
         out = tmp_path / "lin.json"
         assert main(["analyze-linear", "--config", cfg, "--out", str(out)]) == 0
-        blob = json.loads(out.read_text())
+        blob = strict_json(out.read_text())
         assert blob["degeneracy"]["defective"] is True
         assert blob["branches"] is None
 
@@ -334,7 +351,7 @@ class TestInvert:
         out = tmp_path / "est.json"
         assert main(["invert", "--config", cfg, "--obs", str(obs),
                      "--mode", "fd", "--out", str(out)]) == 0
-        blob = json.loads(out.read_text())
+        blob = strict_json(out.read_text())
         alpha = np.array(blob["result"]["alpha_hat"])
         assert np.abs(alpha - [1.0, -1.0]).max() <= 1e-3
         assert blob["mode"] == "fd"
@@ -349,7 +366,7 @@ class TestInvert:
         out = tmp_path / "est.json"
         assert main(["invert", "--config", cfg, "--obs", str(obs),
                      "--mode", "gn", "--out", str(out)]) == 0
-        blob = json.loads(out.read_text())
+        blob = strict_json(out.read_text())
         alpha = np.array(blob["result"]["alpha_hat"])
         assert np.abs(alpha - np.array(ROT).ravel()).max() <= 1e-6
         assert blob["result"]["converged"] is True
@@ -365,7 +382,7 @@ class TestInvert:
         assert main(["simulate", "--config", cfg, "--out", str(obs)]) == 0
         assert main(["invert", "--config", cfg, "--obs", str(obs),
                      "--mode", "gn", "--out", str(out)]) == 0
-        result = json.loads(out.read_text())["result"]
+        result = strict_json(out.read_text())["result"]
         assert result["residual"] <= 1e-13
         assert np.abs(np.array(result["alpha_hat"]) - np.ravel(ROT)).max() <= 1e-13
 
@@ -515,6 +532,72 @@ class TestZetaScan:
         cfg = write_config(tmp_path, "logi.json", logistic_config())
         assert main(["zeta-scan", "--config", cfg, "--out",
                      str(tmp_path / "x.csv")]) == 2
+
+
+def _certificate():
+    # x' = a x, x0 = 1, h = 1, m = 2: phi(a) = (e^a, e^{2a})
+    handle = ObservationMapHandle(sys=scalar_decay_system(), x0=np.array([1.0]),
+                                  h=1.0, m=2, tol=1e-12)
+    return handle, certify_radius(handle, [0.0], r_work=0.1, gamma_samples=16, seed=0)
+
+
+def _single_pair_verification():
+    handle, cert = _certificate()
+    return verify_lower_bound(handle, cert, pair_count=1, seed=0)
+
+
+def _rank_deficient_estimate():
+    # all-zero observations: df/da is the zero matrix, so the condition is inf
+    grid = ObservationGrid.from_arrays(0.3 * np.arange(1, 6), np.zeros((5, 2)))
+    return fd_linear_estimate(grid, MatrixLinear(2))
+
+
+# (record, the encoded fields to check); every record's keys are checked too
+RECORDS = {
+    "certificate": (
+        lambda: _certificate()[1],
+        lambda r: {"alpha0": [0.0], "beta": r.beta, "gamma_samples": 16,
+                   "lipschitz_lower": r.lipschitz_lower,
+                   "d2_norm_model": "directional-bilinear"}),
+    "verification": (
+        _single_pair_verification,
+        lambda r: {"pairs_tested": 1, "violations": 0, "worst_ratio": None,
+                   "bound": r.bound}),
+    "degeneracy": (
+        lambda: degeneracy_report(ROTATION, [1.0, 0.0], h=1.0),
+        lambda r: {"eigenvalues": [[0.0, -1.0], [0.0, 1.0]], "aliasing_pairs": [],
+                   "in_set_A": True, "krylov_rank": 2, "discriminant": r.discriminant}),
+    "branches": (
+        lambda: log_branches(ROTATION, h=1.0, k_max=1),
+        lambda r: {"base": ROTATION.tolist(), "k_range": 1,
+                   "branches": [b.tolist() for b in r.branches],
+                   "k_vectors": [[-1], [0], [1]]}),
+    "full_rank": (
+        lambda: full_rank_check(ROTATION, [1.0, 0.7], h=0.3, m=6),
+        lambda r: {"rank": 4, "sigma_min": r.sigma_min, "full": True}),
+    "estimate": (
+        _rank_deficient_estimate,
+        lambda r: {"alpha_hat": [0.0] * 4, "condition": None, "jacobian_rank": 0,
+                   "rank_deficient": True, "message": "RankDeficient",
+                   "history": [[[0.0] * 4, 0.0]]}),
+}
+
+
+class TestReportEncoding:
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_record_encodes_its_fields(self, name):
+        build, expected = RECORDS[name]
+        record = build()
+        data = strict_json(json.dumps(_jsonable(record)))
+        assert list(data) == [field.name for field in dataclasses.fields(record)]
+        fields = expected(record)
+        assert {key: data[key] for key in fields} == fields
+
+    def test_scalar_and_container_rules(self):
+        data = _jsonable({"z": 1.5 - 2.0j, "inf": -math.inf, "nan": math.nan,
+                          "pair": (1, np.float64(0.5)), "zs": np.array([[1j]])})
+        assert data == {"z": [1.5, -2.0], "inf": None, "nan": None,
+                        "pair": [1, 0.5], "zs": [[[0.0, 1.0]]]}
 
 
 class TestValidation:

@@ -33,6 +33,7 @@ from odeident import (
     phi_jacobian,
     singular_values,
 )
+from odeident.cli import _jsonable
 
 
 def make_grid(sys, alpha, x0, t_end, samples, tol=1e-12):
@@ -272,15 +273,18 @@ class TestGaussNewton:
         assert abs(result.alpha_hat[0] - math.log(1000.0)) < 1e-12
         assert all(abs(a[0]) < 10.0 and math.isfinite(r) for a, r in result.history)
 
-    def test_trial_equal_to_the_iterate_is_rejected_without_phi(self, monkeypatch):
-        # noisy data on x' = a x: near the minimum the damped steps fall below
-        # the iterate's last bit, so trial == alpha; evaluating such trials,
-        # this run calls phi 39 times, 21 of them at an iterate. The exact
-        # matrix_linear map runs no Dormand-Prince, so integrator bits never
-        # move these pins
+    @staticmethod
+    def counted_noisy_decay_fit(monkeypatch, noise_seed):
+        """Fit noisy x' = a x data from a start near the minimum; return the
+        alpha of every phi call and the sha256 of the report the CLI writes.
+
+        The exact matrix_linear map runs no Dormand-Prince, so integrator bits
+        never move the pins of the tests that call this.
+        """
         handle = ObservationMapHandle(sys=MatrixLinear(1), x0=[1.0], h=0.5, m=3)
         alpha0 = np.array([-0.5])
-        y = phi(handle, alpha0) + 1e-5 * np.random.default_rng(1).standard_normal(3)
+        noise = np.random.default_rng(noise_seed).standard_normal(3)
+        y = phi(handle, alpha0) + 1e-5 * noise
         calls = []
 
         def counted_phi(handle, alpha):
@@ -289,12 +293,26 @@ class TestGaussNewton:
 
         monkeypatch.setattr(odeident.estimate, "phi", counted_phi)
         result = gauss_newton_invert(handle, y, alpha0 + 0.005)
+        report = json.dumps(_jsonable(result), indent=2, sort_keys=True).encode()
+        return calls, hashlib.sha256(report).hexdigest()
+
+    def test_trial_equal_to_the_iterate_is_rejected_without_phi(self, monkeypatch):
+        # near the minimum the damped steps fall below the iterate's last bit,
+        # so trial == alpha; evaluating such trials, this run calls phi 39
+        # times, 21 of them at an iterate
+        calls, digest = self.counted_noisy_decay_fit(monkeypatch, noise_seed=1)
         # every accepted iterate was a trial once, so a call at an iterate repeats one
         assert len(calls) == len(set(calls)) == 18
-        report = json.dumps(result.to_dict(), indent=2).encode()
-        # the report of the run that evaluated phi at the iterate (x86-64, numpy 2.4)
-        assert hashlib.sha256(report).hexdigest() == (
-            "bd36e93af0cff30a11440bd6ac9d55bcd7ae105b77633b9bff51315ac7a855bf")
+        # the same report as the run that evaluated phi at the iterate (x86-64, numpy 2.4)
+        assert digest == "293c747e6b7b71576048b292d58ecd4616f348e5e360eeef288d614de31c19d2"
+
+    def test_rejected_trial_is_not_evaluated_again(self, monkeypatch):
+        # a damped step can land on a trial rejected before, say alpha plus one
+        # ulp; evaluating such trials, this run calls phi 15 times, 12 distinct
+        calls, digest = self.counted_noisy_decay_fit(monkeypatch, noise_seed=0)
+        assert len(calls) == len(set(calls)) == 12
+        # the same report as the run that evaluated them (x86-64, numpy 2.4)
+        assert digest == "a9539ea983a6c1c171726a4bbd7a7a9143c8fdabfa625347ad4af821109ac50e"
 
     def test_bad_options_rejected(self):
         with pytest.raises(DomainError):

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 import warnings
 
@@ -451,24 +450,3 @@ class TestFullRankCheck:
         with pytest.raises(DimensionError):
             full_rank_check(ROTATION, [1.0, 0.7], h=0.3, m=1)
 
-
-class TestSerialization:
-    def test_degeneracy_report_dict(self):
-        report = degeneracy_report(ROTATION, [1.0, 0.0], h=1.0)
-        d = report.to_dict()
-        assert d["in_set_A"] is True
-        assert d["eigenvalues"] == [[0.0, -1.0], [0.0, 1.0]]
-        assert d["krylov_rank"] == 2
-
-    def test_full_rank_report_dict(self):
-        report = full_rank_check(ROTATION, [1.0, 0.7], h=0.3, m=6)
-        back = json.loads(json.dumps(report.to_dict()))
-        assert set(back) == {"rank", "sigma_min", "full"}
-        assert back == {"rank": 4, "sigma_min": report.sigma_min, "full": True}
-
-    def test_branch_set_dict(self):
-        result = log_branches(ROTATION, h=1.0, k_max=1)
-        d = result.to_dict()
-        assert len(d["branches"]) == 3
-        assert d["k_range"] == 1
-        assert d["base"] == ROTATION.tolist()

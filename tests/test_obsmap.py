@@ -1,4 +1,3 @@
-import json
 import math
 import re
 import warnings
@@ -40,6 +39,7 @@ from odeident import (
     verify_lower_bound,
     zeta_scan,
 )
+from odeident.obsmap import ZetaCell, ZetaScanResult
 
 
 def scalar_exp_handle(tol=1e-12):
@@ -492,17 +492,22 @@ class TestZetaScan:
         assert len(lines) == 1 + 9
 
 
-class TestSerialization:
-    def test_certificate_json_round_trip(self):
-        handle = scalar_exp_handle()
-        cert = certify_radius(handle, [0.0], r_work=0.1, gamma_samples=16, seed=0)
-        blob = json.dumps(cert.to_dict())
-        back = json.loads(blob)
-        assert set(back) == {
-            "alpha0", "beta", "gamma", "r_work", "r_cert", "lipschitz_lower",
-            "gamma_samples", "safety_factor", "d2_norm_model",
-        }
-        assert back["beta"] == cert.beta
-        assert back["alpha0"] == [0.0]
-        assert back["lipschitz_lower"] ** 2 == pytest.approx(back["beta"] / 4.0,
-                                                             rel=1e-12)
+    def test_csv_rows_format_each_value(self):
+        # the row format string writes f"{v:.17g}" per value and the flag as an int
+        cells = [
+            ZetaCell(t=0.5, alpha=(1 / 3, -2.0), x=(0.1, 1e-300), zeta=2 / 3, flagged=False),
+            ZetaCell(t=1.0, alpha=(0.25, 7.0), x=(-0.0, 3.5), zeta=0.0, flagged=True),
+            ZetaCell(t=2.0, alpha=(0.1, 0.2), x=(0.3, 0.4), zeta=math.nan, flagged=False,
+                     failed=True),
+        ]
+        lines = ZetaScanResult(cells=cells).csv_lines()
+        assert lines[0] == "t,alpha1,alpha2,x1,x2,zeta,flag"
+        expected = [
+            ",".join([f"{v:.17g}" for v in (c.t, *c.alpha, *c.x)]
+                     + ["nan" if c.failed else f"{c.zeta:.17g}",
+                        str(2 if c.failed else (1 if c.flagged else 0))])
+            for c in cells
+        ]
+        assert lines[1:] == expected
+        assert lines[2].endswith(",0,1")
+        assert lines[3].endswith(",nan,2")
