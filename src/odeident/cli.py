@@ -39,6 +39,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -323,6 +324,13 @@ def _jsonable(value):
             value = np.stack((value.real, value.imag), axis=-1)
         return value.tolist()  # whole: a walk over the elements costs ~10x as much
     if isinstance(value, (list, tuple)):
+        # a sequence of real arrays (branch matrices) or of int tuples (their
+        # shift vectors) without a call per item, which costs more than the data
+        kinds = set(map(type, value))
+        if kinds == {np.ndarray} and all(item.dtype.kind != "c" for item in value):
+            return [item.tolist() for item in value]
+        if kinds == {tuple} and set(map(type, itertools.chain.from_iterable(value))) <= {int}:
+            return [list(item) for item in value]
         return [_jsonable(item) for item in value]
     if isinstance(value, dict):
         return {key: _jsonable(item) for key, item in value.items()}

@@ -417,19 +417,47 @@ def _initial_step(rhs, y0, f0, tol, t_span):
     return min(100.0 * h0, h1, t_span)
 
 
+# Shampine's quartic continuous extension of the step (Math. Comp. 46, 1986;
+# Hairer-Norsett-Wanner I, II.6): y(t + theta h) = y + h [theta, theta^2,
+# theta^3, theta^4] @ (P^T K), K = [k_0; ...; k_6] the step's stages, k_6 = f at
+# its end. P is (7, 4); stored transposed.
+_DP_PT = np.array([
+    [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [-8048581381 / 2820520608, 0.0, 131558114200 / 32700410799,
+     -1754552775 / 470086768, 127303824393 / 49829197408,
+     -282668133 / 205662961, 40617522 / 29380423],
+    [8663915743 / 2820520608, 0.0, -68118460800 / 10900136933,
+     14199869525 / 1410260304, -318862633887 / 49829197408,
+     2019193451 / 616988883, -110615467 / 29380423],
+    [-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+     -10690763975 / 1880347072, 701980252875 / 199316789632,
+     -1453857185 / 822651844, 69997945 / 29380423],
+])
+_THETA_POWERS = np.arange(1.0, 5.0)
+
+
 # a non-finite stage fails the step test and a non-finite initial derivative
 # the checks on f0, so the overflow and nan arithmetic that leads there stays silent
 @np.errstate(over="ignore", invalid="ignore")
 def _integrate_grid(rhs, y0, times, tol, max_steps=DEFAULTS.integrator_max_steps):
-    """Adaptive DP 5(4) from t=0 delivering exactly the grid `times`. The stages
-    live in one buffer ys = [y; k_0; ...; k_6]; stage s is row s - 1 of ``_DP_T``
-    (k columns times h) over ys[:s + 1], and [y_new; err] is rows 6-7 over ys."""
+    """Adaptive DP 5(4) from t=0 delivering the samples ``times``. A step ends
+    on the last sample within the natural step h_nat (on the next sample when
+    none is that close), and the samples strictly before its end come from its
+    continuous extension; the step's endpoint is its own 5th-order solution.
+    So where no step could reach two samples, every sample is a step's end.
+
+    The stages live in one buffer ys = [y; k_0; ...; k_6]; stage s is row s - 1
+    of ``_DP_T`` (k columns times h) over ys[:s + 1], and [y_new; err] is rows
+    6-7 over ys."""
     ys = np.empty((8, len(y0)))
     ys[0] = y0
     t = 0.0
-    t_final = float(times[-1])
+    # Python floats: t and h are scalars, and numpy scalar arithmetic is slower
+    grid = times.tolist()
+    n_samples = len(grid)
+    t_final = grid[-1]
     h_min = 16.0 * EPS * t_final
-    out = np.empty((len(times), ys.shape[1]))
+    out = np.empty((n_samples, ys.shape[1]))
 
     ys[1] = rhs(t, ys[0])
     if not np.all(np.isfinite(ys[1])):
@@ -443,48 +471,65 @@ def _integrate_grid(rhs, y0, times, tol, max_steps=DEFAULTS.integrator_max_steps
     sol_err = coef[6:]
     abs_y = np.abs(ys[0])
     steps = 0
-    # Python floats: t and h are scalars, and numpy scalar arithmetic is slower
-    for target_i, t_target in enumerate(times.tolist()):
-        while t < t_target - h_min:
-            if steps >= max_steps:
-                raise IntegrationError("step budget exhausted", t)
-            h = min(h_nat, t_target - t)
-            clamped = h < h_nat
-            if h < h_min:
-                raise IntegrationError("step size underflow", t)
+    i = 0  # the first sample not yet delivered
+    while i < n_samples:
+        if steps >= max_steps:
+            raise IntegrationError("step budget exhausted", t)
+        j = i  # the last sample in reach of the natural step, or the next one
+        while j + 1 < n_samples and grid[j + 1] - t <= h_nat:
+            j += 1
+        t_target = grid[j]
+        h = min(h_nat, t_target - t)
+        clamped = h < h_nat
+        if h < h_min:
+            raise IntegrationError("step size underflow", t)
 
-            np.multiply(weights, h, out=scaled)
-            for c, row, block, k in stages:
-                k[...] = rhs(t + c * h, np.dot(row, block))
-            new = np.dot(sol_err, ys)  # [y_new; err_vec]
-            # every stage enters both rows (a zero weight gives 0*inf = nan),
-            # so this one test sees any non-finite stage
-            if not np.isfinite(new).all():
-                # retry smaller; if the step floor is hit the state is blowing up
-                h_nat = h * 0.25
-                if h_nat < h_min:
-                    raise DivergenceError("state diverged", t)
-                continue
+        np.multiply(weights, h, out=scaled)
+        for c, row, block, k in stages:
+            k[...] = rhs(t + c * h, np.dot(row, block))
+        new = np.dot(sol_err, ys)  # [y_new; err_vec]
+        # every stage enters both rows (a zero weight gives 0*inf = nan),
+        # so this one test sees any non-finite stage
+        if not np.isfinite(new).all():
+            # retry smaller; if the step floor is hit the state is blowing up
+            h_nat = h * 0.25
+            if h_nat < h_min:
+                raise DivergenceError("state diverged", t)
+            continue
 
-            y_new, err_vec = new
-            abs_new = np.abs(y_new)
-            sc = tol + tol * np.maximum(abs_y, abs_new)
-            err = _rms(err_vec / sc)
-            steps += 1
-            if err <= 1.0:
-                t = t_target if (t_target - t - h) < h_min else t + h
-                ys[0] = y_new
-                ys[1] = ys[7]  # FSAL
-                abs_y = abs_new
-                factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-                if clamped:
-                    h_nat = max(h_nat, h * factor)
-                else:
-                    h_nat = h * factor
+        y_new, err_vec = new
+        abs_new = np.abs(y_new)
+        sc = tol + tol * np.maximum(abs_y, abs_new)
+        err = _rms(err_vec / sc)
+        steps += 1
+        if err <= 1.0:
+            if j > i:  # samples i..j-1 lie inside the step, which ends on t_target
+                theta = (times[i:j] - t) / h
+                # weights first: theirs stay below 1 where P's entries reach 10,
+                # and are scaled by h as the step's own rows are
+                w = np.dot(theta[:, None] ** _THETA_POWERS, _DP_PT)
+                w *= h
+                inner = np.dot(w, ys[1:])
+                inner += ys[0]
+                finite = np.isfinite(inner).all(axis=1)
+                if not finite.all():
+                    raise DivergenceError("state diverged", grid[i + int(np.argmin(finite))])
+                out[i:j] = inner
+            t = t_target if (t_target - t - h) < h_min else t + h
+            ys[0] = y_new
+            ys[1] = ys[7]  # FSAL
+            abs_y = abs_new
+            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+            if clamped:
+                h_nat = max(h_nat, h * factor)
             else:
-                h_nat = h * max(0.2, 0.9 * err ** -0.2)
-        out[target_i] = ys[0]
-        t = t_target
+                h_nat = h * factor
+            if t >= t_target - h_min:  # the step reached t_target
+                out[j] = ys[0]
+                t = t_target
+                i = j + 1
+        else:
+            h_nat = h * max(0.2, 0.9 * err ** -0.2)
     return out
 
 
@@ -504,7 +549,8 @@ def _check_grid(sys: ParamSystem, x0, t_end: float, samples: int,
     if not (t_end > 0.0 and math.isfinite(t_end)):
         raise DomainError("t_end must be positive and finite")
     if not 1 <= samples <= DEFAULTS.integrator_max_steps:
-        # every sample costs at least one step, so more would exhaust the budget
+        # a bound on the output's size, one row per sample; a step may deliver
+        # many samples, so this bounds the rows, not the steps
         raise DomainError(f"samples must lie in [1, {DEFAULTS.integrator_max_steps}]")
     if not (DEFAULTS.integrator_min_tol <= tol <= DEFAULTS.integrator_max_tol):
         raise DomainError(f"tol must lie in [{DEFAULTS.integrator_min_tol}, "

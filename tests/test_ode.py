@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from conftest import (
     ROTATION,
@@ -37,6 +39,29 @@ from odeident.ode import read_trajectory_csv, trajectory_csv_lines, write_trajec
 def evaluate(sys, x, alpha):
     x, alpha = np.asarray(x, dtype=float), np.asarray(alpha, dtype=float)
     return sys.f(x, alpha), sys.dfdx(x, alpha), sys.dfda(x, alpha)
+
+
+def logistic_exact(a1, a2, x0, t):
+    # x' = a1 x + a2 x^2 has x(t) = a1 x0 e / (a1 - a2 x0 (e - 1)), e = e^{a1 t}
+    e = np.exp(a1 * t)
+    return a1 * x0 * e / (a1 - a2 * x0 * (e - 1.0))
+
+
+def counting_factories(monkeypatch) -> dict:
+    """Count the evaluations of every closure the two ParamSystem factories build."""
+    counts = {"rhs": 0, "sensitivity_rhs": 0}
+    for name in counts:
+        def make(system, alpha, factory=vars(ParamSystem)[name], name=name):
+            inner = factory(system, alpha)
+
+            def counted(t, y):
+                counts[name] += 1
+                return inner(t, y)
+
+            return counted
+
+        monkeypatch.setattr(ParamSystem, name, make)
+    return counts
 
 
 class UserSpecies(ParamSystem):
@@ -362,18 +387,7 @@ class TestCompiledPolynomialBasis:
                                                                         monkeypatch):
         # a wrapper around the two ParamSystem factories, as a tracer installs it,
         # sees every closure a PolynomialBasis integration evaluates
-        counts = {"rhs": 0, "sensitivity_rhs": 0}
-        for name in counts:
-            def make(system, alpha, factory=vars(ParamSystem)[name], name=name):
-                inner = factory(system, alpha)
-
-                def counted(t, y):
-                    counts[name] += 1
-                    return inner(t, y)
-
-                return counted
-
-            monkeypatch.setattr(ParamSystem, name, make)
+        counts = counting_factories(monkeypatch)
         handle = ObservationMapHandle(sys=logistic_system(), x0=np.array([0.1]), h=0.2,
                                       m=3, tol=1e-8)
         jac = phi_jacobian(handle, [1.0, -1.0])
@@ -556,12 +570,7 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
     def test_logistic_closed_form_after_rejected_steps(self, tol):
-        # x' = a1 x + a2 x^2 has x(t) = a1 x0 e / (a1 - a2 x0 (e - 1)), e = e^{a1 t};
         # these draws reject steps, and a retry must restart from f at the current state
-        def exact(a1, a2, x0, t):
-            e = np.exp(a1 * t)
-            return a1 * x0 * e / (a1 - a2 * x0 * (e - 1.0))
-
         rng = np.random.default_rng(3)
         worst = 0.0
         for _ in range(40):
@@ -569,7 +578,7 @@ class TestIntegrate:
             x0 = rng.uniform(0.05, 2.0)
             traj = integrate(logistic_system(), [a1, a2], [x0], t_end=4.0,
                              samples=8, tol=tol)
-            err = np.abs(traj.states[:, 0] - exact(a1, a2, x0, traj.times)).max()
+            err = np.abs(traj.states[:, 0] - logistic_exact(a1, a2, x0, traj.times)).max()
             worst = max(worst, err)
         assert worst <= 25.0 * tol
 
@@ -601,6 +610,101 @@ class TestIntegrate:
         for x0 in (np.nan, np.inf):
             with pytest.raises(DomainError):
                 integrate(sys, [-0.5], [x0], t_end=1.0, samples=1)
+
+
+def _sha(*arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+class TestSamples:
+    """A step ends on the last sample within its natural size, and the samples
+    before its end come from the step's continuous extension. Where no step
+    reaches two samples, every sample is a step's end, as it always was."""
+
+    # (system, alpha, x0, t_end, samples, tol): no natural step reaches two samples
+    SPARSE = {
+        "logistic": (logistic_system, [1.0, -1.0], [0.1], 4.0, 8, 1e-11),
+        "lotka-volterra": (lambda: PolynomialBasis(LOTKA_VOLTERRA), [1.0, -0.5, -1.0, 0.5],
+                           [1.3, 0.7], 4.0, 8, 1e-11),
+        "scalar-decay": (scalar_decay_system, [-0.5], [1.0], 2.5, 5, 1e-10),  # the gate's
+    }
+    # sha256 of integrate's states, and of integrate_with_sensitivity's states
+    # then sensitivities, every sample a step's end
+    SPARSE_PINS = {
+        "logistic": ("dfa3a60b6cdcc0fe9b609a59913da977bdca473db780a8859b5675fc3e71cb43",
+                     "d3281dfbb70d2736c166c17a87180de539cc77f75f92edf965830be021cf6de7"),
+        "lotka-volterra": ("9c05620ba6f3175e7a20b8e1279e27b4bd692a358832ec57cabb7dbb88b2f3b3",
+                           "fbcb2efcf902fe670d2a729a17ea72f602609f813d922e31e833c8f2af406112"),
+        "scalar-decay": ("6a83567dcdeedc3ea0314f77f120155d940367bcac1a0f5aef79bcd6e6bdee1b",
+                         "8c9e1a7649557255f8a9cc610aa6a8bafe862be35c309e811c54202d6c4c0303"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SPARSE))
+    def test_sparse_grids_keep_their_bits(self, case):
+        build, alpha, x0, t_end, samples, tol = self.SPARSE[case]
+        traj = integrate(build(), alpha, x0, t_end, samples, tol)
+        bundle = integrate_with_sensitivity(build(), alpha, x0, t_end, samples, tol)
+        assert (_sha(traj.states), _sha(bundle.states, bundle.sensitivities)) \
+            == self.SPARSE_PINS[case]
+
+    # bound fixed before the test was first run: 25 tol in the integrator's
+    # own error scale tol (1 + |x|), the sparse test's multiple above
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(a1=st.floats(0.5, 3.0), a2=st.floats(-3.0, -0.5), x0=st.floats(0.05, 2.0),
+           samples=st.integers(2, 400), tol=st.sampled_from([1e-6, 1e-8, 1e-10]))
+    def test_dense_logistic_matches_the_closed_form(self, a1, a2, x0, samples, tol):
+        traj = integrate(logistic_system(), [a1, a2], [x0], t_end=4.0, samples=samples,
+                         tol=tol)
+        exact = logistic_exact(a1, a2, x0, traj.times)
+        assert np.all(np.abs(traj.states[:, 0] - exact) <= 25.0 * tol * (1.0 + np.abs(exact)))
+
+    def test_dense_lotka_volterra_matches_dop853(self):
+        # the joint system [x; vec Z] written out, integrated by scipy at rtol 1e-13
+        alpha, x0, t_end, samples, tol = [1.0, -0.5, -1.0, 0.5], [1.3, 0.7], 4.0, 200, 1e-10
+        a1, a2, a3, a4 = alpha
+
+        def joint(t, y):
+            x1, x2, z = y[0], y[1], y[2:].reshape(2, 4)
+            jac = np.array([[a1 + a2 * x2, a2 * x1], [a4 * x2, a3 + a4 * x1]])
+            dfda = np.array([[x1, x1 * x2, 0.0, 0.0], [0.0, 0.0, x2, x1 * x2]])
+            return np.concatenate([[a1 * x1 + a2 * x1 * x2, a3 * x2 + a4 * x1 * x2],
+                                   (jac @ z + dfda).ravel()])
+
+        sys = PolynomialBasis(LOTKA_VOLTERRA)
+        bundle = integrate_with_sensitivity(sys, alpha, x0, t_end, samples, tol)
+        ref = solve_ivp(joint, (0.0, t_end), np.concatenate([x0, np.zeros(8)]),
+                        method="DOP853", t_eval=bundle.times, rtol=1e-13, atol=1e-13).y.T
+        got = np.concatenate([bundle.states, bundle.sensitivities.reshape(samples, 8)], axis=1)
+        # the same bound as the logistic test's, over every joint component
+        assert np.all(np.abs(got - ref) <= 25.0 * tol * (1.0 + np.abs(ref)))
+        states = integrate(sys, alpha, x0, t_end, samples, tol).states
+        assert np.all(np.abs(states - ref[:, :2]) <= 25.0 * tol * (1.0 + np.abs(ref[:, :2])))
+
+    def test_dense_grid_costs_about_what_a_sparse_one_does(self, monkeypatch):
+        counts = counting_factories(monkeypatch)
+        cost = {}
+        for samples in (4, 200):
+            for run, name in ((integrate, "rhs"), (integrate_with_sensitivity,
+                                                   "sensitivity_rhs")):
+                before = counts[name]
+                run(logistic_system(), [1.0, -1.0], [0.1], t_end=2.0, samples=samples,
+                    tol=1e-10)
+                cost[name, samples] = counts[name] - before
+        for name in ("rhs", "sensitivity_rhs"):
+            assert cost[name, 200] <= 1.5 * cost[name, 4]
+
+    def test_non_finite_extension_row_diverges_at_its_time(self, monkeypatch):
+        # non-finite extension weights: every step stays finite, but each
+        # sample inside a step is not; a step ending on every sample is unaffected
+        args = (logistic_system(), [1.0, -1.0], [0.1], 2.0)
+        sparse = integrate(*args, samples=2, tol=1e-8)
+        monkeypatch.setattr(odeident.ode, "_DP_PT", np.full_like(odeident.ode._DP_PT, np.inf))
+        assert np.array_equal(integrate(*args, samples=2, tol=1e-8).states, sparse.states)
+        for run in (integrate, integrate_with_sensitivity):
+            with pytest.raises(DivergenceError, match="state diverged") as err:
+                run(*args, samples=2000, tol=1e-8)
+            # the first sample lies inside the first step
+            assert err.value.t_fail == 0.001
 
 
 class TestSensitivity:
