@@ -75,7 +75,7 @@ from .linearcase import (
 )
 from .numkernel import as_square
 from .obsmap import ObservationMapHandle, certify_radius, phi, verify_lower_bound, zeta_scan
-from .ode import MatrixLinear, ParamSystem, PolynomialBasis, write_trajectory_csv
+from .ode import MatrixLinear, ParamSystem, PolynomialBasis
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -304,7 +304,7 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# output helpers
+# files: the JSON reports and the two CSV layouts, trajectory and zeta scan
 
 
 def _jsonable(value):
@@ -347,6 +347,59 @@ def _write_json(path, payload: dict, cfg: ExperimentConfig) -> None:
     Path(path).write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
 
 
+def _write_csv(path, header: list[str], rows, formats: list[str]) -> None:
+    """Write the header line and one line per row, cell i by ``formats[i]``.
+
+    One format string per row: the bytes of f"{v:.17g}" per value, in half
+    the time; a nan writes as nan.
+    """
+    row = ",".join(formats).format
+    Path(path).write_text("\n".join([",".join(header)] + [row(*r) for r in rows]) + "\n")
+
+
+def _read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Parse the trajectory CSV format; errors carry the offending row.
+
+    One ``np.array`` call parses every cell, with float()'s rules and bits;
+    when it fails, or the rows do not have the header's k + 1 columns, the
+    per-row loop finds the first offending row.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"not UTF-8 text: {exc}") from exc
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise InputFormatError("empty trajectory file", 1)
+    if not lines[0].startswith("t,"):
+        raise InputFormatError("missing 't,x1,...' header", 1)
+    k = len(lines[0].split(",")) - 1
+    rows = [line.split(",") for line in lines[1:]]
+    try:
+        table = np.array(rows, dtype=float)
+        if table.shape[1:] == (k + 1,):
+            return table[:, 0].copy(), table[:, 1:].copy()
+    except ValueError:
+        pass
+    times, values = [], []
+    for rowno, cells in enumerate(rows, start=2):
+        if len(cells) != k + 1:
+            raise InputFormatError(
+                f"expected {k + 1} columns, got {len(cells)}", rowno
+            )
+        try:
+            nums = [float(c) for c in cells]
+        except ValueError as exc:
+            raise InputFormatError(f"bad number: {exc}", rowno) from exc
+        times.append(nums[0])
+        values.append(nums[1:])
+    return np.array(times), np.array(values)
+
+
+def _names(prefix: str, count: int) -> list[str]:
+    return [f"{prefix}{i + 1}" for i in range(count)]
+
+
 # ---------------------------------------------------------------------------
 # commands: each takes the loaded config and the parsed arguments
 
@@ -354,10 +407,12 @@ def _write_json(path, payload: dict, cfg: ExperimentConfig) -> None:
 def cmd_simulate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     handle = cfg.build_handle()
     samples = phi(handle, cfg.alpha0).reshape(cfg.m, cfg.k)
-    grid = ObservationGrid.from_arrays(handle.times, samples)
+    grid = ObservationGrid(handle.times, samples)
     if cfg.sigma > 0.0:
         grid = add_noise(grid, cfg.sigma, cfg.seed)
-    write_trajectory_csv(args.out, grid.times, grid.values)
+    _write_csv(args.out, ["t"] + _names("x", cfg.k),
+               np.column_stack([grid.times, grid.values]).tolist(),
+               ["{:.17g}"] * (cfg.k + 1))
     print(f"simulate: wrote {cfg.m} samples (h={cfg.h:g}, sigma={cfg.sigma:g}) "
           f"to {args.out}")
     return EXIT_OK
@@ -414,7 +469,7 @@ def cmd_analyze_linear(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_invert(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    grid = ObservationGrid.from_csv(args.obs)
+    grid = ObservationGrid(*_read_trajectory_csv(args.obs))
     if grid.values.shape[1] != cfg.k:
         raise ConfigError(
             f"observations have {grid.values.shape[1]} state columns, "
@@ -452,7 +507,12 @@ def cmd_zeta_scan(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         raise ConfigError("solver.scan block is required for zeta-scan")
     result = zeta_scan(cfg.build_handle(), scan["t_values"], scan["alpha_box"],
                        scan["x_box"], scan["grid"], rank_tol=scan["rank_tol"])
-    Path(args.out).write_text("\n".join(result.csv_lines()) + "\n")
+    # flag: 0 clear, 1 near-critical, 2 failed (zeta nan)
+    _write_csv(args.out,
+               ["t"] + _names("alpha", cfg.n) + _names("x", cfg.k) + ["zeta", "flag"],
+               [(c.t, *c.alpha, *c.x, c.zeta, 2 if c.failed else int(c.flagged))
+                for c in result.cells],
+               ["{:.17g}"] * (cfg.n + cfg.k + 2) + ["{:d}"])
     frac = result.flagged_fraction
     print(f"zeta-scan: {len(result.cells)} cells, flagged fraction "
           f"{frac if math.isnan(frac) else round(frac, 6)}, "
@@ -506,7 +566,7 @@ def main(argv=None) -> int:
     try:
         return args.handler(load_config(args.config, args.seed), args)
     except (ConfigError, InputFormatError, DimensionError, DomainError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (IntegrationError, RangeError, ConvergenceError) as exc:

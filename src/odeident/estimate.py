@@ -27,12 +27,7 @@ from .errors import (
 )
 from .numkernel import least_squares, numerical_rank, singular_values
 from .obsmap import ObservationMapHandle, phi, phi_jacobian
-from .ode import (
-    MatrixLinear,
-    ParamSystem,
-    PolynomialBasis,
-    read_trajectory_csv,
-)
+from .ode import MatrixLinear, ParamSystem, PolynomialBasis
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +40,6 @@ class ObservationGrid:
 
     times: np.ndarray
     values: np.ndarray          # shape (N+1, k)
-    delta_t: float
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float).reshape(-1)
@@ -60,27 +54,19 @@ class ObservationGrid:
         gaps = np.diff(t)
         if np.any(gaps <= 0.0):
             raise DomainError("times must be strictly increasing")
-        if np.any(np.abs(gaps - self.delta_t) > 1e-9 * abs(self.delta_t)):
-            raise DomainError("grid spacing is not uniform")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
+        if np.any(np.abs(gaps - self.delta_t) > 1e-9 * abs(self.delta_t)):
+            raise DomainError("grid spacing is not uniform")
+
+    @property
+    def delta_t(self) -> float:
+        """The grid spacing, times[1] - times[0]."""
+        return float(self.times[1] - self.times[0])
 
     @property
     def n_interior(self) -> int:
         return self.times.shape[0] - 2
-
-    @staticmethod
-    def from_arrays(times, values) -> "ObservationGrid":
-        times = np.asarray(times, dtype=float).reshape(-1)
-        if times.shape[0] < 2:
-            raise DomainError("grid needs at least two samples")
-        dt = float(times[1] - times[0])
-        return ObservationGrid(times=times, values=np.atleast_2d(values), delta_t=dt)
-
-    @staticmethod
-    def from_csv(path) -> "ObservationGrid":
-        times, values = read_trajectory_csv(path)
-        return ObservationGrid.from_arrays(times, values)
 
 
 def add_noise(obs: ObservationGrid, sigma: float, seed: int) -> ObservationGrid:

@@ -71,9 +71,6 @@ def discriminant_closed_form(a: np.ndarray) -> float | None:
     return None
 
 
-CLOSED_FORM_SIGN = {2: -1.0, 3: 1.0}  # closed form = sign * sylvester resultant
-
-
 # ---------------------------------------------------------------------------
 # degeneracy report
 

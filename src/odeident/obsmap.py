@@ -280,18 +280,6 @@ class ZetaScanResult:
     def failed_count(self) -> int:
         return sum(1 for c in self.cells if c.failed)
 
-    def csv_lines(self) -> list[str]:
-        if not self.cells:
-            return ["t,zeta,flag"]
-        na, nx = len(self.cells[0].alpha), len(self.cells[0].x)
-        header = ",".join(["t"] + [f"alpha{i + 1}" for i in range(na)]
-                          + [f"x{i + 1}" for i in range(nx)] + ["zeta", "flag"])
-        # one format string per row, as in trajectory_csv_lines; a failed
-        # cell's zeta is nan, which "{:.17g}" writes as nan
-        row = ",".join(["{:.17g}"] * (na + nx + 2) + ["{:d}"]).format
-        return [header] + [row(c.t, *c.alpha, *c.x, c.zeta,
-                               2 if c.failed else int(c.flagged)) for c in self.cells]
-
 
 def zeta_scan(handle: ObservationMapHandle, t_values, alpha_box, x_box,
               grid, rank_tol: float = 1e-12) -> ZetaScanResult:

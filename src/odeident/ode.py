@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,7 +21,6 @@ from .errors import (
     DimensionError,
     DivergenceError,
     DomainError,
-    InputFormatError,
     IntegrationError,
     RangeError,
 )
@@ -439,7 +437,7 @@ _THETA_POWERS = np.arange(1.0, 5.0)
 # a non-finite stage fails the step test and a non-finite initial derivative
 # the checks on f0, so the overflow and nan arithmetic that leads there stays silent
 @np.errstate(over="ignore", invalid="ignore")
-def _integrate_grid(rhs, y0, times, tol, max_steps=DEFAULTS.integrator_max_steps):
+def _integrate_grid(rhs, y0, times, tol):
     """Adaptive DP 5(4) from t=0 delivering the samples ``times``. A step ends
     on the last sample within the natural step h_nat (on the next sample when
     none is that close), and the samples strictly before its end come from its
@@ -473,7 +471,7 @@ def _integrate_grid(rhs, y0, times, tol, max_steps=DEFAULTS.integrator_max_steps
     steps = 0
     i = 0  # the first sample not yet delivered
     while i < n_samples:
-        if steps >= max_steps:
+        if steps >= DEFAULTS.integrator_max_steps:
             raise IntegrationError("step budget exhausted", t)
         j = i  # the last sample in reach of the natural step, or the next one
         while j + 1 < n_samples and grid[j + 1] - t <= h_nat:
@@ -617,54 +615,3 @@ def integrate_with_sensitivity(sys: ParamSystem, alpha, x0, t_end: float,
     sens = raw[:, k:].reshape(len(times), k, n)
     return SensitivityBundle(times=times, states=states, sensitivities=sens)
 
-
-# ---------------------------------------------------------------------------
-# CSV export (one row per sample, 17 significant digits)
-
-
-def trajectory_csv_lines(times: np.ndarray, values: np.ndarray) -> list[str]:
-    k = values.shape[1]
-    header = "t," + ",".join(f"x{i + 1}" for i in range(k))
-    # one format string per row: the bytes of f"{v:.17g}" per value, in half the time
-    row = ",".join(["{:.17g}"] * (k + 1)).format
-    return [header] + [row(*r) for r in np.column_stack([times, values]).tolist()]
-
-
-def write_trajectory_csv(path, times: np.ndarray, values: np.ndarray) -> None:
-    Path(path).write_text("\n".join(trajectory_csv_lines(times, values)) + "\n")
-
-
-def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Parse the trajectory CSV format; errors carry the offending row.
-
-    One ``np.array`` call parses every cell, with float()'s rules and bits;
-    when it fails, or the rows do not have the header's k + 1 columns, the
-    per-row loop finds the first offending row.
-    """
-    text = Path(path).read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise InputFormatError("empty trajectory file", 1)
-    if not lines[0].startswith("t,"):
-        raise InputFormatError("missing 't,x1,...' header", 1)
-    k = len(lines[0].split(",")) - 1
-    rows = [line.split(",") for line in lines[1:]]
-    try:
-        table = np.array(rows, dtype=float)
-        if table.shape[1:] == (k + 1,):
-            return table[:, 0].copy(), table[:, 1:].copy()
-    except ValueError:
-        pass
-    times, values = [], []
-    for rowno, cells in enumerate(rows, start=2):
-        if len(cells) != k + 1:
-            raise InputFormatError(
-                f"expected {k + 1} columns, got {len(cells)}", rowno
-            )
-        try:
-            nums = [float(c) for c in cells]
-        except ValueError as exc:
-            raise InputFormatError(f"bad number: {exc}", rowno) from exc
-        times.append(nums[0])
-        values.append(nums[1:])
-    return np.array(times), np.array(values)

@@ -32,7 +32,10 @@ from odeident import (
     zeta_scan,
 )
 from odeident.cli import main
-from odeident.linearcase import CLOSED_FORM_SIGN, characteristic_poly, discriminant_closed_form
+from odeident.linearcase import characteristic_poly, discriminant_closed_form
+
+# the closed-form discriminant is this sign times the Sylvester resultant of (P, P')
+CLOSED_FORM_SIGN = {2: -1.0, 3: 1.0}
 
 
 def _gate(name: str, ok: bool, detail: str = "") -> None:
@@ -178,7 +181,7 @@ def test_fd_estimator_order():
     for dt in dts:
         traj = integrate(sys, [1.0, -1.0], [0.1], t_end=4.0,
                          samples=int(round(4.0 / dt)), tol=1e-12)
-        res = fd_linear_estimate(ObservationGrid.from_arrays(traj.times, traj.states), sys)
+        res = fd_linear_estimate(ObservationGrid(traj.times, traj.states), sys)
         errors.append(np.abs(res.alpha_hat - [1.0, -1.0]).max())
     slope = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
     ok = 1.8 <= slope <= 2.2 and errors[-1] <= 1e-3
@@ -292,7 +295,7 @@ def test_end_to_end_determinism(tmp_path):
 
     sys = PolynomialBasis([scalar_map([(1.0, 1)])])
     traj = integrate(sys, [-0.5], [1.0], t_end=1.0, samples=100, tol=1e-12)
-    grid = ObservationGrid.from_arrays(traj.times, traj.states)
+    grid = ObservationGrid(traj.times, traj.states)
     sigmas = [1e-4, 1e-3, 1e-2]
     means = []
     for sigma in sigmas:

@@ -1,10 +1,11 @@
-"""Names README lists as removed from the API stay removed, and every
-threshold in ``Tolerances`` is still read.
+"""Names README lists as removed from the API stay removed, every
+threshold in ``Tolerances`` is still read, and only the CLI touches files.
 
 The list is the first column of README's "Names removed from the API"
 table, so a name added there is guarded here without a test edit.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -99,3 +100,26 @@ def test_threshold_is_read(field):
     use = re.compile(rf"\bDEFAULTS\.{field}\b")
     assert any(use.search(path.read_text())
                for path in SOURCES.glob("*.py") if path.name != "config.py")
+
+
+FILE_MODULES = {"json", "pathlib"}
+FILE_METHODS = {"read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SOURCES.glob("*.py")
+                                        if p.name != "cli.py"))
+def test_only_the_cli_touches_files(path):
+    """The library takes and returns arrays; reading and writing files is the CLI's."""
+    found = []
+    for node in ast.walk(ast.parse((SOURCES / path).read_text())):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] in FILE_MODULES]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.split(".")[0] in FILE_MODULES:
+            found.append(node.module)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "open" \
+                    or isinstance(func, ast.Attribute) and func.attr in FILE_METHODS:
+                found.append(ast.unparse(func))
+    assert found == []

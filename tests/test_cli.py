@@ -11,8 +11,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import odeident.cli
 import odeident.ode
-from conftest import ROTATION, scalar_decay_system
+from conftest import ROTATION, logistic_system, scalar_decay_system
 from odeident import (
     DEFAULTS,
     MatrixLinear,
@@ -28,8 +29,8 @@ from odeident import (
     phi,
     verify_lower_bound,
 )
-from odeident.cli import _jsonable, load_config, main
-from odeident.ode import read_trajectory_csv, write_trajectory_csv
+from odeident.cli import _jsonable, _read_trajectory_csv, _write_csv, load_config, main
+from odeident.obsmap import ZetaCell, ZetaScanResult
 
 ROT = [[0.0, 1.0], [-1.0, 0.0]]
 
@@ -86,6 +87,13 @@ def logistic_config(m=400, h=0.01):
     }
 
 
+def write_trajectory_csv(path, times, values):
+    """The trajectory layout simulate writes, through the CLI's one CSV writer."""
+    k = values.shape[1]
+    _write_csv(path, ["t"] + [f"x{i + 1}" for i in range(k)],
+               np.column_stack([times, values]).tolist(), ["{:.17g}"] * (k + 1))
+
+
 class TestSimulate:
     def test_rotation_writes_m_rows(self, tmp_path):
         cfg = write_config(tmp_path, "rot.json", rotation_config())
@@ -102,7 +110,7 @@ class TestSimulate:
         path = write_config(tmp_path, "cfg.json", cfg_dict)
         out = tmp_path / "obs.csv"
         assert main(["simulate", "--config", path, "--out", str(out)]) == 0
-        times, values = read_trajectory_csv(out)
+        times, values = _read_trajectory_csv(out)
         cfg = load_config(path)
         expected = phi(cfg.build_handle(), cfg.alpha0).reshape(cfg.m, cfg.k)
         assert np.array_equal(values, expected)
@@ -123,7 +131,7 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         handle = ObservationMapHandle(sys=MatrixLinear(2), x0=x0, h=0.3, m=6)
         expected = phi(handle, MatrixLinear.pack(ROT)).reshape(6, 2)
-        assert np.array_equal(read_trajectory_csv(out)[1], expected)
+        assert np.array_equal(_read_trajectory_csv(out)[1], expected)
 
     def test_integrates_only_polynomial_basis(self, tmp_path, monkeypatch):
         integrate_grid = odeident.ode._integrate_grid
@@ -533,6 +541,118 @@ class TestZetaScan:
         assert main(["zeta-scan", "--config", cfg, "--out",
                      str(tmp_path / "x.csv")]) == 2
 
+    def test_csv_layout(self, tmp_path):
+        cfg_dict = scalar_decay_config(observation={"h": 1.0, "m": 2, "tol": 1e-10})
+        cfg_dict["solver"]["scan"] = {"t_values": [1.0], "alpha_box": [[-1.0, 1.0]],
+                                      "x_box": [[0.5, 1.5]], "grid": [3, 3],
+                                      "rank_tol": 1e-12}
+        cfg = write_config(tmp_path, "scan.json", cfg_dict)
+        out = tmp_path / "scan.csv"
+        assert main(["zeta-scan", "--config", cfg, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "t,alpha1,x1,zeta,flag"
+        assert len(lines) == 1 + 9
+
+    def test_csv_rows_format_each_value(self, tmp_path, monkeypatch):
+        # the row format string writes f"{v:.17g}" per value and the flag as an int
+        cells = [
+            ZetaCell(t=0.5, alpha=(1 / 3, -2.0), x=(0.1, 1e-300), zeta=2 / 3, flagged=False),
+            ZetaCell(t=1.0, alpha=(0.25, 7.0), x=(-0.0, 3.5), zeta=0.0, flagged=True),
+            ZetaCell(t=2.0, alpha=(0.1, 0.2), x=(0.3, 0.4), zeta=math.nan, flagged=False,
+                     failed=True),
+        ]
+        monkeypatch.setattr(odeident.cli, "zeta_scan",
+                            lambda *args, **kwargs: ZetaScanResult(cells=cells))
+        # x1' = a1 x1, x2' = a2 x2: k = n = 2, as the cells
+        cfg_dict = scalar_decay_config()
+        cfg_dict["system"].update(
+            k=2, n=2, alpha0=[-0.5, -0.5], x0=[1.0, 1.0],
+            basis=[[[{"coeff": 1.0, "exponents": [1, 0]}], []],
+                   [[], [{"coeff": 1.0, "exponents": [0, 1]}]]])
+        cfg_dict["solver"]["scan"] = {"t_values": [1.0], "alpha_box": [[0.0, 1.0]] * 2,
+                                      "x_box": [[0.0, 1.0]] * 2, "grid": 2}
+        cfg = write_config(tmp_path, "scan.json", cfg_dict)
+        out = tmp_path / "scan.csv"
+        assert main(["zeta-scan", "--config", cfg, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "t,alpha1,alpha2,x1,x2,zeta,flag"
+        expected = [
+            ",".join([f"{v:.17g}" for v in (c.t, *c.alpha, *c.x)]
+                     + ["nan" if c.failed else f"{c.zeta:.17g}",
+                        str(2 if c.failed else (1 if c.flagged else 0))])
+            for c in cells
+        ]
+        assert lines[1:] == expected
+        assert lines[2].endswith(",0,1")
+        assert lines[3].endswith(",nan,2")
+
+
+class TestCsv:
+    def test_round_trip_is_bitwise(self, tmp_path):
+        traj = integrate(logistic_system(), [1.0, -1.0], [0.1], t_end=2.0,
+                         samples=5, tol=1e-10)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(path, traj.times, traj.states)
+        times, values = _read_trajectory_csv(path)
+        assert np.array_equal(times, traj.times)
+        assert np.array_equal(values, traj.states)
+        header = path.read_text().splitlines()[0]
+        assert header == "t,x1"
+
+    def test_lines_are_the_per_value_format(self, tmp_path):
+        # signed zeros, subnormals, the float range's ends and integral floats
+        edge = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-300,
+                1.7e308, -1.7e308, 3.0, -42.0, 2.0 ** 53, 0.1]
+        values = np.array(edge + edge[::-1]).reshape(-1, 3)
+        times = np.array([-0.0, 1.0, 1e-300, 5e-324, 0.1, 2.0 ** 60, 7.0, 1.7e308])
+        path = tmp_path / "edge.csv"
+        write_trajectory_csv(path, times, values)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "t,x1,x2,x3"
+        assert lines[1:] == [",".join(f"{v:.17g}" for v in (t, *row))
+                             for t, row in zip(times, values)]
+        assert lines[1] == "-0,0,-0,4.9406564584124654e-324"
+
+    def test_reader_parses_every_cell_as_float_does(self, tmp_path):
+        cells = ["-0", "0", "5e-324", "-4.9406564584124654e-324", "2.2250738585072009e-308",
+                 "1.7e308", "-1.7e308", "1e400", "-1e400", " 0.1 ", "\t-3\t", "1_000"]
+        rows = [cells[i:i + 3] for i in range(0, len(cells), 3)]
+        path = tmp_path / "edge.csv"
+        path.write_text("t,x1,x2\n" + "".join(",".join(r) + "\n" for r in rows))
+        times, values = _read_trajectory_csv(path)
+        ref = np.array([[float(c) for c in r] for r in rows])
+        assert times.tobytes() == ref[:, 0].tobytes()
+        assert values.tobytes() == ref[:, 1:].tobytes()
+        assert np.signbit(times[0]) and values[1, 1] == 1.7e308 and values[3, 1] == 1000.0
+
+    def test_malformed_row_reports_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,x1\n1.0,2.0\n2.0,oops\n")
+        from odeident import InputFormatError
+
+        with pytest.raises(InputFormatError) as err:
+            _read_trajectory_csv(path)
+        assert err.value.line == 3
+
+    def test_wrong_column_count_reports_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,x1,x2\n1.0,2.0\n")
+        from odeident import InputFormatError
+
+        with pytest.raises(InputFormatError) as err:
+            _read_trajectory_csv(path)
+        assert err.value.line == 2
+
+    def test_csv_round_trip(self, tmp_path):
+        traj = integrate(scalar_decay_system(), [-0.5], [1.0], t_end=1.0, samples=10,
+                         tol=1e-12)
+        grid = ObservationGrid(traj.times, traj.states)
+        path = tmp_path / "obs.csv"
+        write_trajectory_csv(path, grid.times, grid.values)
+        back = ObservationGrid(*_read_trajectory_csv(path))
+        assert np.array_equal(back.times, grid.times)
+        assert np.array_equal(back.values, grid.values)
+
 
 def _certificate():
     # x' = a x, x0 = 1, h = 1, m = 2: phi(a) = (e^a, e^{2a})
@@ -548,7 +668,7 @@ def _single_pair_verification():
 
 def _rank_deficient_estimate():
     # all-zero observations: df/da is the zero matrix, so the condition is inf
-    grid = ObservationGrid.from_arrays(0.3 * np.arange(1, 6), np.zeros((5, 2)))
+    grid = ObservationGrid(0.3 * np.arange(1, 6), np.zeros((5, 2)))
     return fd_linear_estimate(grid, MatrixLinear(2))
 
 
@@ -619,6 +739,26 @@ class TestValidation:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("verb,config,obs,out", [
+        ("invert", "cfg", "dir", "x.json"),
+        ("invert", "cfg", "latin1", "x.json"),
+        ("simulate", "dir", None, "x.csv"),
+        ("simulate", "cfg", None, "dir"),
+        ("certify", "cfg", None, "dir"),
+    ], ids=["obs-directory", "obs-not-utf8", "config-directory", "simulate-out-directory",
+            "certify-out-directory"])
+    def test_unreadable_or_unwritable_file_exits_2(self, tmp_path, capsys, verb, config,
+                                                   obs, out):
+        paths = {"cfg": write_config(tmp_path, "rot.json", rotation_config(h=0.3, m=6)),
+                 "dir": str(tmp_path), "latin1": str(tmp_path / "obs.csv")}
+        (tmp_path / "obs.csv").write_bytes("t,x1,x2\n0.3,1,0\n0.6,\u00b5,0\n".encode("latin-1"))
+        argv = [verb, "--config", paths[config], "--out", paths.get(out, str(tmp_path / out))]
+        if obs is not None:
+            argv += ["--obs", paths[obs], "--mode", "fd"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     @pytest.mark.parametrize("path,value,named", [
         (("system", "basis", 0, 0, 0), {"coef": 1.0, "exponents": [1]},

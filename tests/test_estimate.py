@@ -38,27 +38,17 @@ from odeident.cli import _jsonable
 
 def make_grid(sys, alpha, x0, t_end, samples, tol=1e-12):
     traj = integrate(sys, alpha, x0, t_end=t_end, samples=samples, tol=tol)
-    return ObservationGrid.from_arrays(traj.times, traj.states)
+    return ObservationGrid(traj.times, traj.states)
 
 
 class TestObservationGrid:
     def test_uniformity_enforced(self):
         with pytest.raises(DomainError):
-            ObservationGrid.from_arrays([0.0, 0.1, 0.25], np.zeros((3, 1)))
+            ObservationGrid([0.0, 0.1, 0.25], np.zeros((3, 1)))
 
     def test_requires_two_samples(self):
         with pytest.raises(DomainError):
-            ObservationGrid.from_arrays([0.0], np.zeros((1, 1)))
-
-    def test_csv_round_trip(self, tmp_path):
-        grid = make_grid(scalar_decay_system(), [-0.5], [1.0], 1.0, 10)
-        from odeident.ode import write_trajectory_csv
-
-        path = tmp_path / "obs.csv"
-        write_trajectory_csv(path, grid.times, grid.values)
-        back = ObservationGrid.from_csv(path)
-        assert np.array_equal(back.times, grid.times)
-        assert np.array_equal(back.values, grid.values)
+            ObservationGrid([0.0], np.zeros((1, 1)))
 
 
 class TestFdLinearEstimate:
@@ -72,7 +62,7 @@ class TestFdLinearEstimate:
 
     def test_constant_trajectory_rank_deficient(self):
         sys = logistic_system()
-        grid = ObservationGrid.from_arrays(0.1 + 0.1 * np.arange(5), np.ones((5, 1)))
+        grid = ObservationGrid(0.1 + 0.1 * np.arange(5), np.ones((5, 1)))
         result = fd_linear_estimate(grid, sys)
         assert result.rank_deficient
         assert not result.converged
@@ -126,7 +116,7 @@ class TestFdLinearEstimate:
         a = np.concatenate([block(x) for x in values[1:-1]])
         b = np.concatenate([(values[i + 1] - values[i - 1]) / two_dt
                             for i in range(1, len(t) - 1)])
-        got = fd_linear_estimate(ObservationGrid.from_arrays(t, values), sys)
+        got = fd_linear_estimate(ObservationGrid(t, values), sys)
         assert got.alpha_hat.tobytes() == least_squares(a, b).x.tobytes()
 
     def test_basis_scaling_equivariance(self):
@@ -140,12 +130,12 @@ class TestFdLinearEstimate:
 
     def test_no_interior_points_rejected(self):
         sys = scalar_decay_system()
-        grid = ObservationGrid.from_arrays([0.1, 0.2], np.ones((2, 1)))
+        grid = ObservationGrid([0.1, 0.2], np.ones((2, 1)))
         with pytest.raises(DomainError):
             fd_linear_estimate(grid, sys)
 
     def test_state_dim_mismatch(self):
-        grid = ObservationGrid.from_arrays([0.1, 0.2, 0.3], np.ones((3, 2)))
+        grid = ObservationGrid([0.1, 0.2, 0.3], np.ones((3, 2)))
         with pytest.raises(DimensionError):
             fd_linear_estimate(grid, scalar_decay_system())
 

@@ -27,8 +27,11 @@ from odeident import (
     exp_divided_difference_determinant,
 )
 from odeident import linearcase
-from odeident.linearcase import CLOSED_FORM_SIGN, characteristic_poly
+from odeident.linearcase import characteristic_poly
 from odeident.numkernel import sylvester_resultant
+
+# the closed-form discriminant is this sign times the Sylvester resultant of (P, P')
+CLOSED_FORM_SIGN = {2: -1.0, 3: 1.0}
 
 
 def planted_double_matrix(rng, k):

@@ -39,7 +39,6 @@ from odeident import (
     verify_lower_bound,
     zeta_scan,
 )
-from odeident.obsmap import ZetaCell, ZetaScanResult
 
 
 def scalar_exp_handle(tol=1e-12):
@@ -481,33 +480,3 @@ class TestZetaScan:
                                       h=1.0, m=2)
         with pytest.raises(DomainError):
             zeta_scan(handle, [1.0], [(-1.0, 1.0)], [(0.5, 1.5)], [1000, 1000])
-
-    def test_csv_layout(self):
-        handle = ObservationMapHandle(sys=scalar_decay_system(), x0=np.array([1.0]),
-                                      h=1.0, m=2, tol=1e-10)
-        result = zeta_scan(handle, [1.0], [(-1.0, 1.0)], [(0.5, 1.5)], [3, 3],
-                           rank_tol=1e-12)
-        lines = result.csv_lines()
-        assert lines[0] == "t,alpha1,x1,zeta,flag"
-        assert len(lines) == 1 + 9
-
-
-    def test_csv_rows_format_each_value(self):
-        # the row format string writes f"{v:.17g}" per value and the flag as an int
-        cells = [
-            ZetaCell(t=0.5, alpha=(1 / 3, -2.0), x=(0.1, 1e-300), zeta=2 / 3, flagged=False),
-            ZetaCell(t=1.0, alpha=(0.25, 7.0), x=(-0.0, 3.5), zeta=0.0, flagged=True),
-            ZetaCell(t=2.0, alpha=(0.1, 0.2), x=(0.3, 0.4), zeta=math.nan, flagged=False,
-                     failed=True),
-        ]
-        lines = ZetaScanResult(cells=cells).csv_lines()
-        assert lines[0] == "t,alpha1,alpha2,x1,x2,zeta,flag"
-        expected = [
-            ",".join([f"{v:.17g}" for v in (c.t, *c.alpha, *c.x)]
-                     + ["nan" if c.failed else f"{c.zeta:.17g}",
-                        str(2 if c.failed else (1 if c.flagged else 0))])
-            for c in cells
-        ]
-        assert lines[1:] == expected
-        assert lines[2].endswith(",0,1")
-        assert lines[3].endswith(",nan,2")

@@ -33,7 +33,6 @@ from odeident import (
     phi_jacobian,
 )
 import odeident.ode
-from odeident.ode import read_trajectory_csv, trajectory_csv_lines, write_trajectory_csv
 
 
 def evaluate(sys, x, alpha):
@@ -768,57 +767,3 @@ class TestSensitivity:
                          samples=6, tol=1e-10)
         assert np.abs(bundle.states - traj.states).max() < 1e-7
 
-
-class TestCsv:
-    def test_round_trip_is_bitwise(self, tmp_path):
-        traj = integrate(logistic_system(), [1.0, -1.0], [0.1], t_end=2.0,
-                         samples=5, tol=1e-10)
-        path = tmp_path / "traj.csv"
-        write_trajectory_csv(path, traj.times, traj.states)
-        times, values = read_trajectory_csv(path)
-        assert np.array_equal(times, traj.times)
-        assert np.array_equal(values, traj.states)
-        header = path.read_text().splitlines()[0]
-        assert header == "t,x1"
-
-    def test_lines_are_the_per_value_format(self):
-        # signed zeros, subnormals, the float range's ends and integral floats
-        edge = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-300,
-                1.7e308, -1.7e308, 3.0, -42.0, 2.0 ** 53, 0.1]
-        values = np.array(edge + edge[::-1]).reshape(-1, 3)
-        times = np.array([-0.0, 1.0, 1e-300, 5e-324, 0.1, 2.0 ** 60, 7.0, 1.7e308])
-        lines = trajectory_csv_lines(times, values)
-        assert lines[0] == "t,x1,x2,x3"
-        assert lines[1:] == [",".join(f"{v:.17g}" for v in (t, *row))
-                             for t, row in zip(times, values)]
-        assert lines[1] == "-0,0,-0,4.9406564584124654e-324"
-
-    def test_reader_parses_every_cell_as_float_does(self, tmp_path):
-        cells = ["-0", "0", "5e-324", "-4.9406564584124654e-324", "2.2250738585072009e-308",
-                 "1.7e308", "-1.7e308", "1e400", "-1e400", " 0.1 ", "\t-3\t", "1_000"]
-        rows = [cells[i:i + 3] for i in range(0, len(cells), 3)]
-        path = tmp_path / "edge.csv"
-        path.write_text("t,x1,x2\n" + "".join(",".join(r) + "\n" for r in rows))
-        times, values = read_trajectory_csv(path)
-        ref = np.array([[float(c) for c in r] for r in rows])
-        assert times.tobytes() == ref[:, 0].tobytes()
-        assert values.tobytes() == ref[:, 1:].tobytes()
-        assert np.signbit(times[0]) and values[1, 1] == 1.7e308 and values[3, 1] == 1000.0
-
-    def test_malformed_row_reports_line(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("t,x1\n1.0,2.0\n2.0,oops\n")
-        from odeident import InputFormatError
-
-        with pytest.raises(InputFormatError) as err:
-            read_trajectory_csv(path)
-        assert err.value.line == 3
-
-    def test_wrong_column_count_reports_line(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("t,x1,x2\n1.0,2.0\n")
-        from odeident import InputFormatError
-
-        with pytest.raises(InputFormatError) as err:
-            read_trajectory_csv(path)
-        assert err.value.line == 2
