@@ -38,10 +38,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import hashlib
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -564,7 +566,13 @@ _PARSER = _build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.handler(load_config(args.config, args.seed), args)
+        cfg = load_config(args.config, args.seed)
+        out = Path(args.out)  # the error its write would raise, before any computation
+        if out.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))
+        if not out.parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(out))
+        return args.handler(cfg, args)
     except (ConfigError, InputFormatError, DimensionError, DomainError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -42,8 +42,8 @@ class ObservationGrid:
     values: np.ndarray          # shape (N+1, k)
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float).reshape(-1)
-        v = np.atleast_2d(np.asarray(self.values, dtype=float))
+        t = np.array(self.times, dtype=float).reshape(-1)
+        v = np.atleast_2d(np.array(self.values, dtype=float))
         if v.shape[0] != t.shape[0]:
             raise DimensionError("times and values lengths differ")
         if t.shape[0] < 2:
@@ -165,17 +165,18 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
 
     Steps solve (J^T J + damping * diag(J^T J)) s = J^T (y - phi(a)); the
     damping factor halves after an accepted step and quadruples after a
-    rejected one, so the residual is non-increasing across accepted
-    iterates (a trial at a point phi has already seen cannot lower the cost,
-    so it is rejected without evaluating phi again); the search stops
-    unconverged once the damping term leaves the float range, and raises
-    RangeError when J^T J or J^T r does. Convergence requires both the
-    final step norm <= step_tol and the residual gradient norm <= grad_tol.
-    The reported rank and condition are those of the Jacobian at the
-    returned ``alpha_hat``.
+    rejected one. One rule rejects a trial: its cost is not below the current
+    cost. A trial at a point phi has already seen cannot lower the cost, so it
+    is rejected without evaluating phi again, and a trial where phi fails is
+    rejected alike; the residual thus falls across accepted iterates. The
+    search stops unconverged once the damping term leaves the float range,
+    and raises RangeError when J^T J or J^T r does. Convergence requires both
+    the last step norm <= step_tol and the residual gradient norm <= grad_tol.
+    Every exit holds the Jacobian at the returned ``alpha_hat``; the reported
+    rank and condition are its own. ``alpha_init`` is copied, never kept.
     """
     y_obs = np.asarray(y_obs, dtype=float).reshape(-1)
-    alpha = np.asarray(alpha_init, dtype=float).reshape(-1)
+    alpha = np.array(alpha_init, dtype=float).reshape(-1)
     if y_obs.shape[0] != handle.dim_out:
         raise DimensionError(
             f"y_obs has length {y_obs.shape[0]}, expected {handle.dim_out}"
@@ -185,29 +186,33 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
     if not np.all(np.isfinite(alpha)):
         raise DomainError("alpha_init must be finite")
 
-    n = handle.n_params
-    with np.errstate(over="ignore"):  # an overflowing cost is caught below
-        residual_vec = y_obs - phi(handle, alpha)
-        cost = float(np.linalg.norm(residual_vec))
+    def residual(a):
+        with np.errstate(over="ignore"):  # an overflowing cost is inf, never accepted
+            r = y_obs - phi(handle, a)
+            return r, float(np.linalg.norm(r))
+
+    residual_vec, cost = residual(alpha)
     if not math.isfinite(cost):
         raise DivergenceError("residual non-finite at initial point", 0.0)
-    history = [(alpha.copy(), cost)]
+    history = [(alpha, cost)]
     seen = {alpha.tobytes()}  # every point phi was evaluated at
     lam = options.damping
-    last_step = 0.0
-    iterations = 0
+    step_norm = 0.0
     converged = False
     message = ""
 
-    for _ in range(options.max_iter):
+    for iteration in range(options.max_iter + 1):
         jac = phi_jacobian(handle, alpha)
+        if iteration == options.max_iter:
+            message = "max_iter exhausted"
+            break
         with np.errstate(over="ignore", invalid="ignore"):  # tested just below
             grad = jac.T @ residual_vec
             jtj = jac.T @ jac
         if not (np.isfinite(grad).all() and np.isfinite(jtj).all()):
             raise RangeError("normal equations J^T J, J^T r leave the float range")
         grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= options.grad_tol and last_step <= options.step_tol:
+        if grad_norm <= options.grad_tol and step_norm <= options.step_tol:
             converged = True
             break
 
@@ -215,8 +220,7 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
         floor = max(float(diag.max()), 1.0) * 1e-15
         diag[diag < floor] = floor
 
-        accepted = False
-        step_norm = 0.0
+        trial_cost = math.inf
         for _attempt in range(30):
             with np.errstate(over="ignore"):  # tested just below
                 damping = lam * diag
@@ -230,43 +234,27 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
                 step, *_ = np.linalg.lstsq(damped, grad, rcond=None)
             step_norm = float(np.linalg.norm(step))
             trial = alpha + step
-            if trial.tobytes() in seen:
-                # phi failed there, or its cost was not below the cost then nor now
-                lam *= DEFAULTS.gn_damping_up
-                continue
-            seen.add(trial.tobytes())
-            try:
-                with np.errstate(over="ignore"):  # an overflowing cost is rejected below
-                    trial_res = y_obs - phi(handle, trial)
-                    trial_cost = float(np.linalg.norm(trial_res))
-            except IntegrationError:
-                lam *= DEFAULTS.gn_damping_up
-                continue
-            if math.isfinite(trial_cost) and trial_cost < cost:
-                accepted = True
-                break
+            # at a seen point phi failed, or its cost was not below the cost then nor now
+            if trial.tobytes() not in seen:
+                seen.add(trial.tobytes())
+                try:
+                    trial_res, trial_cost = residual(trial)
+                except IntegrationError:
+                    trial_cost = math.inf
+                if trial_cost < cost:  # cost is finite, so nan and inf compare false
+                    break
             lam *= DEFAULTS.gn_damping_up
 
-        if not accepted:
-            # stagnation: converged if the (rejected) proposal was already
+        if not trial_cost < cost:
+            # every trial rejected: converged if the last proposal was already
             # below the step tolerance at a flat gradient
-            if message:  # the damping left the float range
-                break
-            if grad_norm <= options.grad_tol and step_norm <= options.step_tol:
-                converged = True
-            else:
-                message = "stalled: no acceptable step"
+            if not message:  # the damping stayed in the float range
+                converged = grad_norm <= options.grad_tol and step_norm <= options.step_tol
+                message = "" if converged else "stalled: no acceptable step"
             break
-
         alpha, residual_vec, cost = trial, trial_res, trial_cost
         lam = max(lam * DEFAULTS.gn_damping_down, 1e-300)
-        last_step = step_norm
-        iterations += 1
-        history.append((alpha.copy(), cost))
-    else:
-        message = "max_iter exhausted"
-        # the last accepted step moved alpha past the iterate jac was taken at
-        jac = phi_jacobian(handle, alpha)
+        history.append((alpha, cost))
 
     svals = singular_values(jac)
     rank = numerical_rank(jac, svals)
@@ -274,11 +262,11 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
     return EstimationResult(
         alpha_hat=alpha,
         residual=cost,
-        iterations=iterations,
+        iterations=len(history) - 1,
         converged=converged,
         jacobian_rank=rank,
         condition=condition,
         history=tuple(history),
-        rank_deficient=rank < n,
+        rank_deficient=rank < handle.n_params,
         message=message,
     )

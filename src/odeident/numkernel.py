@@ -251,11 +251,9 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
-def numerical_rank(a, svals: np.ndarray | None = None) -> int:
-    """#{sigma_i > max(m,n)*eps*sigma_1}."""
+def numerical_rank(a, svals: np.ndarray) -> int:
+    """#{sigma_i > max(m,n)*eps*sigma_1}, from a's singular values ``svals``."""
     a = np.asarray(a)
-    if svals is None:
-        svals = singular_values(a)
     if len(svals) == 0 or svals[0] == 0.0:
         return 0
     return int(np.sum(svals > max(a.shape) * EPS * svals[0]))

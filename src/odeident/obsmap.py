@@ -44,9 +44,9 @@ class ObservationMapHandle:
     tol: float = DEFAULTS.integrator_tol
 
     def __post_init__(self):
-        # the integrators' own rule, so a handle that builds is one phi accepts
-        object.__setattr__(self, "x0", _check_grid(self.sys, self.x0, self.h * self.m,
-                                                   self.m, self.tol))
+        # a copy, under the integrators' own rule: a handle that builds is one phi accepts
+        object.__setattr__(self, "x0", _check_grid(self.sys, np.array(self.x0, dtype=float),
+                                                   self.h * self.m, self.m, self.tol))
 
     @property
     def times(self) -> np.ndarray:
@@ -143,7 +143,7 @@ def certify_radius(handle: ObservationMapHandle, alpha0, r_work: float,
     identifiable. The exact ``matrix_linear`` Jacobian is held to the same
     threshold, so one rule serves every species.
     """
-    alpha0 = np.asarray(alpha0, dtype=float).reshape(-1)
+    alpha0 = np.array(alpha0, dtype=float).reshape(-1)
     if not (r_work > 0.0):
         raise DomainError("r_work must be positive")
     if gamma_samples < 10:

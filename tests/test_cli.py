@@ -760,6 +760,21 @@ class TestValidation:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    @pytest.mark.parametrize("out", [(), ("missing", "cert.json")],
+                             ids=["out-directory", "out-parent-missing"])
+    def test_unwritable_out_exits_2_before_computing(self, tmp_path, capsys, monkeypatch,
+                                                     out):
+        def refuse(*args, **kwargs):
+            raise AssertionError("certify_radius ran for an unwritable --out")
+
+        monkeypatch.setattr(odeident.cli, "certify_radius", refuse)
+        cfg = write_config(tmp_path, "rot.json", rotation_config(h=0.3, m=6))
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path.joinpath(*out))]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("path,value,named", [
         (("system", "basis", 0, 0, 0), {"coef": 1.0, "exponents": [1]},
          "system.basis[0][0][0].coeff"),

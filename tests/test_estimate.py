@@ -1,9 +1,12 @@
+import contextlib
 import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     ROTATION,
@@ -11,6 +14,7 @@ from conftest import (
     rotation_handle,
     scalar_decay_system,
     scalar_map,
+    stable_matrix,
 )
 import odeident.estimate
 from odeident import (
@@ -49,6 +53,14 @@ class TestObservationGrid:
     def test_requires_two_samples(self):
         with pytest.raises(DomainError):
             ObservationGrid([0.0], np.zeros((1, 1)))
+
+    def test_grid_keeps_copies_of_times_and_values(self):
+        # an edited time would break the uniformity the grid was checked for
+        times, values = np.array([0.1, 0.2, 0.3]), np.ones((3, 1))
+        grid = ObservationGrid(times, values)
+        times[2], values[0, 0] = 5.0, np.nan
+        assert np.array_equal(grid.times, [0.1, 0.2, 0.3])
+        assert np.array_equal(grid.values, np.ones((3, 1)))
 
 
 class TestFdLinearEstimate:
@@ -149,6 +161,16 @@ class TestGaussNewton:
         assert result.converged
         assert result.iterations <= 1
         assert np.array_equal(result.alpha_hat, alpha)
+
+    def test_result_keeps_a_copy_of_alpha_init(self):
+        # exact data: converged at the initial point, no step accepted
+        handle = rotation_handle()
+        init = MatrixLinear.pack(ROTATION).copy()
+        result = gauss_newton_invert(handle, phi(handle, init), init)
+        assert result.converged and result.iterations == 0
+        init[:] = 99.0
+        assert np.array_equal(result.alpha_hat, MatrixLinear.pack(ROTATION))
+        assert np.array_equal(result.history[0][0], MatrixLinear.pack(ROTATION))
 
     def test_scalar_decay_recovery(self):
         sys = scalar_decay_system()
@@ -309,6 +331,57 @@ class TestGaussNewton:
             GaussNewtonOptions(max_iter=0)
         with pytest.raises(DomainError):
             GaussNewtonOptions(step_tol=-1.0)
+
+
+@contextlib.contextmanager
+def recorded_phi():
+    """Record the alpha bytes of every phi call Gauss-Newton makes."""
+    calls = []
+
+    def recording_phi(handle, alpha):
+        calls.append(np.asarray(alpha).tobytes())
+        return phi(handle, alpha)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(odeident.estimate, "phi", recording_phi)
+        yield calls
+
+
+# one example per exit: converged, stalled with no acceptable step, the damping
+# leaving the float range (every trial rejected from 1e300), max_iter exhausted
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@example(k=2, seed=0, noise=0.0, max_iter=50, damping=GaussNewtonOptions().damping)
+@example(k=1, seed=2, noise=1.0, max_iter=50, damping=GaussNewtonOptions().damping)
+@example(k=2, seed=0, noise=1e20, max_iter=50, damping=1e300)
+@example(k=3, seed=0, noise=1e-5, max_iter=1, damping=GaussNewtonOptions().damping)
+@given(k=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
+       noise=st.sampled_from([0.0, 1e-5]), max_iter=st.sampled_from([1, 50]),
+       damping=st.just(GaussNewtonOptions().damping))
+def test_gauss_newton_report_invariants_on_every_exit(k, seed, noise, max_iter, damping):
+    rng = np.random.default_rng(seed)
+    alpha0 = MatrixLinear.pack(stable_matrix(rng, k))
+    handle = ObservationMapHandle(sys=MatrixLinear(k), x0=rng.standard_normal(k),
+                                  h=0.3, m=k + 2)
+    y = phi(handle, alpha0) + noise * rng.standard_normal(handle.dim_out)
+    init = alpha0 + 0.1 * rng.standard_normal(alpha0.shape[0])
+    options = GaussNewtonOptions(max_iter=max_iter, damping=damping)
+    with recorded_phi() as calls:
+        result = gauss_newton_invert(handle, y, init, options=options)
+
+    assert result.converged == (result.message == "")
+    assert result.message in ("", "stalled: no acceptable step", "max_iter exhausted") \
+        or result.message.endswith("x diag(J^T J) leaves the float range")
+    assert result.iterations == len(result.history) - 1
+    assert np.array_equal(result.alpha_hat, result.history[-1][0])
+    assert result.residual == result.history[-1][1]
+    costs = [cost for _, cost in result.history]
+    assert all(b < a for a, b in zip(costs, costs[1:]))
+    assert len(calls) == len(set(calls))
+    assert not np.shares_memory(result.alpha_hat, init)
+    jac = phi_jacobian(handle, result.alpha_hat)
+    svals = singular_values(jac)
+    assert result.jacobian_rank == numerical_rank(jac, svals)
+    assert result.condition == (svals[0] / svals[-1] if svals[-1] > 0 else math.inf)
 
 
 class TestAddNoise:

@@ -289,7 +289,7 @@ class TestSingularValues:
         svals = singular_values(a)
         assert abs(svals[0] - 5.0) < 1e-12
         assert svals[1] < 1e-14
-        assert numerical_rank(a) == 1
+        assert numerical_rank(a, svals) == 1
 
     def test_two_norm_matches_sigma1(self):
         rng = np.random.default_rng(31)

@@ -84,6 +84,12 @@ class TestPhi:
         traj = integrate(handle.sys, [-0.5], handle.x0, t_end=h * m, samples=m)
         assert np.array_equal(handle.times, traj.times)
 
+    def test_handle_keeps_a_copy_of_x0(self):
+        x0 = np.array([1.0, 0.7])
+        handle = ObservationMapHandle(sys=rotation_system(), x0=x0, h=0.3, m=6)
+        x0[0] = np.nan
+        assert np.array_equal(handle.x0, [1.0, 0.7])
+
     def test_stacking_is_sample_major(self):
         handle = rotation_handle(m=3)
         traj_states = phi(handle, MatrixLinear.pack(ROTATION)).reshape(3, 2)
@@ -330,6 +336,13 @@ class TestCertifyRadius:
         cert = certify_radius(handle, alpha0, r_work=0.3, gamma_samples=12, seed=1)
         svals = singular_values(phi_jacobian(handle, alpha0))
         assert abs(cert.beta - svals[-1] ** 2) <= 1e-8 * svals[-1] ** 2
+
+    def test_certificate_keeps_a_copy_of_alpha0(self):
+        # alpha0 is the centre of the ball verify_lower_bound samples from
+        alpha0 = MatrixLinear.pack(ROTATION).copy()
+        cert = certify_radius(rotation_handle(), alpha0, r_work=0.1, gamma_samples=10)
+        alpha0[:] = 7.0
+        assert np.array_equal(cert.alpha0, MatrixLinear.pack(ROTATION))
 
     def test_duplicated_parameter_not_identifiable(self):
         dup = PolynomialBasis([scalar_map([(1.0, 1)]),
