@@ -73,10 +73,9 @@ from .obsmap import (
 )
 from .ode import (
     MatrixLinear,
+    Observation,
     ParamSystem,
     PolynomialBasis,
-    SensitivityBundle,
-    Trajectory,
     integrate,
     integrate_with_sensitivity,
 )
@@ -130,10 +129,9 @@ __all__ = [
     "verify_lower_bound",
     "zeta_scan",
     "MatrixLinear",
+    "Observation",
     "ParamSystem",
     "PolynomialBasis",
-    "SensitivityBundle",
-    "Trajectory",
     "integrate",
     "integrate_with_sensitivity",
     "__version__",

@@ -150,8 +150,8 @@ def degeneracy_report(alpha, x0, h: float) -> DegeneracyReport:
     x0 = as_vector(x0)
     if x0.shape[0] != a.shape[0]:
         raise DimensionError("x0 dimension does not match matrix")
-    if h <= 0.0:
-        raise DomainError("h must be positive")
+    if not (h > 0.0 and math.isfinite(h)):
+        raise DomainError("h must be positive and finite")
 
     eig = eigenvalues(a)
     vals = eig.values
@@ -216,8 +216,8 @@ def log_branches(alpha0, h: float, k_max: int = DEFAULTS.k_max) -> BranchSet:
     decides the error.
     """
     a = as_square(alpha0)
-    if h <= 0.0:
-        raise DomainError("h must be positive")
+    if not (h > 0.0 and math.isfinite(h)):
+        raise DomainError("h must be positive and finite")
     if k_max < 0:
         raise DomainError("k_max must be >= 0")
     eig = eigenvalues(a)

@@ -69,13 +69,13 @@ class ObservationMapHandle:
 
 def phi(handle: ObservationMapHandle, alpha) -> np.ndarray:
     """Stacked samples (X(h), ..., X(mh)) as one vector, sample-major."""
-    return handle.sys.observe(alpha, handle.x0, handle.h, handle.m, handle.tol)
+    return handle.sys.observe(alpha, handle.x0, handle.h, handle.m, handle.tol).values
 
 
 def phi_jacobian(handle: ObservationMapHandle, alpha) -> np.ndarray:
     """(m*k) x n Jacobian of phi: stacked sensitivity blocks Z(jh)."""
     return handle.sys.observe(alpha, handle.x0, handle.h, handle.m, handle.tol,
-                              jacobian=True)
+                              jacobian=True).jacobian
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +290,8 @@ def zeta_scan(handle: ObservationMapHandle, t_values, alpha_box, x_box,
     is relative to sigma_1^(2n) because det(J^T J) carries the 2n-th power of
     the problem scale. Integration failures mark the cell failed and the
     scan continues; a sigma_1^(2n) beyond the float range raises RangeError.
+    A ``t`` whose grid (t*h, m, tol) no handle accepts, or a ``rank_tol`` not
+    finite and >= 0, raises DomainError before the first cell.
     """
     n, k = handle.n_params, handle.sys.state_dim
     alpha_box = [tuple(map(float, b)) for b in alpha_box]
@@ -306,6 +308,14 @@ def zeta_scan(handle: ObservationMapHandle, t_values, alpha_box, x_box,
     total = len(t_values) * math.prod(counts)  # exact: np.prod wraps at 2**63
     if total > DEFAULTS.zeta_budget:
         raise DomainError(f"lattice size {total} exceeds budget {DEFAULTS.zeta_budget}")
+    for t in t_values:  # each cell handle's grid, under the handle's own rule
+        try:
+            _check_grid(handle.sys, handle.x0, t * handle.h * handle.m, handle.m, handle.tol)
+        except DomainError:
+            raise DomainError(f"t_values entry {t!r} gives no sampling grid: "
+                              "t*h*m must be positive and finite") from None
+    if not (rank_tol >= 0.0 and math.isfinite(rank_tol)):
+        raise DomainError("rank_tol must be finite and >= 0")
 
     axes = [np.linspace(lo, hi, c) for (lo, hi), c in zip(alpha_box + x_box, counts)]
     cells = []

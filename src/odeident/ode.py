@@ -85,17 +85,15 @@ class ParamSystem:
         return rhs
 
     def observe(self, alpha, x0, h: float, m: int, tol: float,
-                jacobian: bool = False) -> np.ndarray:
-        """The observation map at alpha: the stacked samples X(jh), j = 1..m,
-        as one (m*k) vector, or with ``jacobian`` its (m*k) x n Jacobian.
+                jacobian: bool = False) -> Observation:
+        """The observation map at alpha: the samples X(jh), j = 1..m, and with
+        ``jacobian`` the (m*k) x n Jacobian of their stacked vector, one run.
 
         The default integrates with Dormand-Prince at ``tol``; a species with
         a closed form overrides it.
         """
-        if jacobian:
-            return integrate_with_sensitivity(self, alpha, x0, t_end=h * m, samples=m,
-                                              tol=tol).stacked_jacobian()
-        return integrate(self, alpha, x0, t_end=h * m, samples=m, tol=tol).states.ravel()
+        run = integrate_with_sensitivity if jacobian else integrate
+        return run(self, alpha, x0, t_end=h * m, samples=m, tol=tol)
 
 
 def _monomial_rule(rows: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -334,9 +332,10 @@ class MatrixLinear(ParamSystem):
         finite = np.isfinite(out[1:].reshape(m, -1)).all(axis=1)
         if not finite.all():
             raise DivergenceError("state diverged", h * (int(np.argmin(finite)) + 1))
-        if jacobian:
-            return out[1:, :, k:].transpose(0, 2, 1).reshape(m * k, n)
-        return out[1:].ravel()
+        if jacobian:  # the states are lane 0's upper half
+            return Observation(out[1:, 0, :k],
+                               out[1:, :, k:].transpose(0, 2, 1).reshape(m * k, n))
+        return Observation(out[1:])
 
     # the generic factories, bound here by name because perfbench/tracing.py
     # wraps vars(MatrixLinear)["rhs"] and ["sensitivity_rhs"]
@@ -349,21 +348,17 @@ class MatrixLinear(ParamSystem):
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    times: np.ndarray          # strictly increasing, shape (m,)
-    states: np.ndarray         # finite, shape (m, k)
+class Observation:
+    """One run of the observation map: the samples X(jh), j = 1..m, and from a
+    Jacobian run the sample-major (m*k) x n Jacobian. The times are the grid's."""
 
+    states: np.ndarray                # shape (m, k)
+    jacobian: np.ndarray | None = None
 
-@dataclass(frozen=True)
-class SensitivityBundle:
-    times: np.ndarray          # shape (m,)
-    states: np.ndarray         # shape (m, k)
-    sensitivities: np.ndarray  # shape (m, k, n); Z(0) = 0 is the initial condition
-
-    def stacked_jacobian(self) -> np.ndarray:
-        """(m*k) x n matrix of Z(t_j) blocks, sample-major."""
-        m, k, n = self.sensitivities.shape
-        return self.sensitivities.reshape(m * k, n)
+    @property
+    def values(self) -> np.ndarray:
+        """The stacked samples (X(h), ..., X(mh)) as one (m*k) vector."""
+        return self.states.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -596,22 +591,18 @@ def _check_integration_args(sys, alpha, x0, t_end, samples,
 
 
 def integrate(sys: ParamSystem, alpha, x0, t_end: float, samples: int,
-              tol: float = DEFAULTS.integrator_tol) -> Trajectory:
+              tol: float = DEFAULTS.integrator_tol) -> Observation:
     """States on the uniform grid j*h, j = 1..samples, h = t_end/samples."""
     x0, alpha, times = _check_integration_args(sys, alpha, x0, t_end, samples, tol)
-    states = _integrate_grid(sys.rhs(alpha), x0, times, tol)
-    return Trajectory(times=times, states=states)
+    return Observation(_integrate_grid(sys.rhs(alpha), x0, times, tol))
 
 
 def integrate_with_sensitivity(sys: ParamSystem, alpha, x0, t_end: float,
                                samples: int,
-                               tol: float = DEFAULTS.integrator_tol) -> SensitivityBundle:
-    """Joint state + variational integration; Z(0) = 0."""
+                               tol: float = DEFAULTS.integrator_tol) -> Observation:
+    """Joint state + variational integration, Z(0) = 0: states and stacked Z(jh)."""
     x0, alpha, times = _check_integration_args(sys, alpha, x0, t_end, samples, tol)
     k, n = sys.state_dim, sys.param_dim
     y0 = np.concatenate([x0, np.zeros(k * n)])
     raw = _integrate_grid(sys.sensitivity_rhs(alpha), y0, times, tol)
-    states = raw[:, :k]
-    sens = raw[:, k:].reshape(len(times), k, n)
-    return SensitivityBundle(times=times, states=states, sensitivities=sens)
-
+    return Observation(raw[:, :k], raw[:, k:].reshape(samples * k, n))

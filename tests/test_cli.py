@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import odeident.cli
+import odeident.obsmap
 import odeident.ode
 from conftest import ROTATION, logistic_system, scalar_decay_system
 from odeident import (
@@ -31,6 +32,7 @@ from odeident import (
 )
 from odeident.cli import _jsonable, _read_trajectory_csv, _write_csv, load_config, main
 from odeident.obsmap import ZetaCell, ZetaScanResult
+from odeident.ode import _sample_times
 
 ROT = [[0.0, 1.0], [-1.0, 0.0]]
 
@@ -116,10 +118,10 @@ class TestSimulate:
         assert np.array_equal(values, expected)
         traj = integrate(cfg.system, cfg.alpha0, cfg.x0, t_end=cfg.h * cfg.m, samples=cfg.m,
                          tol=cfg.tol)
-        assert np.array_equal(times, traj.times)
+        assert np.array_equal(times, cfg.build_handle().times)
         if cfg.species == "polynomial_basis":  # phi is this integration, byte for byte
             ref = tmp_path / "ref.csv"
-            write_trajectory_csv(ref, traj.times, traj.states)
+            write_trajectory_csv(ref, cfg.build_handle().times, traj.states)
             assert out.read_bytes() == ref.read_bytes()
 
     @pytest.mark.parametrize("x0", [(1e20, 0.7), (1e50, 0.7), (1e100, 0.7), (1e155, 0.7)])
@@ -536,6 +538,27 @@ class TestZetaScan:
             assert main(["zeta-scan", "--config", cfg, "--out",
                          str(tmp_path / "scan.csv")]) == 3
 
+    @pytest.mark.parametrize("t_values,rank_tol,name", [
+        ([1.0, 0.0], 1e-12, "t_values"),
+        ([1.0], -1e-12, "rank_tol"),
+    ])
+    def test_bad_scan_input_exits_2_before_the_first_cell(self, tmp_path, capsys,
+                                                          monkeypatch, t_values,
+                                                          rank_tol, name):
+        def refuse(handle, alpha):
+            raise AssertionError("a cell was computed")
+
+        monkeypatch.setattr(odeident.obsmap, "phi_jacobian", refuse)
+        cfg_dict = logistic_config(m=3, h=0.2)
+        cfg_dict["solver"] = {"scan": {"t_values": t_values,
+                                       "alpha_box": [[0.5, 1.5], [-1.5, -0.5]],
+                                       "x_box": [[0.02, 0.3]], "grid": 10,
+                                       "rank_tol": rank_tol}}
+        cfg = write_config(tmp_path, "scan.json", cfg_dict)
+        assert main(["zeta-scan", "--config", cfg, "--out",
+                     str(tmp_path / "scan.csv")]) == 2
+        assert name in capsys.readouterr().err
+
     def test_missing_scan_block_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "logi.json", logistic_config())
         assert main(["zeta-scan", "--config", cfg, "--out",
@@ -592,9 +615,9 @@ class TestCsv:
         traj = integrate(logistic_system(), [1.0, -1.0], [0.1], t_end=2.0,
                          samples=5, tol=1e-10)
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(path, traj.times, traj.states)
+        write_trajectory_csv(path, _sample_times(2.0, 5), traj.states)
         times, values = _read_trajectory_csv(path)
-        assert np.array_equal(times, traj.times)
+        assert np.array_equal(times, _sample_times(2.0, 5))
         assert np.array_equal(values, traj.states)
         header = path.read_text().splitlines()[0]
         assert header == "t,x1"
@@ -646,7 +669,7 @@ class TestCsv:
     def test_csv_round_trip(self, tmp_path):
         traj = integrate(scalar_decay_system(), [-0.5], [1.0], t_end=1.0, samples=10,
                          tol=1e-12)
-        grid = ObservationGrid(traj.times, traj.states)
+        grid = ObservationGrid(_sample_times(1.0, 10), traj.states)
         path = tmp_path / "obs.csv"
         write_trajectory_csv(path, grid.times, grid.values)
         back = ObservationGrid(*_read_trajectory_csv(path))

@@ -38,11 +38,12 @@ from odeident import (
     singular_values,
 )
 from odeident.cli import _jsonable
+from odeident.ode import _sample_times
 
 
 def make_grid(sys, alpha, x0, t_end, samples, tol=1e-12):
     traj = integrate(sys, alpha, x0, t_end=t_end, samples=samples, tol=tol)
-    return ObservationGrid(traj.times, traj.states)
+    return ObservationGrid(_sample_times(t_end, samples), traj.states)
 
 
 class TestObservationGrid:

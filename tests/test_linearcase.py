@@ -270,6 +270,21 @@ class TestAliasing:
             assert not report.in_set_A
 
 
+class TestSpacing:
+    """A spacing h that is not positive and finite is refused up front, by name,
+    before round() in the aliasing scan or mat_exp can see it."""
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0])
+    def test_degeneracy_report_refuses(self, h):
+        with pytest.raises(DomainError, match="h must be positive and finite"):
+            degeneracy_report(ROTATION, [1.0, 0.0], h=h)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0])
+    def test_log_branches_refuses(self, h):
+        with pytest.raises(DomainError, match="h must be positive and finite"):
+            log_branches(ROTATION, h=h)
+
+
 class TestKrylov:
     def test_eigenvector_x0_in_E(self):
         # C = exp(h A) = diag(1, 2) for A = diag(0, log 2), h = 1

@@ -18,6 +18,7 @@ from conftest import (
     scalar_map,
     stable_matrix,
 )
+import odeident.obsmap
 import odeident.ode as ode
 from odeident import (
     DimensionError,
@@ -81,8 +82,7 @@ class TestPhi:
     def test_times_are_the_integrators_grid(self, h, m):
         handle = ObservationMapHandle(sys=scalar_decay_system(), x0=np.array([1.0]),
                                       h=h, m=m)
-        traj = integrate(handle.sys, [-0.5], handle.x0, t_end=h * m, samples=m)
-        assert np.array_equal(handle.times, traj.times)
+        assert np.array_equal(handle.times, ode._sample_times(h * m, m))
 
     def test_handle_keeps_a_copy_of_x0(self):
         x0 = np.array([1.0, 0.7])
@@ -266,6 +266,62 @@ class TestMatrixLinearExactMap:
         assert shapes == [(k, k), (k * k, 2 * k, 2 * k)]
 
 
+class TestObservationRecord:
+    """phi and phi_jacobian are the views ``values`` and ``jacobian`` of one
+    ``observe`` call, for an integrating and for the exact species."""
+
+    CASES = {
+        "logistic": (lambda: ObservationMapHandle(sys=logistic_system(), x0=np.array([0.4]),
+                                                  h=0.3, m=4, tol=1e-10), [1.0, -1.0]),
+        "matrix_linear": (rotation_handle, MatrixLinear.pack(ROTATION)),
+    }
+
+    @staticmethod
+    def observe(case, jacobian):
+        build, alpha = TestObservationRecord.CASES[case]
+        handle = build()
+        obs = handle.sys.observe(alpha, handle.x0, handle.h, handle.m, handle.tol,
+                                 jacobian=jacobian)
+        return handle, alpha, obs
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_phi_is_the_values(self, case):
+        handle, alpha, obs = self.observe(case, jacobian=False)
+        assert obs.jacobian is None
+        assert obs.states.shape == (handle.m, handle.sys.state_dim)
+        assert phi(handle, alpha).tobytes() == obs.values.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_phi_jacobian_is_the_jacobian(self, case):
+        handle, alpha, obs = self.observe(case, jacobian=True)
+        assert obs.states.shape == (handle.m, handle.sys.state_dim)
+        assert obs.jacobian.shape == (handle.dim_out, handle.n_params)
+        assert phi_jacobian(handle, alpha).tobytes() == obs.jacobian.tobytes()
+
+    def test_integrating_jacobian_run_states_are_the_joint_runs(self):
+        handle, alpha, obs = self.observe("logistic", jacobian=True)
+        joint = integrate_with_sensitivity(handle.sys, alpha, handle.x0,
+                                           t_end=handle.h * handle.m, samples=handle.m,
+                                           tol=handle.tol)
+        assert obs.states.tobytes() == joint.states.tobytes()
+
+
+# bound fixed before the test was first run: 1e-13 of max|x|, where lane 0's
+# upper half of exp(h [[A, 0], [E, A]]) steps the states by exp(hA) to rounding
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       h=st.floats(0.05, 0.5), m=st.integers(1, 39))
+def test_exact_jacobian_run_states_match_phi(k, seed, h, m):
+    """The states of the exact Jacobian run (lane 0's upper half) are phi's."""
+    rng = np.random.default_rng(seed)
+    alpha = MatrixLinear.pack(stable_matrix(rng, k))
+    x0 = rng.uniform(-1.0, 1.0, size=k)
+    sys = MatrixLinear(k)
+    plain = sys.observe(alpha, x0, h, m, 1e-10)
+    joint = sys.observe(alpha, x0, h, m, 1e-10, jacobian=True)
+    assert np.abs(joint.states - plain.states).max() <= 1e-13 * np.abs(plain.states).max()
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(k=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
        h=st.floats(0.05, 0.5), m=st.integers(1, 8))
@@ -280,7 +336,7 @@ def test_exact_linear_map_matches_integrators(k, seed, h, m):
     got_phi, got_jac = phi(handle, alpha), phi_jacobian(handle, alpha)
     ref_phi = integrate(sys, alpha, x0, t_end=h * m, samples=m, tol=1e-12).states.ravel()
     ref_jac = integrate_with_sensitivity(sys, alpha, x0, t_end=h * m, samples=m,
-                                         tol=1e-12).stacked_jacobian()
+                                         tol=1e-12).jacobian
     assert np.abs(got_phi - ref_phi).max() <= 1e-9 * np.abs(ref_phi).max()
     assert np.abs(got_jac - ref_jac).max() <= 1e-9 * np.abs(ref_jac).max()
     assert phi(handle, alpha).tobytes() == got_phi.tobytes()
@@ -487,6 +543,36 @@ class TestZetaScan:
                            rank_tol=1e-12)
         assert result.failed_count > 0
         assert len(result.cells) == 16
+
+    @pytest.mark.parametrize("t_values,rank_tol,name", [
+        ([1.0, 0.0], 1e-12, "t_values"),
+        ([1.0, -1.0], 1e-12, "t_values"),
+        ([1.0, math.nan], 1e-12, "t_values"),
+        ([1.0, math.inf], 1e-12, "t_values"),
+        ([1.0, 1e308], 1e-12, "t_values"),  # t*h finite, t*h*m not
+        ([1.0], -1e-12, "rank_tol"),
+        ([1.0], math.nan, "rank_tol"),
+        ([1.0], math.inf, "rank_tol"),
+    ])
+    def test_inputs_are_checked_before_the_first_cell(self, monkeypatch, t_values,
+                                                      rank_tol, name):
+        def refuse(handle, alpha):
+            raise AssertionError("a cell was computed")
+
+        monkeypatch.setattr(odeident.obsmap, "phi_jacobian", refuse)
+        handle = ObservationMapHandle(sys=logistic_system(), x0=np.array([0.1]),
+                                      h=1.0, m=2, tol=1e-8)
+        with pytest.raises(DomainError, match=name):
+            zeta_scan(handle, t_values, [(0.5, 1.5), (-1.5, -0.5)], [(0.1, 0.3)], 3,
+                      rank_tol=rank_tol)
+
+    def test_zero_rank_tol_flags_only_zero_zeta(self):
+        handle = ObservationMapHandle(sys=scalar_decay_system(), x0=np.array([1.0]),
+                                      h=1.0, m=2, tol=1e-10)
+        result = zeta_scan(handle, [1.0], [(-1.0, 1.0)], [(-0.5, 0.5)], [5, 5],
+                           rank_tol=0.0)
+        for cell in result.cells:
+            assert cell.flagged == (cell.zeta == 0.0)
 
     def test_budget_guard(self):
         handle = ObservationMapHandle(sys=scalar_decay_system(), x0=np.array([1.0]),

@@ -1,0 +1,85 @@
+"""The traced benchmark's tracer (perfbench/tracing.py) still sees the
+observation map's entry points.
+
+The tracer rebinds the layers' public functions by name in every
+``odeident`` module and wraps the ``ParamSystem`` and ``MatrixLinear`` RHS
+factories. A rewiring of ``phi``, ``phi_jacobian``, ``observe`` or the
+integrators that hides a call from it fails here. This test reads
+perfbench/ and changes nothing there.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from conftest import ROTATION, logistic_system, rotation_handle
+import odeident
+import odeident.ode
+from odeident import MatrixLinear, ObservationMapHandle
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def package_bindings():
+    """Every attribute of every odeident module, and the RHS factories."""
+    found = {(name, attr): value for name, module in list(sys.modules.items())
+             if name == "odeident" or name.startswith("odeident.")
+             for attr, value in vars(module).items()}
+    for cls in (odeident.ode.ParamSystem, odeident.ode.MatrixLinear):
+        for attr in ("rhs", "sensitivity_rhs"):
+            found[cls.__name__, attr] = vars(cls)[attr]
+    return found
+
+
+def descendants(spans, index):
+    """The names of every span below span ``index``."""
+    names = []
+    for i, span in enumerate(spans):
+        parent = span[1]
+        while parent >= 0 and parent != index:
+            parent = spans[parent][1]
+        if parent == index and i != index:
+            names.append(span[2])
+    return names
+
+
+def test_tracer_sees_the_observation_map():
+    tracing = load_tracing()
+    before = package_bindings()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        logistic = ObservationMapHandle(sys=logistic_system(), x0=np.array([0.1]),
+                                        h=0.2, m=3, tol=1e-8)
+        exact = rotation_handle()
+        for handle, alpha in ((logistic, [1.0, -1.0]), (exact, MatrixLinear.pack(ROTATION))):
+            first = len(tracer.spans)
+            odeident.phi(handle, alpha)
+            odeident.phi_jacobian(handle, alpha)
+            spans = tracer.spans
+            calls = [(i, spans[i][2]) for i in range(first, len(spans))
+                     if spans[i][1] == -1]
+            assert [name for _, name in calls] == ["obsmap.phi", "obsmap.phi_jacobian"]
+            below = {name: descendants(spans, i) for i, name in calls}
+            if handle is logistic:
+                assert below == {"obsmap.phi": ["ode.integrate"],
+                                 "obsmap.phi_jacobian": ["ode.integrate_with_sensitivity"]}
+            else:
+                assert below == {"obsmap.phi": ["numkernel.mat_exp"],
+                                 "obsmap.phi_jacobian": ["numkernel.mat_exp"]}
+        assert tracer.rhs_evals["rhs"] > 0
+        assert tracer.rhs_evals["sensitivity_rhs"] > 0
+    finally:
+        tracer.uninstall()
+    after = package_bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
