@@ -226,7 +226,7 @@ class ExperimentConfig:
                                     tol=self.tol)
 
 
-def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
+def load_config(path) -> ExperimentConfig:
     """Parse and validate a config file; every malformed input is a ConfigError."""
     raw_bytes = Path(path).read_bytes()
     try:
@@ -274,11 +274,8 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     seed = _as_int(noise.get("seed", 0), "noise.seed", 0)
     if sigma < 0.0:
         raise ConfigError("noise.sigma must be >= 0")
-    if seed_override is not None:
-        seed = _as_int(seed_override, "--seed", 0)
 
     raw_solver = _as_dict(raw.get("solver", {}), "solver")
-    solver_seed = raw_solver.get("seed", 0) if seed_override is None else seed_override
     solver = {
         "r_work": _as_float(raw_solver.get("r_work", 0.5), "solver.r_work"),
         # certify evaluates every sample and pair, so the counts are bounded
@@ -286,7 +283,7 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
                                  "solver.gamma_samples", maximum=DEFAULTS.certify_budget),
         "safety": _as_float(raw_solver.get("safety", DEFAULTS.gamma_safety),
                             "solver.safety"),
-        "seed": _as_int(solver_seed, "solver.seed", 0),
+        "seed": _as_int(raw_solver.get("seed", 0), "solver.seed", 0),
         "verify_pairs": _as_int(raw_solver.get("verify_pairs", 1000),
                                 "solver.verify_pairs", maximum=DEFAULTS.certify_budget),
         "k_max": _as_int(raw_solver.get("k_max", DEFAULTS.k_max), "solver.k_max"),
@@ -444,11 +441,10 @@ def cmd_certify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 def cmd_analyze_linear(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     if cfg.species != "matrix_linear":
         raise ConfigError("analyze-linear requires the matrix_linear species")
-    k_max = cfg.solver["k_max"] if args.kmax is None else args.kmax
     amat = as_square(cfg.alpha0.reshape(cfg.k, cfg.k))
     report = degeneracy_report(amat, cfg.x0, cfg.h)
     try:
-        branches = log_branches(amat, cfg.h, k_max=k_max)
+        branches = log_branches(amat, cfg.h, k_max=cfg.solver["k_max"])
         n_branches = len(branches.branches)
     except DefectiveMatrixError:
         branches = None
@@ -525,13 +521,11 @@ def cmd_zeta_scan(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-# (verb, help, extra arguments beyond --config/--out/--seed, handler)
+# (verb, help, extra arguments beyond --config/--out, handler)
 _VERBS = (
     ("simulate", "write the samples phi(alpha0) as CSV", (), cmd_simulate),
     ("certify", "injectivity certificate + verification", (), cmd_certify),
-    ("analyze-linear", "degeneracy/branch/rank report",
-     (("--kmax", {"type": int, "default": None, "help": "branch shift bound"}),),
-     cmd_analyze_linear),
+    ("analyze-linear", "degeneracy/branch/rank report", (), cmd_analyze_linear),
     ("invert", "recover parameters from observations",
      (("--obs", {"required": True, "help": "observation CSV"}),
       ("--mode", {"required": True, "choices": ("fd", "gn")})),
@@ -552,8 +546,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(verb, help=help_text)
         p.add_argument("--config", required=True, help="experiment config (JSON)")
         p.add_argument("--out", required=True, help="output path")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seeds")
         for flag, options in extra:
             p.add_argument(flag, **options)
         p.set_defaults(handler=handler)
@@ -566,7 +558,7 @@ _PARSER = _build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        cfg = load_config(args.config, args.seed)
+        cfg = load_config(args.config)
         out = Path(args.out)  # the error its write would raise, before any computation
         if out.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))

@@ -31,7 +31,6 @@ class Tolerances:
 
     # linearcase
     k_scan: int = 16                    # aliasing search bound |k| <= k_scan
-    krylov_rank_rel: float = 1e-10      # Krylov dependence threshold, rel. sigma1
     k_max: int = 2                      # default log-branch enumeration bound
     branch_budget: int = 10_000         # max enumerated branches
     aliasing_im_tol: float = 1e-7       # |Im(dl)*h/2pi - round(.)| threshold

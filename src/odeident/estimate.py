@@ -25,7 +25,7 @@ from .errors import (
     IntegrationError,
     RangeError,
 )
-from .numkernel import least_squares, numerical_rank, singular_values
+from .numkernel import condition_number, least_squares, numerical_rank, singular_values
 from .obsmap import ObservationMapHandle, phi, phi_jacobian
 from .ode import MatrixLinear, ParamSystem, PolynomialBasis
 
@@ -153,9 +153,10 @@ class GaussNewtonOptions:
     damping: float = DEFAULTS.gn_damping
 
     def __post_init__(self):
-        if self.max_iter < 1 or self.step_tol <= 0 or self.grad_tol <= 0 \
-                or self.damping <= 0:
-            raise DomainError("Gauss-Newton options must be positive")
+        # a nan compares false with every bound, so test for the good case
+        if not (self.max_iter >= 1 and all(
+                0.0 < v < math.inf for v in (self.step_tol, self.grad_tol, self.damping))):
+            raise DomainError("Gauss-Newton options must be positive and finite")
 
 
 def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
@@ -257,15 +258,14 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
         history.append((alpha, cost))
 
     svals = singular_values(jac)
-    rank = numerical_rank(jac, svals)
-    condition = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
+    rank = numerical_rank(svals)
     return EstimationResult(
         alpha_hat=alpha,
         residual=cost,
         iterations=len(history) - 1,
         converged=converged,
         jacobian_rank=rank,
-        condition=condition,
+        condition=condition_number(svals),
         history=tuple(history),
         rank_deficient=rank < handle.n_params,
         message=message,

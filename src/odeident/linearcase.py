@@ -109,14 +109,12 @@ def _aliasing_pairs(vals: np.ndarray, h: float) -> list[tuple[int, int, int]]:
 
 
 def krylov_rank(c: np.ndarray, x0: np.ndarray) -> int:
-    """Numerical rank of [x0, C x0, ..., C^(k-1) x0].
+    """``numerical_rank`` of [x0, C x0, ..., C^(k-1) x0].
 
     Exact linear dependence leaks O(eps * cond^2) through float similarity
-    transforms and the matrix exponential, so this rank decision uses the
-    dedicated relative threshold ``DEFAULTS.krylov_rank_rel`` (1e-10)
-    instead of the eps-level generic rank rule: dependent constructions sit
-    below ~1e-13 while generic spectra sit above ~1e-4. Raises RangeError
-    when a column leaves the float range.
+    transforms and the matrix exponential; the rule's sqrt(k*eps) threshold
+    sits between those leaks and the singular values of generic spectra.
+    Raises RangeError when a column leaves the float range.
     """
     c = as_square(c)
     x0 = as_vector(x0)
@@ -128,10 +126,7 @@ def krylov_rank(c: np.ndarray, x0: np.ndarray) -> int:
     krylov = np.column_stack(cols)
     if not np.isfinite(krylov).all():
         raise RangeError("Krylov sequence of x0 left the float range")
-    svals = singular_values(krylov)
-    if svals[0] == 0.0:
-        return 0
-    return int(np.sum(svals > DEFAULTS.krylov_rank_rel * svals[0]))
+    return numerical_rank(singular_values(krylov))
 
 
 def degeneracy_report(alpha, x0, h: float) -> DegeneracyReport:
@@ -341,10 +336,11 @@ class FullRankReport:
 
 def full_rank_check(alpha0, x0, h: float, m: int,
                     tol: float = DEFAULTS.integrator_tol) -> FullRankReport:
-    """Numerical rank of the k^2-column Jacobian of A -> phi(A) for the
+    """``numerical_rank`` of the k^2-column Jacobian of A -> phi(A) for the
     matrix-linear system observed from x0 at h, 2h, ..., mh.
 
-    The Jacobian is ``phi_jacobian``'s, the one the estimators use.
+    The Jacobian is ``phi_jacobian``'s, the one the estimators and
+    ``certify_radius`` use, and the rank rule is theirs too.
     """
     a = as_square(alpha0)
     x0 = as_vector(x0)
@@ -355,6 +351,6 @@ def full_rank_check(alpha0, x0, h: float, m: int,
     handle = ObservationMapHandle(sys=sys, x0=x0, h=h, m=m, tol=tol)
     jac = phi_jacobian(handle, MatrixLinear.pack(a))
     svals = singular_values(jac)
-    rank = numerical_rank(jac, svals)
+    rank = numerical_rank(svals)
     return FullRankReport(rank=rank, sigma_min=float(svals[-1]),
                           full=rank == k * k)

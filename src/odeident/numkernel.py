@@ -225,24 +225,20 @@ class LeastSquaresResult:
 
 
 def least_squares(a, b) -> LeastSquaresResult:
-    """Minimum-norm least-squares solution of A x = b with rank diagnostics."""
+    """Minimum-norm least-squares solution of A x = b with rank diagnostics;
+    the solve drops the singular values that ``numerical_rank`` drops."""
     a = as_matrix(a, "A")
     b = as_vector(b, "b")
     m, n = a.shape
     if b.shape[0] != m:
         raise DimensionError(f"b has length {b.shape[0]}, expected {m}")
-    rcond = max(m, n) * EPS
-    x, _, rank, svals = np.linalg.lstsq(a, b, rcond=rcond)
+    x, _, _, svals = np.linalg.lstsq(a, b, rcond=rank_threshold(min(m, n)))
     with np.errstate(over="ignore"):  # an overflowing norm is caught below
         residual = float(np.linalg.norm(a @ x - b))
     if math.isinf(residual):
         raise RangeError("least-squares residual norm leaves the float range")
-    if rank > 0:
-        condition = float(svals[0] / svals[rank - 1])
-    else:
-        condition = math.inf
-    return LeastSquaresResult(x=x, residual=residual, rank=int(rank),
-                              condition=condition)
+    return LeastSquaresResult(x=x, residual=residual, rank=numerical_rank(svals),
+                              condition=condition_number(svals))
 
 
 def singular_values(a) -> np.ndarray:
@@ -251,12 +247,25 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
-def numerical_rank(a, svals: np.ndarray) -> int:
-    """#{sigma_i > max(m,n)*eps*sigma_1}, from a's singular values ``svals``."""
-    a = np.asarray(a)
-    if len(svals) == 0 or svals[0] == 0.0:
+def rank_threshold(count: int) -> float:
+    """sqrt(count*eps): ``numerical_rank`` drops each sigma_i <= this * sigma_1."""
+    return math.sqrt(count * EPS)
+
+
+def numerical_rank(svals) -> int:
+    """The one rank rule: #{sigma_i > sqrt(n*eps) * sigma_1}, n = len(svals),
+    for singular values in descending order: the numerical rank of a matrix
+    known to about sqrt(eps) relative accuracy (Golub and Van Loan, Matrix
+    Computations, section 5.4), such as a Jacobian from an integrator run.
+    """
+    if len(svals) == 0:
         return 0
-    return int(np.sum(svals > max(a.shape) * EPS * svals[0]))
+    return int(np.sum(np.asarray(svals) > rank_threshold(len(svals)) * svals[0]))
+
+
+def condition_number(svals) -> float:
+    """sigma_1 / sigma_min of descending singular values; inf if sigma_min is 0."""
+    return float(svals[0] / svals[-1]) if len(svals) and svals[-1] > 0 else math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .errors import (
     NotIdentifiableError,
     RangeError,
 )
-from .numkernel import EPS, numerical_rank, singular_values
+from .numkernel import numerical_rank, rank_threshold, singular_values
 from .ode import ParamSystem, _check_grid, _sample_times
 
 
@@ -132,33 +132,27 @@ def certify_radius(handle: ObservationMapHandle, alpha0, r_work: float,
     ill-conditioned Jacobians). gamma is ``safety`` times the largest sampled
     directional second difference of the map over the working ball.
 
-    Raises NotIdentifiableError when m*k < n or when the Jacobian is too
-    ill-conditioned to certify: beta <= n * eps * sigma_1^2, that is
-    sigma_min / sigma_1 <= sqrt(n * eps). This conditioning threshold is
-    deliberately looser than the eps-level ``numerical_rank`` rule (the
-    reported ``rank``): for an integrating species the Jacobian comes from
-    an integrator run at ``handle.tol``, so its smallest singular values
-    cannot be trusted to eps relative accuracy, and a nominally full-rank
-    Jacobian with sigma_min / sigma_1 ~ 1e-11 is reported as not
-    identifiable. The exact ``matrix_linear`` Jacobian is held to the same
-    threshold, so one rule serves every species.
+    Raises NotIdentifiableError when m*k < n or when the Jacobian's
+    ``numerical_rank`` is below n, and DomainError when ``r_work`` is not
+    finite and > 0 or ``safety`` is not finite and >= 1.
     """
     alpha0 = np.array(alpha0, dtype=float).reshape(-1)
-    if not (r_work > 0.0):
-        raise DomainError("r_work must be positive")
+    # a nan compares false with every bound, so test for the good case
+    if not (0.0 < r_work < math.inf):
+        raise DomainError("r_work must be finite and > 0")
     if gamma_samples < 10:
         raise DomainError("gamma_samples must be >= 10")
-    if safety < 1.0:
-        raise DomainError("safety must be >= 1")
+    if not (1.0 <= safety < math.inf):
+        raise DomainError("safety must be finite and >= 1")
 
     jac = phi_jacobian(handle, alpha0)
     svals = singular_values(jac)
     sigma1 = float(svals[0])
     sigma_min = float(svals[-1])
-    if math.isinf(sigma1 * sigma1):  # beta and the conditioning test square it
+    if math.isinf(sigma1 * sigma1):  # beta squares sigma_min <= sigma_1
         raise RangeError(f"Jacobian norm {sigma1:.3e} squares beyond the float range")
     n = handle.n_params
-    rank = numerical_rank(jac, svals)
+    rank = numerical_rank(svals)
     beta = sigma_min ** 2
     diagnostics = {
         "beta": beta,
@@ -172,11 +166,11 @@ def certify_radius(handle: ObservationMapHandle, alpha0, r_work: float,
     if not handle.overdetermined:
         raise NotIdentifiableError(
             f"m*k = {handle.dim_out} observations < n = {n} parameters", diagnostics)
-    if beta <= n * EPS * sigma1 ** 2:
+    if rank < n:
         ratio = sigma_min / sigma1 if sigma1 > 0.0 else 0.0
         raise NotIdentifiableError(
             f"Jacobian ill-conditioned at alpha0: sigma_min/sigma_1 = {ratio:.3e} "
-            f"<= sqrt(n*eps) = {math.sqrt(n * EPS):.3e}", diagnostics)
+            f"<= sqrt(n*eps) = {rank_threshold(n):.3e}", diagnostics)
 
     delta = DEFAULTS.gamma_fd_step * max(1.0, float(np.linalg.norm(alpha0)))
     worst = 0.0
@@ -286,12 +280,14 @@ def zeta_scan(handle: ObservationMapHandle, t_values, alpha_box, x_box,
     """Evaluate zeta = det(J^T J) on a lattice of (t, alpha, x) points.
 
     ``t`` scales the sampling spacing (effective spacing t*h). Cells with
-    zeta <= rank_tol * sigma_1^(2n) are flagged near-critical; the threshold
-    is relative to sigma_1^(2n) because det(J^T J) carries the 2n-th power of
+    zeta <= rank_tol * sigma_1^(2n) are flagged near-critical: the paper's
+    det threshold, not a rank decision (that is ``numerical_rank``'s). It is
+    relative to sigma_1^(2n) because det(J^T J) carries the 2n-th power of
     the problem scale. Integration failures mark the cell failed and the
     scan continues; a sigma_1^(2n) beyond the float range raises RangeError.
-    A ``t`` whose grid (t*h, m, tol) no handle accepts, or a ``rank_tol`` not
-    finite and >= 0, raises DomainError before the first cell.
+    A box bound that is not finite, a ``t`` whose grid (t*h, m, tol) no
+    handle accepts, or a ``rank_tol`` not finite and >= 0, raises
+    DomainError naming the input before the first cell.
     """
     n, k = handle.n_params, handle.sys.state_dim
     alpha_box = [tuple(map(float, b)) for b in alpha_box]
@@ -301,6 +297,9 @@ def zeta_scan(handle: ObservationMapHandle, t_values, alpha_box, x_box,
     counts = [int(grid)] * (n + k) if np.isscalar(grid) else [int(g) for g in grid]
     if len(counts) != n + k:
         raise DimensionError(f"grid needs {n + k} counts, got {len(counts)}")
+    for name, box in (("alpha_box", alpha_box), ("x_box", x_box)):
+        if not all(map(math.isfinite, itertools.chain.from_iterable(box))):
+            raise DomainError(f"{name} bounds must be finite")
     for (lo, hi), c in zip(alpha_box + x_box, counts):
         if not (hi > lo) or c < 2:
             raise DomainError("boxes must be non-degenerate with >= 2 points each")

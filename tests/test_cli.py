@@ -176,14 +176,6 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_seed_override_changes_noise(self, tmp_path):
-        cfg = write_config(tmp_path, "rot.json",
-                           rotation_config(sigma=1e-3, seed=7, m=20))
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        main(["simulate", "--config", cfg, "--out", str(out1)])
-        main(["simulate", "--config", cfg, "--out", str(out2), "--seed", "8"])
-        assert out1.read_bytes() != out2.read_bytes()
-
     def test_integration_blowup_exits_3(self, tmp_path):
         cfg_dict = {
             "system": {"species": "polynomial_basis", "k": 1, "n": 1,
@@ -268,8 +260,7 @@ class TestAnalyzeLinear:
     def test_rotation_branch_family(self, tmp_path):
         cfg = write_config(tmp_path, "rot.json", rotation_config(h=1.0, m=8))
         out = tmp_path / "lin.json"
-        assert main(["analyze-linear", "--config", cfg, "--out", str(out),
-                     "--kmax", "2"]) == 0
+        assert main(["analyze-linear", "--config", cfg, "--out", str(out)]) == 0
         blob = strict_json(out.read_text())
         assert len(blob["branches"]["branches"]) == 5
         assert blob["degeneracy"]["in_set_A"] is True
@@ -758,6 +749,15 @@ class TestValidation:
         cfg = write_config(tmp_path, "bad.json", cfg_dict)
         assert main(["simulate", "--config", cfg, "--out",
                      str(tmp_path / "x.csv")]) == 2
+
+    def test_seed_and_kmax_flags_are_refused(self, tmp_path):
+        # a report's bytes follow from its config digest, so no flag overrides the config
+        cfg = write_config(tmp_path, "rot.json", rotation_config())
+        for verb, flag, value in (("simulate", "--seed", "8"),
+                                  ("analyze-linear", "--kmax", "2")):
+            with pytest.raises(SystemExit) as exc:
+                main([verb, "--config", cfg, "--out", str(tmp_path / "out"), flag, value])
+            assert exc.value.code == 2
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "none.json"),

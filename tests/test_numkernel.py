@@ -282,14 +282,14 @@ class TestSingularValues:
         a = np.diag([3.0, 0.0])
         svals = singular_values(a)
         assert np.allclose(svals, [3.0, 0.0])
-        assert numerical_rank(a, svals) == 1
+        assert numerical_rank(svals) == 1
 
     def test_rank_one_outer_product(self):
         a = np.array([[1.0, 2.0], [2.0, 4.0]])
         svals = singular_values(a)
         assert abs(svals[0] - 5.0) < 1e-12
         assert svals[1] < 1e-14
-        assert numerical_rank(a, svals) == 1
+        assert numerical_rank(svals) == 1
 
     def test_two_norm_matches_sigma1(self):
         rng = np.random.default_rng(31)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -30,6 +30,8 @@ from odeident import (
     PolynomialBasis,
     RangeError,
     certify_radius,
+    full_rank_check,
+    gauss_newton_invert,
     integrate,
     integrate_with_sensitivity,
     mat_exp,
@@ -375,6 +377,50 @@ def test_doubled_map_matches_per_sample_exponentials(k, seed, h, m):
     assert phi_jacobian(handle, alpha).tobytes() == got_jac.tobytes()
 
 
+@st.composite
+def stable_linear_points(draw):
+    """A MatrixLinear(k) handle, k = 1..3, and a random stable matrix on it."""
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    alpha = MatrixLinear.pack(stable_matrix(rng, k))
+    handle = ObservationMapHandle(sys=MatrixLinear(k), x0=rng.uniform(-1.0, 1.0, size=k),
+                                  h=draw(st.floats(0.05, 0.5)), m=draw(st.integers(k, 8)))
+    return handle, alpha
+
+
+# the examples sit between an eps-level rank threshold and sqrt(n*eps), where
+# separate thresholds split the verdicts: sigma_min/sigma_1 is 2e-10 on the
+# exact map, and ~1e-11 on the near-duplicate basis x, x + 1e-9 x^2
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@example(point=(ObservationMapHandle(sys=MatrixLinear(2), x0=np.array([1.0, 3e-9]),
+                                     h=0.3, m=6),
+                MatrixLinear.pack(np.diag([-0.5, -1.0]))))
+@example(point=(ObservationMapHandle(sys=PolynomialBasis([scalar_map([(1.0, 1)]),
+                                                          scalar_map([(1.0, 1), (1e-9, 2)])]),
+                                     x0=np.array([0.5]), h=0.3, m=6, tol=1e-12),
+                np.array([-0.5, 0.2])))
+@given(point=stable_linear_points())
+def test_every_verb_reads_one_rank(point):
+    """full_rank_check, Gauss-Newton and certify give the rank rule's verdict."""
+    handle, alpha = point
+    n = handle.n_params
+    rank = numerical_rank(singular_values(phi_jacobian(handle, alpha)))
+    if isinstance(handle.sys, MatrixLinear):
+        k = handle.sys.state_dim
+        report = full_rank_check(alpha.reshape(k, k), handle.x0, handle.h, handle.m,
+                                 tol=handle.tol)
+        assert (report.rank, report.full) == (rank, rank == n)
+    est = gauss_newton_invert(handle, phi(handle, alpha), alpha)
+    assert est.converged and est.iterations == 0
+    assert (est.jacobian_rank, est.rank_deficient) == (rank, rank < n)
+    if rank < n:
+        with pytest.raises(NotIdentifiableError) as err:
+            certify_radius(handle, alpha, r_work=0.1, gamma_samples=10)
+        assert err.value.diagnostics["rank"] == rank
+    else:
+        certify_radius(handle, alpha, r_work=0.1, gamma_samples=10)
+
+
 class TestCertifyRadius:
     def test_scalar_exponential_closed_forms(self):
         handle = scalar_exp_handle()
@@ -411,9 +457,9 @@ class TestCertifyRadius:
         assert diag["beta"] <= 1e-12 * max(diag["sigma_max"] ** 2, 1.0)
 
     def test_conditioning_rule_overrides_eps_rank(self):
-        # basis maps x and x + 1e-9 x^2: the Jacobian has eps-rank 2 but
-        # sigma_min/sigma_1 ~ 1e-11 < sqrt(n*eps), so the verdict is "not
-        # identifiable" (an integrator-built Jacobian is not eps-accurate)
+        # basis maps x and x + 1e-9 x^2: sigma_min/sigma_1 ~ 1e-11 < sqrt(n*eps),
+        # so the rank rule gives rank 1 < n, and certify refuses the point
+        # with that same rank in its diagnostics
         near_dup = PolynomialBasis([scalar_map([(1.0, 1)]),
                                     scalar_map([(1.0, 1), (1e-9, 2)])])
         handle = ObservationMapHandle(sys=near_dup, x0=np.array([0.5]), h=0.3, m=6,
@@ -421,11 +467,11 @@ class TestCertifyRadius:
         alpha = np.array([-0.5, 0.2])
         jac = phi_jacobian(handle, alpha)
         svals = singular_values(jac)
-        assert numerical_rank(jac, svals) == 2
+        assert numerical_rank(svals) == 1
         assert svals[-1] / svals[0] < math.sqrt(2 * np.finfo(float).eps)
         with pytest.raises(NotIdentifiableError, match="sigma_min/sigma_1") as err:
             certify_radius(handle, alpha, r_work=0.1, gamma_samples=10)
-        assert err.value.diagnostics["rank"] == 2
+        assert err.value.diagnostics["rank"] == 1
         assert "rank deficient" not in str(err.value)
 
     def test_underdetermined_map_not_identifiable(self):
@@ -473,6 +519,14 @@ class TestCertifyRadius:
             certify_radius(handle, [0.0], r_work=0.1, gamma_samples=5)
         with pytest.raises(DomainError):
             certify_radius(handle, [0.0], r_work=0.1, safety=0.5)
+
+    @pytest.mark.parametrize("name,value", [("safety", math.nan), ("safety", math.inf),
+                                            ("r_work", math.nan), ("r_work", math.inf)])
+    def test_non_finite_safety_or_r_work_is_refused(self, name, value):
+        # a nan safety makes gamma nan, and min(r_work, nan) is r_work
+        kwargs = {"r_work": 0.5, "gamma_samples": 12, name: value}
+        with pytest.raises(DomainError, match=name):
+            certify_radius(rotation_handle(), MatrixLinear.pack(ROTATION), **kwargs)
 
     def test_jacobian_norm_beyond_float_range_is_a_range_error(self):
         # the exact map computes this Jacobian (entries ~1e160); beta squares it
@@ -565,6 +619,22 @@ class TestZetaScan:
         with pytest.raises(DomainError, match=name):
             zeta_scan(handle, t_values, [(0.5, 1.5), (-1.5, -0.5)], [(0.1, 0.3)], 3,
                       rank_tol=rank_tol)
+
+    @pytest.mark.parametrize("alpha_box,x_box,name", [
+        ([(0.5, math.inf), (-1.5, -0.5)], [(0.1, 0.3)], "alpha_box"),
+        ([(0.5, 1.5), (-math.inf, -0.5)], [(0.1, 0.3)], "alpha_box"),
+        ([(0.5, 1.5), (-1.5, -0.5)], [(0.1, math.inf)], "x_box"),
+        ([(0.5, 1.5), (-1.5, -0.5)], [(math.nan, 0.3)], "x_box"),
+    ], ids=["alpha-hi-inf", "alpha-lo-minus-inf", "x-hi-inf", "x-lo-nan"])
+    def test_box_bounds_must_be_finite(self, monkeypatch, alpha_box, x_box, name):
+        def refuse(handle, alpha):
+            raise AssertionError("a cell was computed")
+
+        monkeypatch.setattr(odeident.obsmap, "phi_jacobian", refuse)
+        handle = ObservationMapHandle(sys=logistic_system(), x0=np.array([0.1]),
+                                      h=1.0, m=2, tol=1e-8)
+        with pytest.raises(DomainError, match=name):
+            zeta_scan(handle, [1.0], alpha_box, x_box, 3)
 
     def test_zero_rank_tol_flags_only_zero_zeta(self):
         handle = ObservationMapHandle(sys=scalar_decay_system(), x0=np.array([1.0]),
