@@ -26,7 +26,7 @@ from .errors import (
     RangeError,
 )
 from .numkernel import condition_number, least_squares, numerical_rank, singular_values
-from .obsmap import ObservationMapHandle, phi, phi_jacobian
+from .obsmap import ObservationMapHandle, _check_count
 from .ode import MatrixLinear, ParamSystem, PolynomialBasis
 
 
@@ -94,6 +94,8 @@ class EstimationResult:
     history: tuple              # ((alpha, residual), ...) per accepted iterate
     rank_deficient: bool = False
     message: str = ""
+    evaluations: int = 0        # observation-map runs made (Gauss-Newton only)
+    rejected: int = 0           # trials not accepted (Gauss-Newton only)
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +155,9 @@ class GaussNewtonOptions:
     damping: float = DEFAULTS.gn_damping
 
     def __post_init__(self):
+        _check_count(self.max_iter, "max_iter", 1)
         # a nan compares false with every bound, so test for the good case
-        if not (self.max_iter >= 1 and all(
-                0.0 < v < math.inf for v in (self.step_tol, self.grad_tol, self.damping))):
+        if not all(0.0 < v < math.inf for v in (self.step_tol, self.grad_tol, self.damping)):
             raise DomainError("Gauss-Newton options must be positive and finite")
 
 
@@ -166,15 +168,19 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
 
     Steps solve (J^T J + damping * diag(J^T J)) s = J^T (y - phi(a)); the
     damping factor halves after an accepted step and quadruples after a
-    rejected one. One rule rejects a trial: its cost is not below the current
-    cost. A trial at a point phi has already seen cannot lower the cost, so it
-    is rejected without evaluating phi again, and a trial where phi fails is
-    rejected alike; the residual thus falls across accepted iterates. The
-    search stops unconverged once the damping term leaves the float range,
-    and raises RangeError when J^T J or J^T r does. Convergence requires both
-    the last step norm <= step_tol and the residual gradient norm <= grad_tol.
-    Every exit holds the Jacobian at the returned ``alpha_hat``; the reported
-    rank and condition are its own. ``alpha_init`` is copied, never kept.
+    rejected one. Each evaluated point is one run of the species' observation
+    map with its Jacobian: the run prices the point by its states, and an
+    accepted point hands its Jacobian to the next step. One rule rejects a
+    trial: its cost is not below the current cost. A trial at a point already
+    run cannot lower the cost, so it is rejected without a second run, and a
+    trial whose run fails is rejected alike; the residual thus falls across
+    accepted iterates. The search stops unconverged once the damping term
+    leaves the float range, and raises RangeError when J^T J or J^T r does.
+    Convergence requires both the last step norm <= step_tol and the residual
+    gradient norm <= grad_tol. Every exit holds the Jacobian at the returned
+    ``alpha_hat``; the reported rank and condition are its own. The result
+    counts the runs made (``evaluations``) and the trials not accepted
+    (``rejected``). ``alpha_init`` is copied, never kept.
     """
     y_obs = np.asarray(y_obs, dtype=float).reshape(-1)
     alpha = np.array(alpha_init, dtype=float).reshape(-1)
@@ -187,26 +193,26 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
     if not np.all(np.isfinite(alpha)):
         raise DomainError("alpha_init must be finite")
 
-    def residual(a):
+    def run(a):
+        """The residual vector, its norm and the Jacobian at a, from one run."""
         with np.errstate(over="ignore"):  # an overflowing cost is inf, never accepted
-            r = y_obs - phi(handle, a)
-            return r, float(np.linalg.norm(r))
+            obs = handle.sys.observe(a, handle.x0, handle.h, handle.m, handle.tol,
+                                     jacobian=True)
+            r = y_obs - obs.values
+            return r, float(np.linalg.norm(r)), obs.jacobian
 
-    residual_vec, cost = residual(alpha)
+    residual_vec, cost, jac = run(alpha)
     if not math.isfinite(cost):
         raise DivergenceError("residual non-finite at initial point", 0.0)
     history = [(alpha, cost)]
-    seen = {alpha.tobytes()}  # every point phi was evaluated at
+    seen = {alpha.tobytes()}  # every point a run was made at, failed runs included
+    rejected = 0
     lam = options.damping
     step_norm = 0.0
     converged = False
     message = ""
 
-    for iteration in range(options.max_iter + 1):
-        jac = phi_jacobian(handle, alpha)
-        if iteration == options.max_iter:
-            message = "max_iter exhausted"
-            break
+    for _ in range(options.max_iter):
         with np.errstate(over="ignore", invalid="ignore"):  # tested just below
             grad = jac.T @ residual_vec
             jtj = jac.T @ jac
@@ -235,15 +241,16 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
                 step, *_ = np.linalg.lstsq(damped, grad, rcond=None)
             step_norm = float(np.linalg.norm(step))
             trial = alpha + step
-            # at a seen point phi failed, or its cost was not below the cost then nor now
+            # at a seen point the run failed, or its cost was not below the cost then nor now
             if trial.tobytes() not in seen:
                 seen.add(trial.tobytes())
                 try:
-                    trial_res, trial_cost = residual(trial)
+                    trial_res, trial_cost, trial_jac = run(trial)
                 except IntegrationError:
                     trial_cost = math.inf
                 if trial_cost < cost:  # cost is finite, so nan and inf compare false
                     break
+            rejected += 1
             lam *= DEFAULTS.gn_damping_up
 
         if not trial_cost < cost:
@@ -253,9 +260,11 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
                 converged = grad_norm <= options.grad_tol and step_norm <= options.step_tol
                 message = "" if converged else "stalled: no acceptable step"
             break
-        alpha, residual_vec, cost = trial, trial_res, trial_cost
+        alpha, residual_vec, cost, jac = trial, trial_res, trial_cost, trial_jac
         lam = max(lam * DEFAULTS.gn_damping_down, 1e-300)
         history.append((alpha, cost))
+    else:
+        message = "max_iter exhausted"
 
     svals = singular_values(jac)
     rank = numerical_rank(svals)
@@ -269,4 +278,6 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
         history=tuple(history),
         rank_deficient=rank < handle.n_params,
         message=message,
+        evaluations=len(seen),
+        rejected=rejected,
     )

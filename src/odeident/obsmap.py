@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,17 @@ class ObservationMapHandle:
     def overdetermined(self) -> bool:
         """m*k >= n, required for full-rank certificates."""
         return self.dim_out >= self.n_params
+
+
+def _check_count(value, name: str, minimum: int, maximum: int | None = None) -> None:
+    """DomainError naming ``name`` unless ``value`` is an integer in [minimum, maximum]."""
+    # nan passes a `< minimum` test, and any float count then fails in range()
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise DomainError(f"{name} must be <= {maximum}")
 
 
 def phi(handle: ObservationMapHandle, alpha) -> np.ndarray:
@@ -134,14 +146,14 @@ def certify_radius(handle: ObservationMapHandle, alpha0, r_work: float,
 
     Raises NotIdentifiableError when m*k < n or when the Jacobian's
     ``numerical_rank`` is below n, and DomainError when ``r_work`` is not
-    finite and > 0 or ``safety`` is not finite and >= 1.
+    finite and > 0, ``gamma_samples`` is not an integer in [10,
+    ``DEFAULTS.certify_budget``] or ``safety`` is not finite and >= 1.
     """
     alpha0 = np.array(alpha0, dtype=float).reshape(-1)
     # a nan compares false with every bound, so test for the good case
     if not (0.0 < r_work < math.inf):
         raise DomainError("r_work must be finite and > 0")
-    if gamma_samples < 10:
-        raise DomainError("gamma_samples must be >= 10")
+    _check_count(gamma_samples, "gamma_samples", 10, DEFAULTS.certify_budget)
     if not (1.0 <= safety < math.inf):
         raise DomainError("safety must be finite and >= 1")
 
@@ -220,10 +232,11 @@ def verify_lower_bound(handle: ObservationMapHandle, cert: InjectivityCertificat
 
     ``pairs_tested`` is ``pair_count``: it counts pair 0, the identical
     control pair that is never compared. With ``pair_count == 1`` no pair is
-    compared and ``worst_ratio`` stays inf (``null`` in the CLI report).
+    compared and ``worst_ratio`` stays inf (``null`` in the CLI report). A
+    ``pair_count`` that is not an integer in [1, ``DEFAULTS.certify_budget``]
+    raises DomainError.
     """
-    if pair_count < 1:
-        raise DomainError("pair_count must be >= 1")
+    _check_count(pair_count, "pair_count", 1, DEFAULTS.certify_budget)
     bound = cert.lipschitz_lower
     margin = DEFAULTS.verify_margin_rel * math.sqrt(cert.beta)
     violations = 0

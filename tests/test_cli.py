@@ -387,6 +387,38 @@ class TestInvert:
         assert result["residual"] <= 1e-13
         assert np.abs(np.array(result["alpha_hat"]) - np.ravel(ROT)).max() <= 1e-13
 
+    def test_gn_runs_only_jacobian_runs_and_counts_them(self, tmp_path, monkeypatch):
+        # each point Gauss-Newton evaluates is one joint run, which prices it too
+        cfg_dict = logistic_config(m=8, h=0.5)
+        cfg_dict["solver"] = {"init": [1.003, -0.996]}
+        cfg = write_config(tmp_path, "logi.json", cfg_dict)
+        obs, gn, fd = tmp_path / "obs.csv", tmp_path / "gn.json", tmp_path / "fd.json"
+        assert main(["simulate", "--config", cfg, "--out", str(obs)]) == 0
+        runs = {"integrate": 0, "integrate_with_sensitivity": 0}
+
+        def counting(name):
+            run = getattr(odeident.ode, name)
+
+            def counted(*args, **kwargs):
+                runs[name] += 1
+                return run(*args, **kwargs)
+
+            return counted
+
+        for name in runs:
+            monkeypatch.setattr(odeident.ode, name, counting(name))
+        assert main(["invert", "--config", cfg, "--obs", str(obs),
+                     "--mode", "gn", "--out", str(gn)]) == 0
+        result = strict_json(gn.read_text())["result"]
+        assert runs["integrate"] == 0
+        assert runs["integrate_with_sensitivity"] == result["evaluations"] >= 2
+        assert result["rejected"] >= result["evaluations"] - 1 - result["iterations"]
+        # fd runs no observation map and reports both counters as 0
+        assert main(["invert", "--config", cfg, "--obs", str(obs),
+                     "--mode", "fd", "--out", str(fd)]) == 0
+        fd_result = strict_json(fd.read_text())["result"]
+        assert fd_result["evaluations"] == fd_result["rejected"] == 0
+
     def test_two_row_file_fd_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "logi.json", logistic_config())
         obs = tmp_path / "obs.csv"

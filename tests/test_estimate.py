@@ -16,7 +16,6 @@ from conftest import (
     scalar_map,
     stable_matrix,
 )
-import odeident.estimate
 from odeident import (
     DimensionError,
     DivergenceError,
@@ -287,9 +286,10 @@ class TestGaussNewton:
         assert all(abs(a[0]) < 10.0 and math.isfinite(r) for a, r in result.history)
 
     @staticmethod
-    def counted_noisy_decay_fit(monkeypatch, noise_seed):
+    def counted_noisy_decay_fit(noise_seed):
         """Fit noisy x' = a x data from a start near the minimum; return the
-        alpha of every phi call and the sha256 of the report the CLI writes.
+        result and the sha256 of the report the CLI writes, after checking
+        that the fit ran the map once per point it evaluated.
 
         The exact matrix_linear map runs no Dormand-Prince, so integrator bits
         never move the pins of the tests that call this.
@@ -298,40 +298,42 @@ class TestGaussNewton:
         alpha0 = np.array([-0.5])
         noise = np.random.default_rng(noise_seed).standard_normal(3)
         y = phi(handle, alpha0) + 1e-5 * noise
-        calls = []
-
-        def counted_phi(handle, alpha):
-            calls.append(np.asarray(alpha).tobytes())
-            return phi(handle, alpha)
-
-        monkeypatch.setattr(odeident.estimate, "phi", counted_phi)
-        result = gauss_newton_invert(handle, y, alpha0 + 0.005)
+        with recorded_runs(MatrixLinear) as calls:
+            result = gauss_newton_invert(handle, y, alpha0 + 0.005)
+        assert_one_run_per_point(calls, result)
         report = json.dumps(_jsonable(result), indent=2, sort_keys=True).encode()
-        return calls, hashlib.sha256(report).hexdigest()
+        return result, hashlib.sha256(report).hexdigest()
 
-    def test_trial_equal_to_the_iterate_is_rejected_without_phi(self, monkeypatch):
+    def test_trial_equal_to_the_iterate_is_rejected_without_phi(self):
         # near the minimum the damped steps fall below the iterate's last bit,
-        # so trial == alpha; evaluating such trials, this run calls phi 39
-        # times, 21 of them at an iterate
-        calls, digest = self.counted_noisy_decay_fit(monkeypatch, noise_seed=1)
-        # every accepted iterate was a trial once, so a call at an iterate repeats one
-        assert len(calls) == len(set(calls)) == 18
-        # the same report as the run that evaluated phi at the iterate (x86-64, numpy 2.4)
-        assert digest == "293c747e6b7b71576048b292d58ecd4616f348e5e360eeef288d614de31c19d2"
+        # so trial == alpha; such trials are rejected without a run
+        result, digest = self.counted_noisy_decay_fit(noise_seed=1)
+        assert result.evaluations == 19
+        # 15 of the 30 rejected trials were not run: each one repeats a point
+        assert result.rejected - (result.evaluations - 1 - result.iterations) == 15
+        # the cost reads the Jacobian run's states (x86-64, numpy 2.4)
+        assert digest == "7de065a5107617840aa12121c52b640ea7fa3a76dfae4f30c596b6ffb98f158e"
 
-    def test_rejected_trial_is_not_evaluated_again(self, monkeypatch):
+    def test_rejected_trial_is_not_evaluated_again(self):
         # a damped step can land on a trial rejected before, say alpha plus one
-        # ulp; evaluating such trials, this run calls phi 15 times, 12 distinct
-        calls, digest = self.counted_noisy_decay_fit(monkeypatch, noise_seed=0)
-        assert len(calls) == len(set(calls)) == 12
-        # the same report as the run that evaluated them (x86-64, numpy 2.4)
-        assert digest == "a9539ea983a6c1c171726a4bbd7a7a9143c8fdabfa625347ad4af821109ac50e"
+        # ulp; it is rejected again without a second run
+        result, digest = self.counted_noisy_decay_fit(noise_seed=0)
+        assert result.evaluations == 18
+        assert result.rejected - (result.evaluations - 1 - result.iterations) == 21
+        # the cost reads the Jacobian run's states (x86-64, numpy 2.4)
+        assert digest == "c941ee56632fe1238bd104957a92417988137e54ac58e4e11141d0646498d56c"
 
     def test_bad_options_rejected(self):
         with pytest.raises(DomainError):
             GaussNewtonOptions(max_iter=0)
         with pytest.raises(DomainError):
             GaussNewtonOptions(step_tol=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, 2.5, 3.0])
+    def test_max_iter_must_be_an_integer(self, value):
+        # 2.5 was accepted, and the solver then failed in range()
+        with pytest.raises(DomainError, match="max_iter"):
+            GaussNewtonOptions(max_iter=value)
 
     @pytest.mark.parametrize("field", ["step_tol", "grad_tol", "damping"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -342,17 +344,30 @@ class TestGaussNewton:
 
 
 @contextlib.contextmanager
-def recorded_phi():
-    """Record the alpha bytes of every phi call Gauss-Newton makes."""
+def recorded_runs(species):
+    """Record (alpha bytes, jacobian flag) for every observation-map run of
+    ``species``: its ``observe``, the one entry point Gauss-Newton runs."""
     calls = []
+    observe = species.observe
 
-    def recording_phi(handle, alpha):
-        calls.append(np.asarray(alpha).tobytes())
-        return phi(handle, alpha)
+    def recording_observe(self, alpha, *args, jacobian=False):
+        calls.append((np.asarray(alpha).tobytes(), jacobian))
+        return observe(self, alpha, *args, jacobian=jacobian)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(odeident.estimate, "phi", recording_phi)
+        mp.setattr(species, "observe", recording_observe)
         yield calls
+
+
+def assert_one_run_per_point(calls, result):
+    """Every run of the fit was a Jacobian run, at a point not run before, and
+    ``result.evaluations`` counts them."""
+    assert result.evaluations >= 1
+    assert all(jacobian for _, jacobian in calls)
+    points = [alpha for alpha, _ in calls]
+    assert len(points) == len(set(points)) == result.evaluations
+    # one run at the start, one per accepted trial, the rest rejected
+    assert result.evaluations - 1 - result.iterations <= result.rejected
 
 
 # one example per exit: converged, stalled with no acceptable step, the damping
@@ -373,7 +388,7 @@ def test_gauss_newton_report_invariants_on_every_exit(k, seed, noise, max_iter, 
     y = phi(handle, alpha0) + noise * rng.standard_normal(handle.dim_out)
     init = alpha0 + 0.1 * rng.standard_normal(alpha0.shape[0])
     options = GaussNewtonOptions(max_iter=max_iter, damping=damping)
-    with recorded_phi() as calls:
+    with recorded_runs(MatrixLinear) as calls:
         result = gauss_newton_invert(handle, y, init, options=options)
 
     assert result.converged == (result.message == "")
@@ -384,13 +399,71 @@ def test_gauss_newton_report_invariants_on_every_exit(k, seed, noise, max_iter, 
     assert result.residual == result.history[-1][1]
     costs = [cost for _, cost in result.history]
     assert all(b < a for a, b in zip(costs, costs[1:]))
-    assert len(calls) == len(set(calls))
+    assert_one_run_per_point(calls, result)
     assert not np.shares_memory(result.alpha_hat, init)
     jac = phi_jacobian(handle, result.alpha_hat)
     svals = singular_values(jac)
     assert result.jacobian_rank == numerical_rank(svals)
     assert result.condition == (svals[0] / svals[-1] if svals[-1] > 0 else math.inf)
 
+
+
+def lotka_volterra_system() -> PolynomialBasis:
+    """x' = a1 x + a2 x y, y' = a3 y + a4 x y."""
+    return PolynomialBasis([[[(1.0, (1, 0))], []], [[(1.0, (1, 1))], []],
+                            [[], [(1.0, (0, 1))]], [[], [(1.0, (1, 1))]]])
+
+
+# the recover benchmark's ranges: its two integrated species, on its dense and
+# sparse grids, from a start 0.005 away
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(species=st.sampled_from(["logistic", "lotka-volterra"]), dense=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_noise_free_fit_of_plain_run_data_reaches_alpha0(species, dense, seed):
+    # the data come from phi's plain run and the cost from the Jacobian run,
+    # whose steps differ, so the two sets of states differ by about tol
+    rng = np.random.default_rng(seed)
+    if species == "logistic":
+        sys = logistic_system()
+        alpha0 = np.array([rng.uniform(0.8, 1.2), -rng.uniform(0.8, 1.2)])
+        x0 = [rng.uniform(0.08, 0.12)]
+    else:
+        sys = lotka_volterra_system()
+        alpha0 = np.array([rng.uniform(0.9, 1.1), -rng.uniform(0.45, 0.55),
+                           -rng.uniform(0.9, 1.1), rng.uniform(0.45, 0.55)])
+        x0 = [rng.uniform(1.2, 1.5), rng.uniform(0.6, 0.9)]
+    h, m, tol = (0.01, 200, 1e-10) if dense else (0.5, 8, 1e-11)
+    handle = ObservationMapHandle(sys=sys, x0=x0, h=h, m=m, tol=tol)
+    direction = rng.standard_normal(alpha0.shape[0])
+    init = alpha0 + 0.005 * direction / np.linalg.norm(direction)
+    result = gauss_newton_invert(handle, phi(handle, alpha0), init)
+    assert result.converged
+    assert np.abs(result.alpha_hat - alpha0).max() <= 1e-6
+
+
+def test_trial_whose_run_fails_is_rejected_and_the_fit_goes_on():
+    handle = rotation_handle()
+    alpha0 = MatrixLinear.pack(ROTATION)
+    y = phi(handle, alpha0)
+    observe = MatrixLinear.observe
+    calls = []
+
+    def first_trial_fails(self, alpha, *args, jacobian=False):
+        calls.append(np.array(alpha))
+        if len(calls) == 2:  # the first trial; call 1 is the initial point
+            raise DivergenceError("planted failure", 0.0)
+        return observe(self, alpha, *args, jacobian=jacobian)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MatrixLinear, "observe", first_trial_fails)
+        result = gauss_newton_invert(handle, y, alpha0 + 0.01)
+    assert result.converged
+    assert np.abs(result.alpha_hat - alpha0).max() <= 1e-9
+    assert result.evaluations == len(calls) > 2
+    assert result.rejected >= 1
+    # the failed point was never accepted, and the fit moved on from the start
+    assert not any(np.array_equal(a, calls[1]) for a, _ in result.history)
+    assert np.array_equal(result.history[1][0], calls[2])
 
 class TestAddNoise:
     def test_zero_sigma_identical(self):

@@ -21,6 +21,7 @@ from conftest import (
 import odeident.obsmap
 import odeident.ode as ode
 from odeident import (
+    DEFAULTS,
     DimensionError,
     DivergenceError,
     DomainError,
@@ -528,6 +529,13 @@ class TestCertifyRadius:
         with pytest.raises(DomainError, match=name):
             certify_radius(rotation_handle(), MatrixLinear.pack(ROTATION), **kwargs)
 
+    # a float count passed the old `< 10` test and then failed in range()
+    @pytest.mark.parametrize("value", [math.nan, 10.5, 12.0, DEFAULTS.certify_budget + 1])
+    def test_gamma_samples_must_be_an_integer_within_budget(self, value):
+        with pytest.raises(DomainError, match="gamma_samples"):
+            certify_radius(rotation_handle(), MatrixLinear.pack(ROTATION), r_work=0.5,
+                           gamma_samples=value)
+
     def test_jacobian_norm_beyond_float_range_is_a_range_error(self):
         # the exact map computes this Jacobian (entries ~1e160); beta squares it
         handle = rotation_handle(x0=(1e160, 0.7))
@@ -551,6 +559,17 @@ class TestVerifyLowerBound:
         report = verify_lower_bound(handle, cert, pair_count=1, seed=0)
         assert report.violations == 0
         assert report.worst_ratio == math.inf  # only the forced identical pair
+
+    @pytest.mark.parametrize("value", [math.nan, 1.5, 2.0, DEFAULTS.certify_budget + 1])
+    def test_pair_count_must_be_an_integer_within_budget(self, value):
+        handle = rotation_handle()
+        cert = certify_radius(handle, MatrixLinear.pack(ROTATION), r_work=0.1,
+                              gamma_samples=10)
+        with pytest.raises(DomainError, match="pair_count"):
+            verify_lower_bound(handle, cert, pair_count=value, seed=0)
+        # a numpy integer is a count
+        assert verify_lower_bound(handle, cert, pair_count=np.int64(3), seed=0) \
+            .pairs_tested == 3
 
     def test_deterministic_given_seed(self):
         handle = scalar_exp_handle(tol=1e-10)
