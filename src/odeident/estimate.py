@@ -25,7 +25,7 @@ from .errors import (
     IntegrationError,
     RangeError,
 )
-from .numkernel import condition_number, least_squares, numerical_rank, singular_values
+from .numkernel import EPS, condition_number, least_squares, numerical_rank, singular_values
 from .obsmap import ObservationMapHandle, _check_count
 from .ode import MatrixLinear, ParamSystem, PolynomialBasis
 
@@ -161,6 +161,17 @@ class GaussNewtonOptions:
             raise DomainError("Gauss-Newton options must be positive and finite")
 
 
+def _flat(step, grad, jtj, cost: float) -> bool:
+    """Whether the Gauss-Newton model's decrease of cost^2 for ``step``,
+    s^T (2 J^T r - J^T J s) = ||J s||^2 + 2 lam s^T D s, is within one ulp of
+    cost^2: such a trial can move the cost in its last bit only. A decrease
+    or a cost^2 beyond the float range is never flat."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        pred = float(step @ (2.0 * grad - jtj @ step))
+        floor = EPS * (cost * cost)
+    return math.isfinite(pred) and pred <= floor < math.inf
+
+
 def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
                         options: GaussNewtonOptions = GaussNewtonOptions()
                         ) -> EstimationResult:
@@ -170,12 +181,14 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
     damping factor halves after an accepted step and quadruples after a
     rejected one. Each evaluated point is one run of the species' observation
     map with its Jacobian: the run prices the point by its states, and an
-    accepted point hands its Jacobian to the next step. One rule rejects a
-    trial: its cost is not below the current cost. A trial at a point already
-    run cannot lower the cost, so it is rejected without a second run, and a
-    trial whose run fails is rejected alike; the residual thus falls across
-    accepted iterates. The search stops unconverged once the damping term
-    leaves the float range, and raises RangeError when J^T J or J^T r does.
+    accepted point hands its Jacobian to the next step. A trial is rejected
+    when its run fails or its cost is not below the current cost, so the
+    residual falls across accepted iterates. Two kinds of trial are rejected
+    without a run: a trial at a point already run, which cannot lower the
+    cost, and a flat trial, for which the model's decrease of cost^2,
+    s^T (2 J^T r - J^T J s), is within one ulp of cost^2. The search stops
+    unconverged once the damping term leaves the float range, and raises
+    RangeError when J^T J or J^T r does.
     Convergence requires both the last step norm <= step_tol and the residual
     gradient norm <= grad_tol. Every exit holds the Jacobian at the returned
     ``alpha_hat``; the reported rank and condition are its own. The result
@@ -241,8 +254,9 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
                 step, *_ = np.linalg.lstsq(damped, grad, rcond=None)
             step_norm = float(np.linalg.norm(step))
             trial = alpha + step
-            # at a seen point the run failed, or its cost was not below the cost then nor now
-            if trial.tobytes() not in seen:
+            # a flat trial is not worth a run; at a seen point the run failed,
+            # or its cost was not below the cost then nor now
+            if not _flat(step, grad, jtj, cost) and trial.tobytes() not in seen:
                 seen.add(trial.tobytes())
                 try:
                     trial_res, trial_cost, trial_jac = run(trial)

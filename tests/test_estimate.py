@@ -36,6 +36,7 @@ from odeident import (
     phi_jacobian,
     singular_values,
 )
+from odeident import estimate
 from odeident.cli import _jsonable
 from odeident.ode import _sample_times
 
@@ -286,10 +287,12 @@ class TestGaussNewton:
         assert all(abs(a[0]) < 10.0 and math.isfinite(r) for a, r in result.history)
 
     @staticmethod
-    def counted_noisy_decay_fit(noise_seed):
+    def counted_noisy_decay_fit(noise_seed, flat_rule=True):
         """Fit noisy x' = a x data from a start near the minimum; return the
-        result and the sha256 of the report the CLI writes, after checking
-        that the fit ran the map once per point it evaluated.
+        result, the number of rejected trials that made no run and the sha256
+        of the report the CLI writes, after checking that the fit ran the map
+        once per point it evaluated. ``flat_rule=False`` sets the flat floor
+        EPS * cost^2 to 0, so only the seen-point rule skips a trial.
 
         The exact matrix_linear map runs no Dormand-Prince, so integrator bits
         never move the pins of the tests that call this.
@@ -298,30 +301,53 @@ class TestGaussNewton:
         alpha0 = np.array([-0.5])
         noise = np.random.default_rng(noise_seed).standard_normal(3)
         y = phi(handle, alpha0) + 1e-5 * noise
-        with recorded_runs(MatrixLinear) as calls:
+        with pytest.MonkeyPatch.context() as mp, recorded_runs(MatrixLinear) as calls:
+            if not flat_rule:
+                mp.setattr(estimate, "EPS", 0.0)
             result = gauss_newton_invert(handle, y, alpha0 + 0.005)
         assert_one_run_per_point(calls, result)
+        # one run at the start and one per accepted trial; the other runs were rejected
+        skipped = result.rejected - (result.evaluations - 1 - result.iterations)
         report = json.dumps(_jsonable(result), indent=2, sort_keys=True).encode()
-        return result, hashlib.sha256(report).hexdigest()
+        return result, skipped, hashlib.sha256(report).hexdigest()
 
     def test_trial_equal_to_the_iterate_is_rejected_without_phi(self):
         # near the minimum the damped steps fall below the iterate's last bit,
-        # so trial == alpha; such trials are rejected without a run
-        result, digest = self.counted_noisy_decay_fit(noise_seed=1)
-        assert result.evaluations == 19
-        # 15 of the 30 rejected trials were not run: each one repeats a point
-        assert result.rejected - (result.evaluations - 1 - result.iterations) == 15
-        # the cost reads the Jacobian run's states (x86-64, numpy 2.4)
+        # so trial == alpha; such trials are rejected without a run. Each is
+        # also flat, and the flat rule comes first: it skips 17 trials, the 15
+        # at the iterate and two at new points (x86-64, numpy 2.4)
+        result, skipped, digest = self.counted_noisy_decay_fit(noise_seed=1)
+        assert (result.evaluations, result.rejected, skipped) == (17, 30, 17)
+        assert digest == "ff17b63ab16dd709cac0ff260a0a37036b4a2418ef7d4f78af0ec7be41e69f46"
+        # without it, the seen-point rule skips the 15 and the two new points are run
+        result, skipped, digest = self.counted_noisy_decay_fit(noise_seed=1, flat_rule=False)
+        assert (result.evaluations, result.rejected, skipped) == (19, 30, 15)
         assert digest == "7de065a5107617840aa12121c52b640ea7fa3a76dfae4f30c596b6ffb98f158e"
 
     def test_rejected_trial_is_not_evaluated_again(self):
-        # a damped step can land on a trial rejected before, say alpha plus one
-        # ulp; it is rejected again without a second run
-        result, digest = self.counted_noisy_decay_fit(noise_seed=0)
-        assert result.evaluations == 18
-        assert result.rejected - (result.evaluations - 1 - result.iterations) == 21
-        # the cost reads the Jacobian run's states (x86-64, numpy 2.4)
+        # a trial at a point already run, the iterate or a trial rejected
+        # before, is rejected again without a second run. With the flat rule
+        # off, that rule alone skips 21 trials here; with it, the flat rule
+        # skips 27 trials and saves 6 runs (x86-64, numpy 2.4)
+        result, skipped, digest = self.counted_noisy_decay_fit(noise_seed=0, flat_rule=False)
+        assert (result.evaluations, result.rejected, skipped) == (18, 34, 21)
         assert digest == "c941ee56632fe1238bd104957a92417988137e54ac58e4e11141d0646498d56c"
+        result, skipped, digest = self.counted_noisy_decay_fit(noise_seed=0)
+        assert (result.evaluations, result.rejected, skipped) == (12, 34, 27)
+        assert digest == "7e4142ff283fefbf6babd00286e6876e0a53ef9ad452946519e8a414279ed63d"
+
+    def test_trial_whose_cost_squares_beyond_the_float_range_is_never_flat(self):
+        # the model's decrease of cost^2 here is 2e-300, below one ulp of any
+        # cost^2 above about 1e-142
+        step, grad, jtj = np.array([1e-300]), np.array([1.0]), np.array([[1.0]])
+        assert estimate._flat(step, grad, jtj, cost=1e-5)
+        assert estimate._flat(step, grad, jtj, cost=1e154)
+        # 1e155^2 overflows, and an inf floor would make every trial flat
+        for cost in (1e155, 1e200, math.inf):
+            assert not estimate._flat(step, grad, jtj, cost=cost)
+        # nor is a trial flat whose model decrease leaves the float range:
+        # J^T J s overflows, so the decrease reads -inf
+        assert not estimate._flat(np.array([1e200]), grad, np.array([[1e200]]), cost=1.0)
 
     def test_bad_options_rejected(self):
         with pytest.raises(DomainError):
@@ -371,9 +397,11 @@ def assert_one_run_per_point(calls, result):
 
 
 # one example per exit: converged, stalled with no acceptable step, the damping
-# leaving the float range (every trial rejected from 1e300), max_iter exhausted
+# leaving the float range (every trial rejected from 1e300), max_iter exhausted;
+# and a fit whose damped step, not flat, lands on a trial rejected before
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @example(k=2, seed=0, noise=0.0, max_iter=50, damping=GaussNewtonOptions().damping)
+@example(k=1, seed=6, noise=1e-5, max_iter=50, damping=GaussNewtonOptions().damping)
 @example(k=1, seed=2, noise=1.0, max_iter=50, damping=GaussNewtonOptions().damping)
 @example(k=2, seed=0, noise=1e20, max_iter=50, damping=1e300)
 @example(k=3, seed=0, noise=1e-5, max_iter=1, damping=GaussNewtonOptions().damping)
@@ -414,6 +442,30 @@ def lotka_volterra_system() -> PolynomialBasis:
                             [[], [(1.0, (0, 1))]], [[], [(1.0, (1, 1))]]])
 
 
+def recover_problem(rng, species, dense):
+    """(handle, alpha0, init) drawn from the recover benchmark's ranges for
+    ``species``, on its dense or sparse grid, with a start 0.005 away."""
+    if species == "logistic":
+        sys = logistic_system()
+        alpha0 = np.array([rng.uniform(0.8, 1.2), -rng.uniform(0.8, 1.2)])
+        x0 = [rng.uniform(0.08, 0.12)]
+    elif species == "lotka-volterra":
+        sys = lotka_volterra_system()
+        alpha0 = np.array([rng.uniform(0.9, 1.1), -rng.uniform(0.45, 0.55),
+                           -rng.uniform(0.9, 1.1), rng.uniform(0.45, 0.55)])
+        x0 = [rng.uniform(1.2, 1.5), rng.uniform(0.6, 0.9)]
+    else:  # a damped rotation from a unit start with no small component
+        sys = MatrixLinear(2)
+        sigma, omega = -rng.uniform(0.05, 0.15), rng.uniform(0.9, 1.1)
+        alpha0 = np.array([sigma, omega, -omega, sigma])
+        x0 = rng.choice([-1.0, 1.0], 2) * np.array([1.0, rng.uniform(0.25, 4.0)])
+        x0 /= np.linalg.norm(x0)
+    h, m, tol = (0.01, 200, 1e-10) if dense else (0.5, 8, 1e-11)
+    handle = ObservationMapHandle(sys=sys, x0=x0, h=h, m=m, tol=tol)
+    direction = rng.standard_normal(alpha0.shape[0])
+    return handle, alpha0, alpha0 + 0.005 * direction / np.linalg.norm(direction)
+
+
 # the recover benchmark's ranges: its two integrated species, on its dense and
 # sparse grids, from a start 0.005 away
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -422,23 +474,25 @@ def lotka_volterra_system() -> PolynomialBasis:
 def test_noise_free_fit_of_plain_run_data_reaches_alpha0(species, dense, seed):
     # the data come from phi's plain run and the cost from the Jacobian run,
     # whose steps differ, so the two sets of states differ by about tol
-    rng = np.random.default_rng(seed)
-    if species == "logistic":
-        sys = logistic_system()
-        alpha0 = np.array([rng.uniform(0.8, 1.2), -rng.uniform(0.8, 1.2)])
-        x0 = [rng.uniform(0.08, 0.12)]
-    else:
-        sys = lotka_volterra_system()
-        alpha0 = np.array([rng.uniform(0.9, 1.1), -rng.uniform(0.45, 0.55),
-                           -rng.uniform(0.9, 1.1), rng.uniform(0.45, 0.55)])
-        x0 = [rng.uniform(1.2, 1.5), rng.uniform(0.6, 0.9)]
-    h, m, tol = (0.01, 200, 1e-10) if dense else (0.5, 8, 1e-11)
-    handle = ObservationMapHandle(sys=sys, x0=x0, h=h, m=m, tol=tol)
-    direction = rng.standard_normal(alpha0.shape[0])
-    init = alpha0 + 0.005 * direction / np.linalg.norm(direction)
+    handle, alpha0, init = recover_problem(np.random.default_rng(seed), species, dense)
     result = gauss_newton_invert(handle, phi(handle, alpha0), init)
     assert result.converged
     assert np.abs(result.alpha_hat - alpha0).max() <= 1e-6
+
+
+# the recover benchmark's noisy jobs, over its three species: the fit must end
+# converged, which the benchmark's recover check reads
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(species=st.sampled_from(["logistic", "lotka-volterra", "rotation"]),
+       dense=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_noisy_fit_over_the_recover_ranges_converges(species, dense, seed):
+    rng = np.random.default_rng(seed)
+    handle, alpha0, init = recover_problem(rng, species, dense)
+    y = phi(handle, alpha0) + 1e-5 * rng.standard_normal(handle.dim_out)
+    with recorded_runs(type(handle.sys)) as calls:
+        result = gauss_newton_invert(handle, y, init)
+    assert result.converged, result.message
+    assert_one_run_per_point(calls, result)
 
 
 def test_trial_whose_run_fails_is_rejected_and_the_fit_goes_on():
