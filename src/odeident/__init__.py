@@ -32,7 +32,6 @@ from .errors import (
 from .estimate import (
     EstimationResult,
     GaussNewtonOptions,
-    ObservationGrid,
     add_noise,
     fd_linear_estimate,
     gauss_newton_invert,
@@ -96,7 +95,6 @@ __all__ = [
     "RangeError",
     "EstimationResult",
     "GaussNewtonOptions",
-    "ObservationGrid",
     "add_noise",
     "fd_linear_estimate",
     "gauss_newton_invert",

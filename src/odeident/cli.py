@@ -30,6 +30,11 @@ Config schema::
       }
     }
 
+The system and observation blocks build one ``ObservationMapHandle``, the
+config's only description of the sampling grid: ``simulate`` writes its
+``times`` beside the samples, and ``invert`` accepts, in both modes, exactly
+the CSV of m rows of k values at those times.
+
 Exit codes: 0 success, 2 input error, 3 numerical/integration failure,
 4 not identifiable, 5 non-convergence or rank deficiency.
 """
@@ -62,13 +67,7 @@ from .errors import (
     NotIdentifiableError,
     RangeError,
 )
-from .estimate import (
-    GaussNewtonOptions,
-    ObservationGrid,
-    add_noise,
-    fd_linear_estimate,
-    gauss_newton_invert,
-)
+from .estimate import GaussNewtonOptions, add_noise, fd_linear_estimate, gauss_newton_invert
 from .linearcase import (
     degeneracy_report,
     exp_divided_difference_determinant,
@@ -77,7 +76,7 @@ from .linearcase import (
 )
 from .numkernel import as_square
 from .obsmap import ObservationMapHandle, certify_radius, phi, verify_lower_bound, zeta_scan
-from .ode import MatrixLinear, ParamSystem, PolynomialBasis
+from .ode import MatrixLinear, PolynomialBasis
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -208,22 +207,14 @@ class ExperimentConfig:
     species: str
     k: int
     n: int
-    system: ParamSystem
+    handle: ObservationMapHandle  # the system, x0 and the observation grid
     alpha0: np.ndarray          # flat parameter vector, length n
-    x0: np.ndarray
-    h: float
-    m: int
-    tol: float
     sigma: float
     seed: int
     solver: dict                # solver scalars, validated, defaults filled in
     init: np.ndarray | None     # solver.init, flat length n
     gn_options: GaussNewtonOptions
     scan: dict | None           # validated solver.scan block
-
-    def build_handle(self) -> ObservationMapHandle:
-        return ObservationMapHandle(sys=self.system, x0=self.x0, h=self.h, m=self.m,
-                                    tol=self.tol)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -268,6 +259,10 @@ def load_config(path) -> ExperimentConfig:
     tol = _as_float(obs.get("tol", DEFAULTS.integrator_tol), "observation.tol")
     if h <= 0.0:
         raise ConfigError("observation.h must be > 0")
+    try:
+        handle = ObservationMapHandle(sys=model, x0=x0, h=h, m=m, tol=tol)
+    except DomainError as exc:  # h * m beyond the float range, m or tol out of range
+        raise ConfigError(f"observation: {exc}") from exc
 
     noise = _as_dict(raw.get("noise", {}), "noise")
     sigma = _as_float(noise.get("sigma", 0.0), "noise.sigma")
@@ -296,10 +291,9 @@ def load_config(path) -> ExperimentConfig:
     gn_options = _gauss_newton_options(raw_solver.get("gauss_newton", {}))
     scan = _scan_block(raw_solver["scan"]) if "scan" in raw_solver else None
 
-    return ExperimentConfig(digest=digest, species=species, k=k, n=n, system=model,
-                            alpha0=alpha0, x0=x0, h=h, m=m, tol=tol, sigma=sigma,
-                            seed=seed, solver=solver, init=init,
-                            gn_options=gn_options, scan=scan)
+    return ExperimentConfig(digest=digest, species=species, k=k, n=n, handle=handle,
+                            alpha0=alpha0, sigma=sigma, seed=seed, solver=solver,
+                            init=init, gn_options=gn_options, scan=scan)
 
 
 # ---------------------------------------------------------------------------
@@ -404,21 +398,18 @@ def _names(prefix: str, count: int) -> list[str]:
 
 
 def cmd_simulate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    handle = cfg.build_handle()
-    samples = phi(handle, cfg.alpha0).reshape(cfg.m, cfg.k)
-    grid = ObservationGrid(handle.times, samples)
-    if cfg.sigma > 0.0:
-        grid = add_noise(grid, cfg.sigma, cfg.seed)
+    handle = cfg.handle
+    samples = add_noise(phi(handle, cfg.alpha0).reshape(handle.m, cfg.k), cfg.sigma, cfg.seed)
     _write_csv(args.out, ["t"] + _names("x", cfg.k),
-               np.column_stack([grid.times, grid.values]).tolist(),
+               np.column_stack([handle.times, samples]).tolist(),
                ["{:.17g}"] * (cfg.k + 1))
-    print(f"simulate: wrote {cfg.m} samples (h={cfg.h:g}, sigma={cfg.sigma:g}) "
+    print(f"simulate: wrote {handle.m} samples (h={handle.h:g}, sigma={cfg.sigma:g}) "
           f"to {args.out}")
     return EXIT_OK
 
 
 def cmd_certify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    handle = cfg.build_handle()
+    handle = cfg.handle
     solver = cfg.solver
     try:
         cert = certify_radius(handle, cfg.alpha0, r_work=solver["r_work"],
@@ -441,15 +432,16 @@ def cmd_certify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 def cmd_analyze_linear(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     if cfg.species != "matrix_linear":
         raise ConfigError("analyze-linear requires the matrix_linear species")
+    handle = cfg.handle
     amat = as_square(cfg.alpha0.reshape(cfg.k, cfg.k))
-    report = degeneracy_report(amat, cfg.x0, cfg.h)
+    report = degeneracy_report(amat, handle.x0, handle.h)
     try:
-        branches = log_branches(amat, cfg.h, k_max=cfg.solver["k_max"])
+        branches = log_branches(amat, handle.h, k_max=cfg.solver["k_max"])
         n_branches = len(branches.branches)
     except DefectiveMatrixError:
         branches = None
         n_branches = 0
-    rank_report = full_rank_check(amat, cfg.x0, cfg.h, cfg.m, tol=cfg.tol)
+    rank_report = full_rank_check(amat, handle.x0, handle.h, handle.m, tol=handle.tol)
     divdiff = None
     if not report.double_eigenvalue and cfg.k >= 2:
         numeric, closed = exp_divided_difference_determinant(report.eigenvalues)
@@ -467,27 +459,20 @@ def cmd_analyze_linear(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_invert(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    grid = ObservationGrid(*_read_trajectory_csv(args.obs))
-    if grid.values.shape[1] != cfg.k:
-        raise ConfigError(
-            f"observations have {grid.values.shape[1]} state columns, "
-            f"config expects k={cfg.k}"
-        )
+    handle = cfg.handle
+    times, values = _read_trajectory_csv(args.obs)
+    # a nan time compares false, so it fails the time test
+    if values.shape != (handle.m, cfg.k) \
+            or not (np.abs(times - handle.times) <= 1e-9 * handle.h).all():
+        raise ConfigError(f"observations must be {handle.m} rows of {cfg.k} values at "
+                          f"the configured times j*h, h={handle.h:g}")
 
     if args.mode == "fd":
-        result = fd_linear_estimate(grid, cfg.system)
+        result = fd_linear_estimate(handle, values)
     else:
-        handle = cfg.build_handle()
-        if (grid.times.shape[0] != cfg.m
-                or abs(grid.delta_t - cfg.h) > 1e-9 * cfg.h
-                or abs(grid.times[0] - cfg.h) > 1e-9 * cfg.h):
-            raise ConfigError(
-                "observation grid does not match the configured (h, m)"
-            )
         if cfg.init is None:
             raise ConfigError("solver.init is required for gauss-newton inversion")
-        result = gauss_newton_invert(handle, grid.values.ravel(), cfg.init,
-                                     options=cfg.gn_options)
+        result = gauss_newton_invert(handle, values, cfg.init, options=cfg.gn_options)
 
     _write_json(args.out, {"mode": args.mode, "result": result}, cfg)
     ok = result.converged and not result.rank_deficient
@@ -503,7 +488,7 @@ def cmd_zeta_scan(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     scan = cfg.scan
     if scan is None:
         raise ConfigError("solver.scan block is required for zeta-scan")
-    result = zeta_scan(cfg.build_handle(), scan["t_values"], scan["alpha_box"],
+    result = zeta_scan(cfg.handle, scan["t_values"], scan["alpha_box"],
                        scan["x_box"], scan["grid"], rank_tol=scan["rank_tol"])
     # flag: 0 clear, 1 near-critical, 2 failed (zeta nan)
     _write_csv(args.out,

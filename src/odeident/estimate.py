@@ -2,18 +2,23 @@
 linear in the parameters, a damped Gauss-Newton inverter of the observation
 map, and seeded Gaussian noise injection.
 
+Both estimators solve phi(a) = y_obs and take what that equation needs: an
+``ObservationMapHandle``, the one description of the system and its sampling
+grid, and ``y_obs``, the m samples on that grid stacked as ``phi`` returns
+them. One check of ``y_obs`` opens both.
+
 The finite-difference estimator replaces the time derivative at each
 interior sample with (x_{i+1} - x_{i-1}) / (2 dt) and solves the stacked
 linear system T(x_i) a = dx_i, whose blocks T(x) are the basis evaluations
-(the df/da matrix of the system). The stacked system carries k(N-1)
-equations for n unknowns and is solved without regularization by default;
+(the df/da matrix of the system). The stacked system carries k(m-2)
+equations for n unknowns and is solved without regularization;
 rank and condition are always reported so callers can reject estimates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,57 +31,34 @@ from .errors import (
     RangeError,
 )
 from .numkernel import EPS, condition_number, least_squares, numerical_rank, singular_values
-from .obsmap import ObservationMapHandle, _check_count
-from .ode import MatrixLinear, ParamSystem, PolynomialBasis
+from .obsmap import ObservationMapHandle
+from .ode import MatrixLinear, PolynomialBasis, _check_count
 
 
 # ---------------------------------------------------------------------------
-# observation grids
+# observations
 
 
-@dataclass(frozen=True)
-class ObservationGrid:
-    """Values on a uniform time grid t0 + i*dt, i = 0..N."""
-
-    times: np.ndarray
-    values: np.ndarray          # shape (N+1, k)
-
-    def __post_init__(self):
-        t = np.array(self.times, dtype=float).reshape(-1)
-        v = np.atleast_2d(np.array(self.values, dtype=float))
-        if v.shape[0] != t.shape[0]:
-            raise DimensionError("times and values lengths differ")
-        if t.shape[0] < 2:
-            raise DomainError("grid needs at least two samples")
-        # every comparison with nan is false, so the grid checks below pass it
-        if not (np.isfinite(t).all() and np.isfinite(v).all()):
-            raise DomainError("observation times and values must be finite")
-        gaps = np.diff(t)
-        if np.any(gaps <= 0.0):
-            raise DomainError("times must be strictly increasing")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
-        if np.any(np.abs(gaps - self.delta_t) > 1e-9 * abs(self.delta_t)):
-            raise DomainError("grid spacing is not uniform")
-
-    @property
-    def delta_t(self) -> float:
-        """The grid spacing, times[1] - times[0]."""
-        return float(self.times[1] - self.times[0])
-
-    @property
-    def n_interior(self) -> int:
-        return self.times.shape[0] - 2
+def _observed(handle: ObservationMapHandle, y_obs) -> np.ndarray:
+    """``y_obs`` as a float vector: DimensionError unless its length is the
+    handle's ``dim_out``, DomainError unless every value is finite."""
+    y = np.asarray(y_obs, dtype=float).reshape(-1)
+    if y.shape[0] != handle.dim_out:
+        raise DimensionError(f"y_obs has length {y.shape[0]}, expected {handle.dim_out}")
+    if not np.isfinite(y).all():
+        raise DomainError("observations must be finite")
+    return y
 
 
-def add_noise(obs: ObservationGrid, sigma: float, seed: int) -> ObservationGrid:
-    """Independent zero-mean Gaussian noise on every value component."""
-    if sigma < 0.0:
+def add_noise(values, sigma: float, seed: int) -> np.ndarray:
+    """A copy of ``values`` with independent zero-mean Gaussian noise on every entry."""
+    if not sigma >= 0.0:  # nan too
         raise DomainError("sigma must be >= 0")
+    values = np.array(values, dtype=float)
     if sigma == 0.0:
-        return obs
+        return values
     rng = np.random.default_rng(seed)
-    return replace(obs, values=obs.values + sigma * rng.standard_normal(obs.values.shape))
+    return values + sigma * rng.standard_normal(values.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -102,29 +84,29 @@ class EstimationResult:
 # finite-difference linear estimator
 
 
-def fd_linear_estimate(obs: ObservationGrid, sys: ParamSystem) -> EstimationResult:
-    """Central-difference least-squares estimate for linear-in-parameter f.
+def fd_linear_estimate(handle: ObservationMapHandle, y_obs) -> EstimationResult:
+    """Central-difference least-squares estimate for linear-in-parameter f,
+    from the samples ``y_obs`` on the handle's grid.
 
     Endpoints are dropped (the stencil needs both neighbors), keeping the
     O(dt^2) error of the interior scheme. No regularization is applied.
     """
+    sys = handle.sys
     if not isinstance(sys, (PolynomialBasis, MatrixLinear)):
         raise DomainError("fd_linear_estimate needs a linear-in-parameter system")
-    if obs.values.shape[1] != sys.state_dim:
-        raise DimensionError(
-            f"observations have state dimension {obs.values.shape[1]}, "
-            f"system expects {sys.state_dim}"
-        )
-    if obs.n_interior < 1:
-        raise DomainError("need at least one interior sample (N >= 2)")
+    y = _observed(handle, y_obs)
+    if handle.m < 3:
+        raise DomainError("need at least one interior sample (m >= 3)")
 
-    k, n = sys.state_dim, sys.param_dim
-    values = obs.values
+    k, n, interior = sys.state_dim, sys.param_dim, handle.m - 2
+    values = y.reshape(handle.m, k)
+    times = handle.times
+    dt = times[1] - times[0]
     zero = np.zeros(n)  # f = T(x) a, so the block T(x) = df/da is the same at any a
     with np.errstate(over="ignore", invalid="ignore"):  # tested just below
         # one stacked df/da call: the blocks T(x_i) of every interior sample
-        a = sys.dfda(values[1:-1], zero).reshape(k * obs.n_interior, n)
-        b = ((values[2:] - values[:-2]) / (2.0 * obs.delta_t)).ravel()
+        a = sys.dfda(values[1:-1], zero).reshape(k * interior, n)
+        b = ((values[2:] - values[:-2]) / (2.0 * dt)).ravel()
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise RangeError("the difference quotients or df/da at the observations "
                          "leave the float range")
@@ -186,21 +168,19 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
     residual falls across accepted iterates. Two kinds of trial are rejected
     without a run: a trial at a point already run, which cannot lower the
     cost, and a flat trial, for which the model's decrease of cost^2,
-    s^T (2 J^T r - J^T J s), is within one ulp of cost^2. The search stops
-    unconverged once the damping term leaves the float range, and raises
-    RangeError when J^T J or J^T r does.
-    Convergence requires both the last step norm <= step_tol and the residual
-    gradient norm <= grad_tol. Every exit holds the Jacobian at the returned
+    s^T (2 J^T r - J^T J s), is within one ulp of cost^2. The first flat
+    trial ends the search, for more damping only shrinks the step further.
+    The search stops unconverged once the damping term leaves the float
+    range, and raises RangeError when J^T J or J^T r does.
+    Convergence requires the residual gradient norm <= grad_tol, and the
+    last step norm <= step_tol unless a flat trial ended the search; a norm
+    that overflows is inf, and never converges. Every exit holds the Jacobian at the returned
     ``alpha_hat``; the reported rank and condition are its own. The result
     counts the runs made (``evaluations``) and the trials not accepted
     (``rejected``). ``alpha_init`` is copied, never kept.
     """
-    y_obs = np.asarray(y_obs, dtype=float).reshape(-1)
+    y_obs = _observed(handle, y_obs)
     alpha = np.array(alpha_init, dtype=float).reshape(-1)
-    if y_obs.shape[0] != handle.dim_out:
-        raise DimensionError(
-            f"y_obs has length {y_obs.shape[0]}, expected {handle.dim_out}"
-        )
     if alpha.shape[0] != handle.n_params:
         raise DimensionError("alpha_init has wrong dimension")
     if not np.all(np.isfinite(alpha)):
@@ -229,9 +209,9 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
         with np.errstate(over="ignore", invalid="ignore"):  # tested just below
             grad = jac.T @ residual_vec
             jtj = jac.T @ jac
+            grad_norm = float(np.linalg.norm(grad))  # inf if it overflows: never converged
         if not (np.isfinite(grad).all() and np.isfinite(jtj).all()):
             raise RangeError("normal equations J^T J, J^T r leave the float range")
-        grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= options.grad_tol and step_norm <= options.step_tol:
             converged = True
             break
@@ -241,6 +221,7 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
         diag[diag < floor] = floor
 
         trial_cost = math.inf
+        flat = False
         for _attempt in range(30):
             with np.errstate(over="ignore"):  # tested just below
                 damping = lam * diag
@@ -252,11 +233,13 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
                 step = np.linalg.solve(damped, grad)
             except np.linalg.LinAlgError:
                 step, *_ = np.linalg.lstsq(damped, grad, rcond=None)
-            step_norm = float(np.linalg.norm(step))
-            trial = alpha + step
+            with np.errstate(over="ignore"):  # an inf norm or trial is never accepted
+                step_norm = float(np.linalg.norm(step))
+                trial = alpha + step
             # a flat trial is not worth a run; at a seen point the run failed,
             # or its cost was not below the cost then nor now
-            if not _flat(step, grad, jtj, cost) and trial.tobytes() not in seen:
+            flat = _flat(step, grad, jtj, cost)
+            if not flat and trial.tobytes() not in seen:
                 seen.add(trial.tobytes())
                 try:
                     trial_res, trial_cost, trial_jac = run(trial)
@@ -265,13 +248,16 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
                 if trial_cost < cost:  # cost is finite, so nan and inf compare false
                     break
             rejected += 1
+            if flat:  # more damping only shrinks the step: no later trial is worth a run
+                break
             lam *= DEFAULTS.gn_damping_up
 
         if not trial_cost < cost:
-            # every trial rejected: converged if the last proposal was already
-            # below the step tolerance at a flat gradient
+            # every trial rejected: converged at a flat gradient if the last
+            # trial was flat or already below the step tolerance
             if not message:  # the damping stayed in the float range
-                converged = grad_norm <= options.grad_tol and step_norm <= options.step_tol
+                converged = grad_norm <= options.grad_tol and (
+                    flat or step_norm <= options.step_tol)
                 message = "" if converged else "stalled: no acceptable step"
             break
         alpha, residual_vec, cost, jac = trial, trial_res, trial_cost, trial_jac

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,7 @@ from .errors import (
     RangeError,
 )
 from .numkernel import numerical_rank, rank_threshold, singular_values
-from .ode import ParamSystem, _check_grid, _sample_times
+from .ode import ParamSystem, _check_count, _check_grid, _sample_times
 
 
 @dataclass(frozen=True)
@@ -66,17 +65,6 @@ class ObservationMapHandle:
     def overdetermined(self) -> bool:
         """m*k >= n, required for full-rank certificates."""
         return self.dim_out >= self.n_params
-
-
-def _check_count(value, name: str, minimum: int, maximum: int | None = None) -> None:
-    """DomainError naming ``name`` unless ``value`` is an integer in [minimum, maximum]."""
-    # nan passes a `< minimum` test, and any float count then fails in range()
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise DomainError(f"{name} must be >= {minimum}")
-    if maximum is not None and value > maximum:
-        raise DomainError(f"{name} must be <= {maximum}")
 
 
 def phi(handle: ObservationMapHandle, alpha) -> np.ndarray:

@@ -11,6 +11,7 @@ which is integrated jointly with the state as one augmented system.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -530,6 +531,20 @@ def _integrate_grid(rhs, y0, times, tol):
 # public integration entry points
 
 
+def _check_count(value, name: str, minimum: int, maximum: int | None = None) -> None:
+    """DomainError naming ``name`` unless ``value`` is an integer in [minimum, maximum]."""
+    # nan passes a `< minimum` test, and any float count then fails in range().
+    # Every observation-map run makes this check: the exact-int test first
+    # spares the common case the cost of an isinstance test on an ABC
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, numbers.Integral)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise DomainError(f"{name} must be <= {maximum}")
+
+
 def _check_grid(sys: ParamSystem, x0, t_end: float, samples: int,
                 tol: float) -> np.ndarray:
     """Validate x0, the grid (t_end, samples) and tol; return x0 as a float vector."""
@@ -541,10 +556,9 @@ def _check_grid(sys: ParamSystem, x0, t_end: float, samples: int,
         raise DomainError("x0 must be finite")
     if not (t_end > 0.0 and math.isfinite(t_end)):
         raise DomainError("t_end must be positive and finite")
-    if not 1 <= samples <= DEFAULTS.integrator_max_steps:
-        # a bound on the output's size, one row per sample; a step may deliver
-        # many samples, so this bounds the rows, not the steps
-        raise DomainError(f"samples must lie in [1, {DEFAULTS.integrator_max_steps}]")
+    # a bound on the output's size, one row per sample; a step may deliver
+    # many samples, so this bounds the rows, not the steps
+    _check_count(samples, "samples", 1, DEFAULTS.integrator_max_steps)
     if not (DEFAULTS.integrator_min_tol <= tol <= DEFAULTS.integrator_max_tol):
         raise DomainError(f"tol must lie in [{DEFAULTS.integrator_min_tol}, "
                           f"{DEFAULTS.integrator_max_tol}]")

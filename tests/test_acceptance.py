@@ -12,7 +12,6 @@ import numpy as np
 from conftest import ROTATION, finite_difference_jacobian, scalar_map
 from odeident import (
     MatrixLinear,
-    ObservationGrid,
     ObservationMapHandle,
     PolynomialBasis,
     add_noise,
@@ -32,7 +31,6 @@ from odeident import (
     zeta_scan,
 )
 from odeident.cli import main
-from odeident.ode import _sample_times
 from odeident.linearcase import characteristic_poly, discriminant_closed_form
 
 # the closed-form discriminant is this sign times the Sylvester resultant of (P, P')
@@ -180,10 +178,9 @@ def test_fd_estimator_order():
     dts = [0.04, 0.02, 0.01, 0.005]
     errors = []
     for dt in dts:
-        traj = integrate(sys, [1.0, -1.0], [0.1], t_end=4.0,
-                         samples=int(round(4.0 / dt)), tol=1e-12)
-        res = fd_linear_estimate(ObservationGrid(_sample_times(4.0, int(round(4.0 / dt))),
-                                                 traj.states), sys)
+        handle = ObservationMapHandle(sys=sys, x0=[0.1], h=dt, m=int(round(4.0 / dt)),
+                                      tol=1e-12)
+        res = fd_linear_estimate(handle, phi(handle, [1.0, -1.0]))
         errors.append(np.abs(res.alpha_hat - [1.0, -1.0]).max())
     slope = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
     ok = 1.8 <= slope <= 2.2 and errors[-1] <= 1e-3
@@ -295,13 +292,13 @@ def test_end_to_end_determinism(tmp_path):
         runs.append(obs.read_bytes() + out.read_bytes())
     identical = runs[0] == runs[1]
 
-    sys = PolynomialBasis([scalar_map([(1.0, 1)])])
-    traj = integrate(sys, [-0.5], [1.0], t_end=1.0, samples=100, tol=1e-12)
-    grid = ObservationGrid(_sample_times(1.0, 100), traj.states)
+    handle = ObservationMapHandle(sys=PolynomialBasis([scalar_map([(1.0, 1)])]), x0=[1.0],
+                                  h=0.01, m=100, tol=1e-12)
+    y = phi(handle, [-0.5])
     sigmas = [1e-4, 1e-3, 1e-2]
     means = []
     for sigma in sigmas:
-        errs = [abs(fd_linear_estimate(add_noise(grid, sigma, seed), sys)
+        errs = [abs(fd_linear_estimate(handle, add_noise(y, sigma, seed))
                     .alpha_hat[0] + 0.5) for seed in range(50)]
         means.append(float(np.mean(errs)))
     slope = float(np.polyfit(np.log(sigmas), np.log(means), 1)[0])

@@ -18,7 +18,6 @@ from conftest import ROTATION, logistic_system, scalar_decay_system
 from odeident import (
     DEFAULTS,
     MatrixLinear,
-    ObservationGrid,
     ObservationMapHandle,
     __version__,
     certify_radius,
@@ -114,14 +113,15 @@ class TestSimulate:
         assert main(["simulate", "--config", path, "--out", str(out)]) == 0
         times, values = _read_trajectory_csv(out)
         cfg = load_config(path)
-        expected = phi(cfg.build_handle(), cfg.alpha0).reshape(cfg.m, cfg.k)
+        handle = cfg.handle
+        expected = phi(handle, cfg.alpha0).reshape(handle.m, cfg.k)
         assert np.array_equal(values, expected)
-        traj = integrate(cfg.system, cfg.alpha0, cfg.x0, t_end=cfg.h * cfg.m, samples=cfg.m,
-                         tol=cfg.tol)
-        assert np.array_equal(times, cfg.build_handle().times)
+        traj = integrate(handle.sys, cfg.alpha0, handle.x0, t_end=handle.h * handle.m,
+                         samples=handle.m, tol=handle.tol)
+        assert np.array_equal(times, handle.times)
         if cfg.species == "polynomial_basis":  # phi is this integration, byte for byte
             ref = tmp_path / "ref.csv"
-            write_trajectory_csv(ref, cfg.build_handle().times, traj.states)
+            write_trajectory_csv(ref, handle.times, traj.states)
             assert out.read_bytes() == ref.read_bytes()
 
     @pytest.mark.parametrize("x0", [(1e20, 0.7), (1e50, 0.7), (1e100, 0.7), (1e155, 0.7)])
@@ -440,16 +440,12 @@ class TestInvert:
         assert main(["invert", "--config", cfg, "--obs", str(obs),
                      "--mode", "gn", "--out", str(tmp_path / "x.json")]) == 2
 
-    @pytest.mark.parametrize("sigma,gauss_newton,message", [
-        (0.0, {"max_iter": 1}, "max_iter exhausted"),
-        # every trial is rejected, and the damping grows x4 from 1e300 until
-        # damping * diag(J^T J) leaves the float range
-        (1e20, {"damping": 1e300}, "x diag(J^T J) leaves the float range"),
-    ])
-    def test_non_convergence_exits_5_with_result(self, tmp_path, sigma, gauss_newton,
-                                                 message):
+    @staticmethod
+    def invert_gn_without_warning(tmp_path, gauss_newton, x0=(1.0, 0.7), sigma=0.0):
+        """Simulate a rotation and invert it from ROT + 0.2 with these Gauss-Newton
+        options, with every warning an error; return the exit code and result."""
         init = (np.array(ROT).ravel() + 0.2)
-        cfg_dict = rotation_config(h=0.3, m=6, x0=(1.0, 0.7), sigma=sigma,
+        cfg_dict = rotation_config(h=0.3, m=6, x0=x0, sigma=sigma,
                                    extra_solver={
                                        "init": init.tolist(),
                                        "gauss_newton": gauss_newton,
@@ -460,11 +456,29 @@ class TestInvert:
         out = tmp_path / "est.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["invert", "--config", cfg, "--obs", str(obs),
-                         "--mode", "gn", "--out", str(out)]) == 5
-        result = strict_json(out.read_text())["result"]
+            code = main(["invert", "--config", cfg, "--obs", str(obs),
+                         "--mode", "gn", "--out", str(out)])
+        return code, strict_json(out.read_text())["result"]
+
+    @pytest.mark.parametrize("sigma,gauss_newton,message", [
+        (0.0, {"max_iter": 1}, "max_iter exhausted"),
+        # the first trial from a damping of 1e300 is flat, and ends the search
+        (1e20, {"damping": 1e300}, "stalled: no acceptable step"),
+    ])
+    def test_non_convergence_exits_5_with_result(self, tmp_path, sigma, gauss_newton,
+                                                 message):
+        code, result = self.invert_gn_without_warning(tmp_path, gauss_newton, sigma=sigma)
+        assert code == 5
         assert result["converged"] is False
-        assert message in result["message"]
+        assert result["message"] == message
+
+    def test_damping_beyond_the_float_range_exits_5_with_result(self, tmp_path):
+        # diag(J^T J) near 1e240 at an x0 of 1e120: 1e300 x diag(J^T J) overflows
+        code, result = self.invert_gn_without_warning(tmp_path, {"damping": 1e300},
+                                                      x0=(1e120, 7e119))
+        assert code == 5
+        assert result["converged"] is False
+        assert result["message"].endswith("x diag(J^T J) leaves the float range")
 
     def test_overflowing_observations_exit_3_with_no_report(self, tmp_path):
         # observations near 1e200: the fd residual norm and the GN cost overflow
@@ -502,6 +516,40 @@ class TestInvert:
                 assert main(["invert", "--config", cfg, "--obs", str(bad),
                              "--mode", mode, "--out", str(out)]) == 2
                 assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["header_only", "other_h", "other_m", "from_t0",
+                                      "non_uniform"])
+    def test_both_modes_refuse_a_grid_other_than_the_config(self, tmp_path, capsys, case):
+        # both inversions read the config's grid, so both refuse the same files;
+        # fd used to take any uniform grid. Non-finite cells are the test above's
+        init = (np.array(ROT).ravel() + 0.03).tolist()
+        cfg = write_config(tmp_path, "rot.json",
+                           rotation_config(h=0.3, m=6, x0=(1.0, 0.7),
+                                           extra_solver={"init": init}))
+        obs = tmp_path / "obs.csv"
+        for mode in ("fd", "gn"):  # the simulated file itself is accepted
+            assert main(["simulate", "--config", cfg, "--out", str(obs)]) == 0
+            assert main(["invert", "--config", cfg, "--obs", str(obs),
+                         "--mode", mode, "--out", str(tmp_path / f"{mode}.json")]) == 0
+        if case in ("other_h", "other_m"):
+            other = rotation_config(h=0.25 if case == "other_h" else 0.3,
+                                    m=7 if case == "other_m" else 6, x0=(1.0, 0.7))
+            assert main(["simulate", "--config", write_config(tmp_path, "other.json", other),
+                         "--out", str(obs)]) == 0
+        else:
+            header, *rows = obs.read_text().splitlines()
+            times = ([0.0, 0.3, 0.6, 0.9, 1.2, 1.5] if case == "from_t0"
+                     else [0.3, 0.6, 0.91, 1.2, 1.5, 1.8])
+            rows = [] if case == "header_only" else [
+                f"{t},{row.split(',', 1)[1]}" for t, row in zip(times, rows)]
+            obs.write_text("\n".join([header] + rows) + "\n")
+        capsys.readouterr()
+        for mode in ("fd", "gn"):
+            out = tmp_path / f"{case}_{mode}.json"
+            assert main(["invert", "--config", cfg, "--obs", str(obs),
+                         "--mode", mode, "--out", str(out)]) == 2
+            assert not out.exists()
+            assert "observations must be 6 rows of 2 values" in capsys.readouterr().err
 
     def test_overflowing_normal_equations_exit_3_without_warning(self, tmp_path):
         # x0 of 1e155: J^T J and J^T r overflow
@@ -690,14 +738,14 @@ class TestCsv:
         assert err.value.line == 2
 
     def test_csv_round_trip(self, tmp_path):
-        traj = integrate(scalar_decay_system(), [-0.5], [1.0], t_end=1.0, samples=10,
-                         tol=1e-12)
-        grid = ObservationGrid(_sample_times(1.0, 10), traj.states)
+        handle = ObservationMapHandle(sys=scalar_decay_system(), x0=[1.0], h=0.1, m=10,
+                                      tol=1e-12)
+        values = phi(handle, [-0.5]).reshape(10, 1)
         path = tmp_path / "obs.csv"
-        write_trajectory_csv(path, grid.times, grid.values)
-        back = ObservationGrid(*_read_trajectory_csv(path))
-        assert np.array_equal(back.times, grid.times)
-        assert np.array_equal(back.values, grid.values)
+        write_trajectory_csv(path, handle.times, values)
+        times, back = _read_trajectory_csv(path)
+        assert np.array_equal(times, handle.times)
+        assert np.array_equal(back, values)
 
 
 def _certificate():
@@ -714,8 +762,8 @@ def _single_pair_verification():
 
 def _rank_deficient_estimate():
     # all-zero observations: df/da is the zero matrix, so the condition is inf
-    grid = ObservationGrid(0.3 * np.arange(1, 6), np.zeros((5, 2)))
-    return fd_linear_estimate(grid, MatrixLinear(2))
+    handle = ObservationMapHandle(sys=MatrixLinear(2), x0=[1.0, 0.7], h=0.3, m=5)
+    return fd_linear_estimate(handle, np.zeros(10))
 
 
 # (record, the encoded fields to check); every record's keys are checked too
@@ -829,6 +877,27 @@ class TestValidation:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("observation", [
+        {"h": 0.3, "m": 6, "tol": 1e-2},          # tol above the integrators' range
+        {"h": 1e-3, "m": 10 ** 7, "tol": 1e-10},  # more samples than the budget
+        {"h": 1e308, "m": 6, "tol": 1e-10},       # t_end = h * m overflows
+    ], ids=["tol", "m", "h*m"])
+    @pytest.mark.parametrize("verb", ["analyze-linear", "simulate"])
+    def test_bad_grid_exits_2_before_any_verb_computes(self, tmp_path, capsys, monkeypatch,
+                                                       verb, observation):
+        # analyze-linear ran its degeneracy report and branches before
+        # full_rank_check refused the grid
+        def refuse(*args, **kwargs):
+            raise AssertionError("a verb computed on a grid the config refuses")
+
+        for name in ("degeneracy_report", "log_branches", "phi"):
+            monkeypatch.setattr(odeident.cli, name, refuse)
+        cfg_dict = rotation_config()
+        cfg_dict["observation"] = observation
+        cfg = write_config(tmp_path, "bad.json", cfg_dict)
+        assert main([verb, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "error: observation: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("path,value,named", [
         (("system", "basis", 0, 0, 0), {"coef": 1.0, "exponents": [1]},
@@ -1007,13 +1076,14 @@ def test_mutated_config_invert_and_scan_exit_code_contract(edits):
     assert set(codes) <= {0, 2, 3, 4, 5}
 
 
-# the explicit examples reach the overflowing residual norm, sigma_1^(2n) and
-# Gauss-Newton damping
+# the explicit examples reach the overflowing residual norm, sigma_1^(2n),
+# Gauss-Newton damping and a gradient J^T r whose norm overflows
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @example(edits=[(("noise", "sigma"), 1e200)])
 @example(edits=[(("solver", "scan", "alpha_box", 0, 1), 50)])
 @example(edits=[(("noise", "sigma"), 1e20), (("solver", "gauss_newton", "damping"), 1e300)])
+@example(edits=[(("system", "x0", 0), 1e140)])
 @given(edits=_edits(fuzz_inversion_config(), st.sampled_from(_LEAF_POOL)))
 def test_mutated_linear_config_invert_and_scan_exit_code_contract(edits):
     """As above for both inversions and zeta-scan on a matrix_linear config."""

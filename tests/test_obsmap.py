@@ -80,6 +80,19 @@ class TestPhi:
             ObservationMapHandle(sys=scalar_decay_system(), x0=np.array([1.0]),
                                  h=h, m=m, tol=tol)
 
+    @pytest.mark.parametrize("m", [2.5, True, np.float64(3.0)], ids=repr)
+    @pytest.mark.parametrize("sys", [scalar_decay_system(), rotation_system()],
+                             ids=["polynomial", "matrix_linear"])
+    def test_handle_sample_count_must_be_an_integer(self, sys, m):
+        # m = 2.5 built: the polynomial map returned 3 samples against a
+        # dim_out of 2.5, and the matrix map raised a bare TypeError
+        with pytest.raises(DomainError, match="samples must be an integer"):
+            ObservationMapHandle(sys=sys, x0=np.ones(sys.state_dim), h=0.5, m=m)
+        handle = ObservationMapHandle(sys=sys, x0=np.ones(sys.state_dim), h=0.5,
+                                      m=np.int64(3))
+        assert phi(handle, np.zeros(sys.param_dim)).shape == (handle.dim_out,) == (
+            3 * sys.state_dim,)
+
     # h*m/m is not h for (0.05, 3) or (0.2, 3): the grid is t_end / m, not h
     @pytest.mark.parametrize("h,m", [(0.3, 6), (0.05, 3), (0.2, 3), (1 / 3, 9)])
     def test_times_are_the_integrators_grid(self, h, m):
