@@ -423,6 +423,23 @@ def test_gauss_newton_report_invariants_on_every_exit(k, seed, noise, max_iter, 
 
 
 
+# the exact linear map's noise-free fits end at rounding: the stop rules must not
+# end them at a larger residual. Bound fixed before the stall exit: over 1500
+# draws the relative residual reached 6.7e-15 (about 30 eps)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_noise_free_linear_fit_ends_at_rounding(k, seed):
+    rng = np.random.default_rng(seed)
+    alpha0 = MatrixLinear.pack(stable_matrix(rng, k))
+    x0 = rng.standard_normal(k)
+    handle = ObservationMapHandle(sys=MatrixLinear(k), x0=x0 / np.linalg.norm(x0),
+                                  h=0.3, m=k + 2)
+    y = phi(handle, alpha0)
+    result = gauss_newton_invert(handle, y, alpha0 + 0.01 * rng.standard_normal(k * k))
+    assert result.converged, result.message
+    assert result.residual <= 2e-14 * np.linalg.norm(y)
+
+
 def lotka_volterra_system() -> PolynomialBasis:
     """x' = a1 x + a2 x y, y' = a3 y + a4 x y."""
     return PolynomialBasis([[[(1.0, (1, 0))], []], [[(1.0, (1, 1))], []],

@@ -648,6 +648,20 @@ class TestSamples:
         assert (_sha(traj.states), _sha(bundle.states, bundle.jacobian)) \
             == self.SPARSE_PINS[case]
 
+    # recover's dense grid, h 0.01 and m 200 at tol 1e-10: about 40 steps, so
+    # most samples come from the continuous extension. sha256 of the logistic
+    # joint run's states then sensitivities, and of the Lotka-Volterra plain
+    # run's states
+    def test_dense_grids_keep_their_bits(self):
+        bundle = integrate_with_sensitivity(logistic_system(), [1.0, -1.0], [0.1],
+                                            2.0, 200, 1e-10)
+        assert _sha(bundle.states, bundle.jacobian) \
+            == "788254a30bc981668560af42d1df26b7699b764b050bd896a72e196c8152e1b5"
+        traj = integrate(PolynomialBasis(LOTKA_VOLTERRA), [1.0, -0.5, -1.0, 0.5],
+                         [1.3, 0.7], 2.0, 200, 1e-10)
+        assert _sha(traj.states) \
+            == "2baa597d550307f5011ca60e7792c6d1f5fa3d972a597499d63565780136ec23"
+
     # bound fixed before the test was first run: 25 tol in the integrator's
     # own error scale tol (1 + |x|), the sparse test's multiple above
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
