@@ -131,13 +131,20 @@ def _as_int(value, path: str, minimum: int | None = None,
 
 
 def _as_array(value, path: str) -> np.ndarray:
+    """A number or nested lists of numbers as a float array. Every entry obeys
+    ``_as_float``'s rule, so a bool or a numeric string is refused by its path."""
+    pending = [(value, path)]
+    while pending:  # no recursion: a config may nest lists as deep as JSON allows
+        item, where = pending.pop()
+        if isinstance(item, list):
+            # reversed, so that the first bad entry is the one reported
+            pending.extend((item[i], f"{where}[{i}]") for i in reversed(range(len(item))))
+        else:
+            _as_float(item, where)
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"'{path}' must be numeric") from None
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"'{path}' must be finite")
-    return arr
+        return np.asarray(value, dtype=float)
+    except ValueError:  # ragged, or more than numpy's 64 dimensions
+        raise ConfigError(f"'{path}' must be a regular array of numbers") from None
 
 
 def _basis_system(basis, k: int, n: int) -> PolynomialBasis:

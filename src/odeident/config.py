@@ -47,6 +47,7 @@ class Tolerances:
     gn_damping: float = 1e-3
     gn_damping_down: float = 0.5        # on accepted step
     gn_damping_up: float = 4.0          # on rejected step
+    gn_stall_ratio: float = 0.5         # an accepted step that keeps more of the cost stalls
 
 
 DEFAULTS = Tolerances()

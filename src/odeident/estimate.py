@@ -143,6 +143,9 @@ class GaussNewtonOptions:
             raise DomainError("Gauss-Newton options must be positive and finite")
 
 
+_SQRT_EPS = math.sqrt(EPS)
+
+
 def _flat(step, grad, jtj, cost: float) -> bool:
     """Whether the Gauss-Newton model's decrease of cost^2 for ``step``,
     s^T (2 J^T r - J^T J s) = ||J s||^2 + 2 lam s^T D s, is within one ulp of
@@ -172,9 +175,18 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
     trial ends the search, for more damping only shrinks the step further.
     The search stops unconverged once the damping term leaves the float
     range, and raises RangeError when J^T J or J^T r does.
-    Convergence requires the residual gradient norm <= grad_tol, and the
-    last step norm <= step_tol unless a flat trial ended the search; a norm
-    that overflows is inf, and never converges. Every exit holds the Jacobian at the returned
+    Convergence requires the residual gradient norm <= grad_tol, and one of
+    three: the last step norm <= step_tol, a flat trial ended the search, or
+    the last accepted step stalled. A step stalls when it kept at least
+    ``DEFAULTS.gn_stall_ratio`` (one half) of the cost and its norm is at most
+    sqrt(eps) (sqrt(eps) + ||a||), a the point it reached: the relative step
+    test of Dennis and Schnabel (1983, 7.2) and MINPACK (More 1978). An
+    integrated map's cost stops falling at its integration error, far above
+    rounding, and the absolute step_tol sits below what such a map resolves;
+    the stall exit ends those fits there. An exact fit still ends at
+    rounding, for its cost falls about 1000 times per step until then, so no
+    step of it stalls. A norm that overflows is inf, and never converges.
+    Every exit holds the Jacobian at the returned
     ``alpha_hat``; the reported rank and condition are its own. The result
     counts the runs made (``evaluations``) and the trials not accepted
     (``rejected``). ``alpha_init`` is copied, never kept.
@@ -202,6 +214,7 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
     rejected = 0
     lam = options.damping
     step_norm = 0.0
+    stalled = False  # whether the last accepted step stalled
     converged = False
     message = ""
 
@@ -212,7 +225,7 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
             grad_norm = float(np.linalg.norm(grad))  # inf if it overflows: never converged
         if not (np.isfinite(grad).all() and np.isfinite(jtj).all()):
             raise RangeError("normal equations J^T J, J^T r leave the float range")
-        if grad_norm <= options.grad_tol and step_norm <= options.step_tol:
+        if grad_norm <= options.grad_tol and (stalled or step_norm <= options.step_tol):
             converged = True
             break
 
@@ -260,6 +273,12 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
                     flat or step_norm <= options.step_tol)
                 message = "" if converged else "stalled: no acceptable step"
             break
+        # a step that kept at least half the cost, at the resolution of the
+        # iterate, sqrt(eps) (sqrt(eps) + ||a||), has reached the cost's noise
+        # floor; hypot forms ||a|| without squaring, so an ||a|| above
+        # sqrt(max float) does not overflow
+        stalled = (trial_cost >= DEFAULTS.gn_stall_ratio * cost
+                   and step_norm <= _SQRT_EPS * (_SQRT_EPS + math.hypot(*trial.tolist())))
         alpha, residual_vec, cost, jac = trial, trial_res, trial_cost, trial_jac
         lam = max(lam * DEFAULTS.gn_damping_down, 1e-300)
         history.append((alpha, cost))

@@ -463,7 +463,11 @@ def _integrate_grid(rhs, y0, times, tol):
     # stage s reads ys rows 0..s only, so a stale row from a failed attempt never enters
     stages = [(_DP_C[s], coef[s - 1, :s + 1], ys[:s + 1], ys[s + 1]) for s in range(1, 7)]
     sol_err = coef[6:]
-    abs_y = np.abs(ys[0])
+    d = ys.shape[1]
+    new = np.empty((2, d))  # [y_new; err_vec], rewritten by each attempt
+    y_new, err_vec = new  # views
+    flat_new, zeros = new.reshape(-1), np.zeros(2 * d)
+    abs_y, abs_new, sc = np.abs(ys[0]), np.empty(d), np.empty(d)
     steps = 0
     i = 0  # the first sample not yet delivered
     while i < n_samples:
@@ -481,20 +485,24 @@ def _integrate_grid(rhs, y0, times, tol):
         np.multiply(weights, h, out=scaled)
         for c, row, block, k in stages:
             k[...] = rhs(t + c * h, np.dot(row, block))
-        new = np.dot(sol_err, ys)  # [y_new; err_vec]
-        # every stage enters both rows (a zero weight gives 0*inf = nan),
-        # so this one test sees any non-finite stage
-        if not np.isfinite(new).all():
+        np.dot(sol_err, ys, out=new)
+        # every stage enters both rows (a zero weight gives 0*inf = nan), and
+        # 0*inf and 0*nan are nan, so this one product sees any non-finite stage
+        if math.isnan(np.dot(flat_new, zeros)):
             # retry smaller; if the step floor is hit the state is blowing up
             h_nat = h * 0.25
             if h_nat < h_min:
                 raise DivergenceError("state diverged", t)
             continue
 
-        y_new, err_vec = new
-        abs_new = np.abs(y_new)
-        sc = tol + tol * np.maximum(abs_y, abs_new)
-        err = _rms(err_vec / sc)
+        # _rms(err_vec / (tol + tol * max(|y|, |y_new|))) in place, op for op
+        np.abs(y_new, out=abs_new)
+        np.maximum(abs_y, abs_new, out=sc)
+        sc *= tol
+        sc += tol
+        np.divide(err_vec, sc, out=sc)
+        np.multiply(sc, sc, out=sc)
+        err = math.sqrt(float(np.add.reduce(sc)) / d)
         steps += 1
         if err <= 1.0:
             if j > i:  # samples i..j-1 lie inside the step, which ends on t_target
@@ -512,7 +520,7 @@ def _integrate_grid(rhs, y0, times, tol):
             t = t_target if (t_target - t - h) < h_min else t + h
             ys[0] = y_new
             ys[1] = ys[7]  # FSAL
-            abs_y = abs_new
+            abs_y, abs_new = abs_new, abs_y
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
             if clamped:
                 h_nat = max(h_nat, h * factor)

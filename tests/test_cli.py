@@ -931,6 +931,26 @@ class TestValidation:
                      str(tmp_path / "x.csv")]) == 2
         assert named in capsys.readouterr().err
 
+    # an array entry is a real JSON number, as every scalar field's is: numpy
+    # would read true as 1.0 and "0.1" as 0.1
+    @pytest.mark.parametrize("path,value,named", [
+        (("system", "alpha0"), [1.0, True], "'system.alpha0[1]' must be a finite number"),
+        (("system", "x0"), ["0.1"], "'system.x0[0]' must be a finite number"),
+        (("system", "x0"), "7", "'system.x0' must be a finite number"),
+        (("solver", "init"), [True, False], "'solver.init[0]' must be a finite number"),
+        (("solver", "scan", "x_box"), [[0.02, "0.3"]],
+         "'solver.scan.x_box[0][1]' must be a finite number"),
+    ])
+    def test_array_entry_that_is_not_a_number_exits_2(self, tmp_path, capsys, path, value,
+                                                      named):
+        cfg_dict = fuzz_base_config()
+        _set(cfg_dict, path, value)
+        cfg = write_config(tmp_path, "bad.json", cfg_dict)
+        for verb in ("simulate", "certify"):
+            assert main([verb, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+            assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 def fuzz_base_config():
     cfg = logistic_config(m=4, h=0.25)

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -266,7 +267,7 @@ class TestGaussNewton:
         assert all(abs(a[0]) < 10.0 and math.isfinite(r) for a, r in result.history)
 
     @staticmethod
-    def counted_noisy_decay_fit(noise_seed, flat_rule=True):
+    def counted_noisy_decay_fit(noise_seed, flat_rule=True, grad_tol=GaussNewtonOptions.grad_tol):
         """Fit noisy x' = a x data from a start near the minimum; return the
         result, the number of rejected trials that made no run and the sha256
         of the report the CLI writes, after checking that the fit ran the map
@@ -283,7 +284,8 @@ class TestGaussNewton:
         with pytest.MonkeyPatch.context() as mp, recorded_runs(MatrixLinear) as calls:
             if not flat_rule:
                 mp.setattr(estimate, "EPS", 0.0)
-            result = gauss_newton_invert(handle, y, alpha0 + 0.005)
+            result = gauss_newton_invert(handle, y, alpha0 + 0.005,
+                                         GaussNewtonOptions(grad_tol=grad_tol))
         assert_one_run_per_point(calls, result)
         # one run at the start and one per accepted trial; the other runs were rejected
         skipped = result.rejected - (result.evaluations - 1 - result.iterations)
@@ -306,15 +308,30 @@ class TestGaussNewton:
 
     def test_rejected_trial_is_not_evaluated_again(self):
         # a trial at a point already run, the iterate or a trial rejected
-        # before, is rejected again without a second run. With the flat rule
-        # off, that rule alone skips 21 trials here; with it, the first flat
-        # trial ends the search 6 runs earlier (x86-64, numpy 2.4)
-        result, skipped, digest = self.counted_noisy_decay_fit(noise_seed=0, flat_rule=False)
+        # before, is rejected again without a second run. A grad_tol of 1e-14
+        # lies below the gradient this fit reaches, so neither the step nor
+        # the stall exit ends it, and the search goes on until no trial is
+        # accepted. With the flat rule off, the seen-point rule alone skips 21
+        # trials here; with it, the first flat trial ends the search 6 runs
+        # earlier (x86-64, numpy 2.4)
+        result, skipped, digest = self.counted_noisy_decay_fit(noise_seed=0, flat_rule=False,
+                                                               grad_tol=1e-14)
         assert (result.evaluations, result.rejected, skipped) == (18, 34, 21)
-        assert digest == "c941ee56632fe1238bd104957a92417988137e54ac58e4e11141d0646498d56c"
-        result, skipped, digest = self.counted_noisy_decay_fit(noise_seed=0)
+        assert digest == "d2b461b342782b35fa2357b1a57843e0636ca00c66c8a644a5286bad7bf3c4a9"
+        result, skipped, digest = self.counted_noisy_decay_fit(noise_seed=0, grad_tol=1e-14)
         assert (result.evaluations, result.rejected, skipped) == (12, 8, 1)
-        assert digest == "52733ecbb831e0b816a26e54f682c0aa5db08e65c33d54f2e1f1bdc1691b71ff"
+        assert digest == "43969ebf5ec42be287e792543215664836dc735c62fc30586d611c5b42672aa5"
+
+    def test_stall_test_at_an_iterate_beyond_the_root_of_the_float_range_is_silent(self):
+        # ||a||^2 overflows once |a| > 1.3e154; rates near 5e156 on a grid of
+        # h 1e-157 still give ordinary states, so such iterates are accepted
+        handle = ObservationMapHandle(sys=MatrixLinear(1), x0=[1e150], h=1e-157, m=3)
+        y = phi(handle, [-5e156])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = gauss_newton_invert(handle, y, [-4e156])
+        assert result.converged and result.iterations >= 1
+        assert abs(result.alpha_hat[0] / -5e156 - 1.0) <= 1e-12
 
     def test_trial_whose_cost_squares_beyond_the_float_range_is_never_flat(self):
         # the model's decrease of cost^2 here is 2e-300, below one ulp of any
@@ -482,6 +499,29 @@ def test_noise_free_fit_of_plain_run_data_reaches_alpha0(species, dense, seed):
     result = gauss_newton_invert(handle, phi(handle, alpha0), init)
     assert result.converged
     assert np.abs(result.alpha_hat - alpha0).max() <= 1e-6
+
+
+# (evaluations, rejected) of fits in the recover benchmark's ranges, which the
+# stall exit ends at the integration's noise floor. The comment gives each
+# fit's counts without that exit (x86-64, numpy 2.4)
+@pytest.mark.parametrize("species, dense, sigma, seed, counts", [
+    ("logistic", False, 0.0, 1, (9, 2)),       # (9, 2): no step of it stalls
+    ("logistic", False, 1e-5, 0, (5, 0)),      # (6, 1)
+    ("logistic", False, 1e-5, 3, (7, 1)),      # (7, 2)
+    ("logistic", True, 0.0, 1, (6, 0)),        # (8, 0)
+    ("logistic", True, 0.0, 3, (7, 0)),        # (17, 17)
+    ("lotka-volterra", False, 0.0, 0, (8, 0)),  # (8, 0)
+    ("lotka-volterra", False, 0.0, 3, (8, 0)),  # (11, 3)
+])
+def test_stall_exit_runs_of_recover_fits(species, dense, sigma, seed, counts):
+    rng = np.random.default_rng(seed)
+    handle, alpha0, init = recover_problem(rng, species, dense)
+    y = phi(handle, alpha0) + sigma * rng.standard_normal(handle.dim_out)
+    result = gauss_newton_invert(handle, y, init)
+    assert result.converged, result.message
+    assert (result.evaluations, result.rejected) == counts
+    if sigma == 0.0:
+        assert np.abs(result.alpha_hat - alpha0).max() <= 1e-6
 
 
 # the recover benchmark's noisy jobs, over its three species: the fit must end
