@@ -5,10 +5,10 @@ Layers, bottom up:
 
 * ``numkernel`` — dense linear algebra (matrix exponential, eigenvalues,
   least squares, singular values, resultants).
-* ``ode`` — parameterized systems, adaptive integration, forward
-  sensitivities, and each species' observation map (closed form for
-  x' = A x).
-* ``obsmap`` — the observation map, its Jacobian, injectivity-radius
+* ``ode`` — parameterized systems, the handle whose ``observe`` is the
+  observation map's one entry point, adaptive integration, forward
+  sensitivities, and each species' map (closed form for x' = A x).
+* ``obsmap`` — ``phi`` and ``phi_jacobian``, injectivity-radius
   certificates, and the det(J^T J) lattice scan.
 * ``linearcase`` — exact analysis of x' = A x: degeneracy/aliasing
   detection, matrix-log branch enumeration, rank oracles.
@@ -61,7 +61,6 @@ from .numkernel import (
 )
 from .obsmap import (
     InjectivityCertificate,
-    ObservationMapHandle,
     VerificationReport,
     ZetaScanResult,
     certify_radius,
@@ -73,6 +72,7 @@ from .obsmap import (
 from .ode import (
     MatrixLinear,
     Observation,
+    ObservationMapHandle,
     ParamSystem,
     PolynomialBasis,
     integrate,

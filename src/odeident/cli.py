@@ -75,8 +75,8 @@ from .linearcase import (
     log_branches,
 )
 from .numkernel import as_square
-from .obsmap import ObservationMapHandle, certify_radius, phi, verify_lower_bound, zeta_scan
-from .ode import MatrixLinear, PolynomialBasis
+from .obsmap import certify_radius, phi, verify_lower_bound, zeta_scan
+from .ode import MatrixLinear, ObservationMapHandle, PolynomialBasis
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -448,7 +448,7 @@ def cmd_analyze_linear(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     except DefectiveMatrixError:
         branches = None
         n_branches = 0
-    rank_report = full_rank_check(amat, handle.x0, handle.h, handle.m, tol=handle.tol)
+    rank_report = full_rank_check(handle, cfg.alpha0)
     divdiff = None
     if not report.double_eigenvalue and cfg.k >= 2:
         numeric, closed = exp_divided_difference_determinant(report.eigenvalues)

@@ -31,8 +31,7 @@ from .errors import (
     RangeError,
 )
 from .numkernel import EPS, condition_number, least_squares, numerical_rank, singular_values
-from .obsmap import ObservationMapHandle
-from .ode import MatrixLinear, PolynomialBasis, _check_count
+from .ode import MatrixLinear, ObservationMapHandle, PolynomialBasis, _check_count
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +200,7 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
     def run(a):
         """The residual vector, its norm and the Jacobian at a, from one run."""
         with np.errstate(over="ignore"):  # an overflowing cost is inf, never accepted
-            obs = handle.sys.observe(a, handle.x0, handle.h, handle.m, handle.tol,
-                                     jacobian=True)
+            obs = handle.observe(a, jacobian=True)
             r = y_obs - obs.values
             return r, float(np.linalg.norm(r)), obs.jacobian
 

@@ -2,7 +2,7 @@
 aliasing detection, matrix-logarithm branch enumeration, Krylov dependence
 of the initial condition, the exponential-divided-difference determinant
 identity and the rank of the observation map's Jacobian. (The exact
-observation map itself is ``MatrixLinear.observe``.)
+observation map itself is ``MatrixLinear._observe``.)
 
 Distinct parameter matrices share the observation map exactly when their
 eigenvalues differ by integer multiples of 2*pi*i/h (aliasing), which is why
@@ -31,8 +31,8 @@ from .numkernel import (
     singular_values,
     sylvester_resultant,
 )
-from .obsmap import ObservationMapHandle, phi_jacobian
-from .ode import MatrixLinear
+from .obsmap import phi_jacobian
+from .ode import MatrixLinear, ObservationMapHandle, _check_count
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +208,13 @@ def log_branches(alpha0, h: float, k_max: int = DEFAULTS.k_max) -> BranchSet:
     DefectiveMatrixError. The lattice is exponentiated in one stacked
     ``mat_exp`` call, and each branch must match exp(h * alpha0) to
     ``DEFAULTS.branch_exp_tol``; the first failing branch in shift order
-    decides the error.
+    decides the error; a ``k_max`` not an integer >= 0 raises DomainError.
     """
     a = as_square(alpha0)
     if not (h > 0.0 and math.isfinite(h)):
         raise DomainError("h must be positive and finite")
-    if k_max < 0:
-        raise DomainError("k_max must be >= 0")
+    _check_count(k_max, "k_max", 0)
+    k_max = int(k_max)  # a Python int: the branch count of a numpy int could wrap
     eig = eigenvalues(a)
     if eig.repeated:
         raise DefectiveMatrixError(
@@ -224,7 +224,7 @@ def log_branches(alpha0, h: float, k_max: int = DEFAULTS.k_max) -> BranchSet:
     upper = [i for i in range(len(vals)) if vals[i].imag > imag_tol]
     if not upper:
         return BranchSet(base=a, h=float(h), branches=(a.copy(),),
-                         k_range=int(k_max), k_vectors=((),))
+                         k_range=k_max, k_vectors=((),))
 
     count = (2 * k_max + 1) ** len(upper)
     if count > DEFAULTS.branch_budget:
@@ -271,7 +271,7 @@ def log_branches(alpha0, h: float, k_max: int = DEFAULTS.k_max) -> BranchSet:
             continue
         kept.append(i)
     return BranchSet(base=a, h=float(h), branches=tuple(lattice[kept]),
-                     k_range=int(k_max), k_vectors=tuple(shifts[i] for i in kept))
+                     k_range=k_max, k_vectors=tuple(shifts[i] for i in kept))
 
 
 # ---------------------------------------------------------------------------
@@ -334,23 +334,17 @@ class FullRankReport:
     full: bool
 
 
-def full_rank_check(alpha0, x0, h: float, m: int,
-                    tol: float = DEFAULTS.integrator_tol) -> FullRankReport:
-    """``numerical_rank`` of the k^2-column Jacobian of A -> phi(A) for the
-    matrix-linear system observed from x0 at h, 2h, ..., mh.
-
-    The Jacobian is ``phi_jacobian``'s, the one the estimators and
-    ``certify_radius`` use, and the rank rule is theirs too.
+def full_rank_check(handle: ObservationMapHandle, alpha0) -> FullRankReport:
+    """``numerical_rank`` of the k^2-column Jacobian of A -> phi(A) at alpha0
+    (A or its packed vector) for a ``MatrixLinear`` handle: ``phi_jacobian``'s,
+    the one the estimators and ``certify_radius`` use, under their rank rule.
+    DomainError for another species' handle, DimensionError when m*k < k^2.
     """
-    a = as_square(alpha0)
-    x0 = as_vector(x0)
-    k = a.shape[0]
-    if m * k < k * k:
+    if not isinstance(handle.sys, MatrixLinear):
+        raise DomainError("full_rank_check needs a matrix_linear handle")
+    if not handle.overdetermined:
         raise DimensionError("need m*k >= k^2 observations for a full-rank check")
-    sys = MatrixLinear(k)
-    handle = ObservationMapHandle(sys=sys, x0=x0, h=h, m=m, tol=tol)
-    jac = phi_jacobian(handle, MatrixLinear.pack(a))
-    svals = singular_values(jac)
+    svals = singular_values(phi_jacobian(handle, alpha0))
     rank = numerical_rank(svals)
     return FullRankReport(rank=rank, sigma_min=float(svals[-1]),
-                          full=rank == k * k)
+                          full=rank == handle.n_params)

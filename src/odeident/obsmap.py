@@ -30,52 +30,17 @@ from .errors import (
     RangeError,
 )
 from .numkernel import numerical_rank, rank_threshold, singular_values
-from .ode import ParamSystem, _check_count, _check_grid, _sample_times
-
-
-@dataclass(frozen=True)
-class ObservationMapHandle:
-    """Binding of (system, x0, h, m) defining the map R^n -> R^(m*k)."""
-
-    sys: ParamSystem
-    x0: np.ndarray
-    h: float
-    m: int
-    tol: float = DEFAULTS.integrator_tol
-
-    def __post_init__(self):
-        # a copy, under the integrators' own rule: a handle that builds is one phi accepts
-        object.__setattr__(self, "x0", _check_grid(self.sys, np.array(self.x0, dtype=float),
-                                                   self.h * self.m, self.m, self.tol))
-
-    @property
-    def times(self) -> np.ndarray:
-        """The sample times j*h, j = 1..m, on the integrators' own grid."""
-        return _sample_times(self.h * self.m, self.m)
-
-    @property
-    def n_params(self) -> int:
-        return self.sys.param_dim
-
-    @property
-    def dim_out(self) -> int:
-        return self.m * self.sys.state_dim
-
-    @property
-    def overdetermined(self) -> bool:
-        """m*k >= n, required for full-rank certificates."""
-        return self.dim_out >= self.n_params
+from .ode import ObservationMapHandle, _check_count
 
 
 def phi(handle: ObservationMapHandle, alpha) -> np.ndarray:
     """Stacked samples (X(h), ..., X(mh)) as one vector, sample-major."""
-    return handle.sys.observe(alpha, handle.x0, handle.h, handle.m, handle.tol).values
+    return handle.observe(alpha).values
 
 
 def phi_jacobian(handle: ObservationMapHandle, alpha) -> np.ndarray:
     """(m*k) x n Jacobian of phi: stacked sensitivity blocks Z(jh)."""
-    return handle.sys.observe(alpha, handle.x0, handle.h, handle.m, handle.tol,
-                              jacobian=True).jacobian
+    return handle.observe(alpha, jacobian=True).jacobian
 
 
 # ---------------------------------------------------------------------------
@@ -286,31 +251,35 @@ def zeta_scan(handle: ObservationMapHandle, t_values, alpha_box, x_box,
     relative to sigma_1^(2n) because det(J^T J) carries the 2n-th power of
     the problem scale. Integration failures mark the cell failed and the
     scan continues; a sigma_1^(2n) beyond the float range raises RangeError.
-    A box bound that is not finite, a ``t`` whose grid (t*h, m, tol) no
-    handle accepts, or a ``rank_tol`` not finite and >= 0, raises
-    DomainError naming the input before the first cell.
+    A box bound that is not finite, a ``grid`` count that is not an integer
+    >= 2, a ``t`` whose grid (t*h, m, tol) no handle accepts, or a
+    ``rank_tol`` not finite and >= 0, raises DomainError naming the input
+    before the first cell.
     """
     n, k = handle.n_params, handle.sys.state_dim
     alpha_box = [tuple(map(float, b)) for b in alpha_box]
     x_box = [tuple(map(float, b)) for b in x_box]
     if len(alpha_box) != n or len(x_box) != k:
         raise DimensionError("box dimensions must match (n, k)")
-    counts = [int(grid)] * (n + k) if np.isscalar(grid) else [int(g) for g in grid]
+    counts = [grid] * (n + k) if np.isscalar(grid) else list(grid)
     if len(counts) != n + k:
         raise DimensionError(f"grid needs {n + k} counts, got {len(counts)}")
+    for c in counts:
+        _check_count(c, "grid", 2)
+    counts = [int(c) for c in counts]  # Python ints, for the exact product below
     for name, box in (("alpha_box", alpha_box), ("x_box", x_box)):
         if not all(map(math.isfinite, itertools.chain.from_iterable(box))):
             raise DomainError(f"{name} bounds must be finite")
-    for (lo, hi), c in zip(alpha_box + x_box, counts):
-        if not (hi > lo) or c < 2:
-            raise DomainError("boxes must be non-degenerate with >= 2 points each")
+    if not all(hi > lo for lo, hi in alpha_box + x_box):
+        raise DomainError("boxes must be non-degenerate")
     t_values = [float(t) for t in t_values]
     total = len(t_values) * math.prod(counts)  # exact: np.prod wraps at 2**63
     if total > DEFAULTS.zeta_budget:
         raise DomainError(f"lattice size {total} exceeds budget {DEFAULTS.zeta_budget}")
-    for t in t_values:  # each cell handle's grid, under the handle's own rule
+    for t in t_values:  # each cell handle's grid, checked by building one
         try:
-            _check_grid(handle.sys, handle.x0, t * handle.h * handle.m, handle.m, handle.tol)
+            ObservationMapHandle(sys=handle.sys, x0=handle.x0, h=t * handle.h,
+                                 m=handle.m, tol=handle.tol)
         except DomainError:
             raise DomainError(f"t_values entry {t!r} gives no sampling grid: "
                               "t*h*m must be positive and finite") from None

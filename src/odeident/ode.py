@@ -36,10 +36,11 @@ class ParamSystem:
     """Vector field f(x, a) with exact partials.
 
     A species subclasses this, sets ``state_dim`` and ``param_dim``, and
-    supplies ``f``, ``dfdx`` and ``dfda``. They take float arrays of the
-    right lengths and do not check them: the integration entry points
-    validate the inputs on every call, and the output shapes at x0 until
-    they have passed once for the system.
+    supplies ``f``, ``dfdx`` and ``dfda``: it then gets the integrating
+    ``_observe`` for free. They take float arrays of the right lengths and
+    do not check them: a handle checks x0, the grid and tol when it is
+    built, and each run alpha, and the output shapes at x0 until they have
+    passed once for the system.
     """
 
     state_dim: int
@@ -85,16 +86,9 @@ class ParamSystem:
 
         return rhs
 
-    def observe(self, alpha, x0, h: float, m: int, tol: float,
-                jacobian: bool = False) -> Observation:
-        """The observation map at alpha: the samples X(jh), j = 1..m, and with
-        ``jacobian`` the (m*k) x n Jacobian of their stacked vector, one run.
-
-        The default integrates with Dormand-Prince at ``tol``; a species with
-        a closed form overrides it.
-        """
-        run = integrate_with_sensitivity if jacobian else integrate
-        return run(self, alpha, x0, t_end=h * m, samples=m, tol=tol)
+    def _observe(self, handle, alpha, jacobian: bool) -> Observation:
+        """Dormand-Prince at the handle's ``tol``; a closed form overrides this."""
+        return (integrate_with_sensitivity if jacobian else integrate)(handle, alpha)
 
 
 def _monomial_rule(rows: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -299,8 +293,8 @@ class MatrixLinear(ParamSystem):
         blocks = np.eye(k)[:, :, None] * x[..., None, None, :]
         return blocks.reshape(*x.shape[:-1], k, k * k)
 
-    def observe(self, alpha, x0, h, m, tol, jacobian=False):
-        """Exact: X(jh) = C^j x0 with C = exp(hA); ``tol`` is validated only.
+    def _observe(self, handle, alpha, jacobian):
+        """Exact: X(jh) = C^j x0 with C = exp(hA); the handle's ``tol`` is unused.
 
         The Jacobian is the same map in k^2 lanes (Van Loan 1978): lane
         p = i*k + j steps [x0; 0] by exp(h [[A, 0], [E_p, A]]), E_p = E_ij,
@@ -308,9 +302,8 @@ class MatrixLinear(ParamSystem):
         the step S, and ``_fill_by_doubling`` takes it over the samples:
         blocks of rows times squared powers of S.
         """
-        k = self.state_dim
+        k, x0, h, m = self.state_dim, handle.x0, handle.h, handle.m
         # f, dfdx and dfda are not called here, so their shapes need no check
-        x0 = _check_grid(self, x0, h * m, m, tol)
         a = _check_alpha(self, alpha).reshape(k, k)
         n = self.param_dim
         if jacobian:
@@ -536,14 +529,14 @@ def _integrate_grid(rhs, y0, times, tol):
 
 
 # ---------------------------------------------------------------------------
-# public integration entry points
+# the observation handle and the integration entry points
 
 
 def _check_count(value, name: str, minimum: int, maximum: int | None = None) -> None:
     """DomainError naming ``name`` unless ``value`` is an integer in [minimum, maximum]."""
     # nan passes a `< minimum` test, and any float count then fails in range().
-    # Every observation-map run makes this check: the exact-int test first
-    # spares the common case the cost of an isinstance test on an ABC
+    # Every handle built makes this check, zeta_scan one per cell: the exact-int
+    # test first spares the common case the cost of an isinstance test on an ABC
     if type(value) is not int and (isinstance(value, bool)
                                    or not isinstance(value, numbers.Integral)):
         raise DomainError(f"{name} must be an integer, got {value!r}")
@@ -578,6 +571,48 @@ def _sample_times(t_end: float, samples: int) -> np.ndarray:
     return (t_end / samples) * np.arange(1, samples + 1)
 
 
+@dataclass(frozen=True)
+class ObservationMapHandle:
+    """Binding of (system, x0, h, m) defining the map R^n -> R^(m*k); x0, the
+    grid and ``tol`` are checked once, here, and each run checks only alpha."""
+
+    sys: ParamSystem
+    x0: np.ndarray
+    h: float
+    m: int
+    tol: float = DEFAULTS.integrator_tol
+
+    def __post_init__(self):
+        # a read-only copy, so that the checked x0 cannot change under the handle
+        x0 = _check_grid(self.sys, np.array(self.x0, dtype=float), self.h * self.m,
+                         self.m, self.tol)
+        x0.flags.writeable = False
+        object.__setattr__(self, "x0", x0)
+
+    def observe(self, alpha, jacobian: bool = False) -> Observation:
+        """The observation map at alpha, one run of the species' ``_observe``: the
+        samples X(jh), j = 1..m, and with ``jacobian`` their (m*k) x n Jacobian."""
+        return self.sys._observe(self, alpha, jacobian)
+
+    @property
+    def times(self) -> np.ndarray:
+        """The sample times j*h, j = 1..m, on the integrators' own grid."""
+        return _sample_times(self.h * self.m, self.m)
+
+    @property
+    def n_params(self) -> int:
+        return self.sys.param_dim
+
+    @property
+    def dim_out(self) -> int:
+        return self.m * self.sys.state_dim
+
+    @property
+    def overdetermined(self) -> bool:
+        """m*k >= n, required for full-rank certificates."""
+        return self.dim_out >= self.n_params
+
+
 def _check_alpha(sys: ParamSystem, alpha) -> np.ndarray:
     """Validate the parameter vector's length and finiteness; return it as floats."""
     alpha = np.asarray(alpha, dtype=float).reshape(-1)
@@ -591,12 +626,11 @@ def _check_alpha(sys: ParamSystem, alpha) -> np.ndarray:
     return alpha
 
 
-def _check_integration_args(sys, alpha, x0, t_end, samples,
-                            tol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validate x0, the grid, tol and alpha, then the shapes of f, df/dx and
-    df/da at x0, which a species that integrates supplies unchecked. The
+def _check_integration_args(handle: ObservationMapHandle, alpha) -> np.ndarray:
+    """Validate alpha, then the shapes of f, df/dx and df/da at x0, which a
+    species that integrates supplies unchecked; return alpha as floats. The
     shapes are fixed by the system, so they are checked until they pass once."""
-    x0 = _check_grid(sys, x0, t_end, samples, tol)
+    sys, x0 = handle.sys, handle.x0
     alpha = _check_alpha(sys, alpha)
     if not sys._shapes_checked:
         k, n = sys.state_dim, sys.param_dim
@@ -609,22 +643,20 @@ def _check_integration_args(sys, alpha, x0, t_end, samples,
                 raise DimensionError(
                     f"{name} has shape {np.shape(value)} at x0, expected {shape}")
         sys._shapes_checked = True
-    return x0, alpha, _sample_times(t_end, samples)
+    return alpha
 
 
-def integrate(sys: ParamSystem, alpha, x0, t_end: float, samples: int,
-              tol: float = DEFAULTS.integrator_tol) -> Observation:
-    """States on the uniform grid j*h, j = 1..samples, h = t_end/samples."""
-    x0, alpha, times = _check_integration_args(sys, alpha, x0, t_end, samples, tol)
-    return Observation(_integrate_grid(sys.rhs(alpha), x0, times, tol))
+def integrate(handle: ObservationMapHandle, alpha) -> Observation:
+    """States on the handle's grid ``times`` by Dormand-Prince at its ``tol``."""
+    alpha = _check_integration_args(handle, alpha)
+    return Observation(_integrate_grid(handle.sys.rhs(alpha), handle.x0, handle.times,
+                                       handle.tol))
 
 
-def integrate_with_sensitivity(sys: ParamSystem, alpha, x0, t_end: float,
-                               samples: int,
-                               tol: float = DEFAULTS.integrator_tol) -> Observation:
+def integrate_with_sensitivity(handle: ObservationMapHandle, alpha) -> Observation:
     """Joint state + variational integration, Z(0) = 0: states and stacked Z(jh)."""
-    x0, alpha, times = _check_integration_args(sys, alpha, x0, t_end, samples, tol)
-    k, n = sys.state_dim, sys.param_dim
-    y0 = np.concatenate([x0, np.zeros(k * n)])
-    raw = _integrate_grid(sys.sensitivity_rhs(alpha), y0, times, tol)
-    return Observation(raw[:, :k], raw[:, k:].reshape(samples * k, n))
+    alpha = _check_integration_args(handle, alpha)
+    k, n = handle.sys.state_dim, handle.sys.param_dim
+    y0 = np.concatenate([handle.x0, np.zeros(k * n)])
+    raw = _integrate_grid(handle.sys.sensitivity_rhs(alpha), y0, handle.times, handle.tol)
+    return Observation(raw[:, :k], raw[:, k:].reshape(handle.m * k, n))

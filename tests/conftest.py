@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from odeident import MatrixLinear, ObservationMapHandle, PolynomialBasis
+from odeident import DEFAULTS, MatrixLinear, ObservationMapHandle, PolynomialBasis
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -24,6 +24,11 @@ def logistic_system() -> PolynomialBasis:
 
 def rotation_system() -> MatrixLinear:
     return MatrixLinear(2)
+
+
+def grid_handle(sys, x0, t_end, samples, tol=DEFAULTS.integrator_tol) -> ObservationMapHandle:
+    """The handle of the grid j*t_end/samples, j = 1..samples: h = t_end/samples."""
+    return ObservationMapHandle(sys=sys, x0=x0, h=t_end / samples, m=samples, tol=tol)
 
 
 def scalar_decay_handle(h=0.5, m=5, tol=1e-10) -> ObservationMapHandle:

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from conftest import ROTATION, finite_difference_jacobian, scalar_map
+from conftest import ROTATION, finite_difference_jacobian, grid_handle, scalar_map
 from odeident import (
     MatrixLinear,
     ObservationMapHandle,
@@ -140,13 +140,11 @@ def test_sensitivity_correctness():
     worst = 0.0
     for sys, alpha, x0 in cases:
         alpha = np.asarray(alpha, dtype=float)
-        bundle = integrate_with_sensitivity(sys, alpha, x0, t_end=2.0,
-                                            samples=4, tol=tol)
+        bundle = integrate_with_sensitivity(grid_handle(sys, x0, 2.0, 4, tol), alpha)
         stacked = bundle.jacobian
 
         def phi_like(a, _sys=sys, _x0=x0):
-            return integrate(_sys, a, _x0, t_end=2.0, samples=4,
-                             tol=tol).states.ravel()
+            return integrate(grid_handle(_sys, _x0, 2.0, 4, tol), a).states.ravel()
 
         fd = finite_difference_jacobian(phi_like, alpha, step=1e-5)
         rel = np.linalg.norm(stacked - fd) / np.linalg.norm(fd)

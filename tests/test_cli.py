@@ -31,7 +31,6 @@ from odeident import (
 )
 from odeident.cli import _jsonable, _read_trajectory_csv, _write_csv, load_config, main
 from odeident.obsmap import ZetaCell, ZetaScanResult
-from odeident.ode import _sample_times
 
 ROT = [[0.0, 1.0], [-1.0, 0.0]]
 
@@ -116,8 +115,7 @@ class TestSimulate:
         handle = cfg.handle
         expected = phi(handle, cfg.alpha0).reshape(handle.m, cfg.k)
         assert np.array_equal(values, expected)
-        traj = integrate(handle.sys, cfg.alpha0, handle.x0, t_end=handle.h * handle.m,
-                         samples=handle.m, tol=handle.tol)
+        traj = integrate(handle, cfg.alpha0)
         assert np.array_equal(times, handle.times)
         if cfg.species == "polynomial_basis":  # phi is this integration, byte for byte
             ref = tmp_path / "ref.csv"
@@ -683,12 +681,12 @@ class TestZetaScan:
 
 class TestCsv:
     def test_round_trip_is_bitwise(self, tmp_path):
-        traj = integrate(logistic_system(), [1.0, -1.0], [0.1], t_end=2.0,
-                         samples=5, tol=1e-10)
+        handle = ObservationMapHandle(sys=logistic_system(), x0=[0.1], h=0.4, m=5, tol=1e-10)
+        traj = integrate(handle, [1.0, -1.0])
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(path, _sample_times(2.0, 5), traj.states)
+        write_trajectory_csv(path, handle.times, traj.states)
         times, values = _read_trajectory_csv(path)
-        assert np.array_equal(times, _sample_times(2.0, 5))
+        assert np.array_equal(times, handle.times)
         assert np.array_equal(values, traj.states)
         header = path.read_text().splitlines()[0]
         assert header == "t,x1"
@@ -787,7 +785,8 @@ RECORDS = {
                    "branches": [b.tolist() for b in r.branches],
                    "k_vectors": [[-1], [0], [1]]}),
     "full_rank": (
-        lambda: full_rank_check(ROTATION, [1.0, 0.7], h=0.3, m=6),
+        lambda: full_rank_check(
+            ObservationMapHandle(sys=MatrixLinear(2), x0=[1.0, 0.7], h=0.3, m=6), ROTATION),
         lambda r: {"rank": 4, "sigma_min": r.sigma_min, "full": True}),
     "estimate": (
         _rank_deficient_estimate,

@@ -369,16 +369,17 @@ class TestGaussNewton:
 @contextlib.contextmanager
 def recorded_runs(species):
     """Record (alpha bytes, jacobian flag) for every observation-map run of
-    ``species``: its ``observe``, the one entry point Gauss-Newton runs."""
+    ``species``: its ``_observe``, the hook behind ``handle.observe``, the one
+    entry point Gauss-Newton runs."""
     calls = []
-    observe = species.observe
+    observe = species._observe
 
-    def recording_observe(self, alpha, *args, jacobian=False):
+    def recording_observe(self, handle, alpha, jacobian):
         calls.append((np.asarray(alpha).tobytes(), jacobian))
-        return observe(self, alpha, *args, jacobian=jacobian)
+        return observe(self, handle, alpha, jacobian)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(species, "observe", recording_observe)
+        mp.setattr(species, "_observe", recording_observe)
         yield calls
 
 
@@ -543,17 +544,17 @@ def test_trial_whose_run_fails_is_rejected_and_the_fit_goes_on():
     handle = rotation_handle()
     alpha0 = MatrixLinear.pack(ROTATION)
     y = phi(handle, alpha0)
-    observe = MatrixLinear.observe
+    observe = MatrixLinear._observe
     calls = []
 
-    def first_trial_fails(self, alpha, *args, jacobian=False):
+    def first_trial_fails(self, handle, alpha, jacobian):
         calls.append(np.array(alpha))
         if len(calls) == 2:  # the first trial; call 1 is the initial point
             raise DivergenceError("planted failure", 0.0)
-        return observe(self, alpha, *args, jacobian=jacobian)
+        return observe(self, handle, alpha, jacobian)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(MatrixLinear, "observe", first_trial_fails)
+        mp.setattr(MatrixLinear, "_observe", first_trial_fails)
         result = gauss_newton_invert(handle, y, alpha0 + 0.01)
     assert result.converged
     assert np.abs(result.alpha_hat - alpha0).max() <= 1e-9

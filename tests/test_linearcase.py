@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ROTATION, rotation_system
+from conftest import ROTATION, rotation_handle, rotation_system, scalar_decay_system
 from odeident import (
     DefectiveMatrixError,
     DimensionError,
@@ -72,8 +72,7 @@ class TestPhiExact:
             handle = ObservationMapHandle(sys=rotation_system(), x0=x0, h=0.4,
                                           m=4, tol=1e-11)
             exact = phi(handle, MatrixLinear.pack(a))
-            numeric = integrate(rotation_system(), MatrixLinear.pack(a), x0,
-                                t_end=1.6, samples=4, tol=1e-11).states.ravel()
+            numeric = integrate(handle, MatrixLinear.pack(a)).states.ravel()
             assert np.abs(exact - numeric).max() < 1e-9
 
 
@@ -401,6 +400,16 @@ class TestLogBranches:
         with pytest.raises(DomainError):
             log_branches(a, h=1.0, k_max=60)
 
+    # 2.5 and nan failed in range() with a TypeError, and True was a count
+    @pytest.mark.parametrize("value", [math.nan, 2.5, 2.0, True, -1])
+    def test_k_max_must_be_an_integer(self, value):
+        for a in (ROTATION, np.diag([1.0, 2.0])):  # the real spectrum returns early
+            with pytest.raises(DomainError, match="k_max"):
+                log_branches(a, h=1.0, k_max=value)
+        # a numpy integer is a count
+        result = log_branches(ROTATION, h=1.0, k_max=np.int64(1))
+        assert len(result.branches) == 3 and type(result.k_range) is int
+
 
 class TestExpDividedDifferenceDeterminant:
     def test_two_point_hand_value(self):
@@ -440,18 +449,18 @@ class TestExpDividedDifferenceDeterminant:
 
 class TestFullRankCheck:
     def test_rotation_generic_x0_full(self):
-        report = full_rank_check(ROTATION, [1.0, 0.7], h=0.3, m=6)
+        report = full_rank_check(rotation_handle(), ROTATION)
         assert report.full
         assert report.rank == 4
         assert report.sigma_min > 0.0
 
     def test_zero_x0_rank_zero(self):
-        report = full_rank_check(ROTATION, [0.0, 0.0], h=0.3, m=6)
+        report = full_rank_check(rotation_handle(x0=(0.0, 0.0)), ROTATION)
         assert report.rank == 0
         assert not report.full
 
     def test_eigenvector_x0_rank_deficient(self):
-        report = full_rank_check(np.diag([1.0, 2.0]), [1.0, 0.0], h=0.3, m=6)
+        report = full_rank_check(rotation_handle(x0=(1.0, 0.0)), np.diag([1.0, 2.0]))
         assert report.rank < 4
         assert not report.full
 
@@ -460,11 +469,16 @@ class TestFullRankCheck:
         # eigenvalues -0.2 +- pi i differ by 2 pi i / h: D exp(hA) has a 2-dim
         # kernel, which an integrated Jacobian hid behind its error at tol
         a = np.array([[-0.2, math.pi], [-math.pi, -0.2]])
-        report = full_rank_check(a, [1.0, 0.5], h=1.0, m=4, tol=tol)
+        report = full_rank_check(rotation_handle(h=1.0, m=4, tol=tol, x0=(1.0, 0.5)), a)
         assert report.rank == 2
         assert not report.full
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(DimensionError):
-            full_rank_check(ROTATION, [1.0, 0.7], h=0.3, m=1)
+            full_rank_check(rotation_handle(m=1), ROTATION)
+
+    def test_handle_of_another_species_rejected(self):
+        handle = ObservationMapHandle(sys=scalar_decay_system(), x0=[1.0], h=0.3, m=6)
+        with pytest.raises(DomainError, match="matrix_linear"):
+            full_rank_check(handle, [-0.5])
 

@@ -106,6 +106,12 @@ class TestPhi:
         x0[0] = np.nan
         assert np.array_equal(handle.x0, [1.0, 0.7])
 
+    def test_handle_x0_is_read_only(self):
+        # x0 is checked once, when the handle is built, so it cannot change after
+        handle = rotation_handle()
+        with pytest.raises(ValueError, match="read-only"):
+            handle.x0[0] = np.nan
+
     def test_stacking_is_sample_major(self):
         handle = rotation_handle(m=3)
         traj_states = phi(handle, MatrixLinear.pack(ROTATION)).reshape(3, 2)
@@ -296,8 +302,7 @@ class TestObservationRecord:
     def observe(case, jacobian):
         build, alpha = TestObservationRecord.CASES[case]
         handle = build()
-        obs = handle.sys.observe(alpha, handle.x0, handle.h, handle.m, handle.tol,
-                                 jacobian=jacobian)
+        obs = handle.observe(alpha, jacobian=jacobian)
         return handle, alpha, obs
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -316,10 +321,48 @@ class TestObservationRecord:
 
     def test_integrating_jacobian_run_states_are_the_joint_runs(self):
         handle, alpha, obs = self.observe("logistic", jacobian=True)
-        joint = integrate_with_sensitivity(handle.sys, alpha, handle.x0,
-                                           t_end=handle.h * handle.m, samples=handle.m,
-                                           tol=handle.tol)
+        joint = integrate_with_sensitivity(handle, alpha)
         assert obs.states.tobytes() == joint.states.tobytes()
+
+
+class TestChecksOnce:
+    """x0, the grid and tol are checked once, when a handle is built; each
+    run of the observation map checks alpha once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"_check_grid": 0, "_check_alpha": 0}
+        for name, check in [(name, getattr(ode, name)) for name in counts]:
+            def counted(*args, name=name, check=check):
+                counts[name] += 1
+                return check(*args)
+
+            monkeypatch.setattr(ode, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("case", sorted(TestObservationRecord.CASES))
+    def test_runs_check_alpha_once_and_no_grid(self, counts, case):
+        build, alpha = TestObservationRecord.CASES[case]
+        handle = build()
+        assert counts == {"_check_grid": 1, "_check_alpha": 0}
+        y = phi(handle, alpha)
+        phi_jacobian(handle, alpha)
+        certify_radius(handle, alpha, r_work=0.05, gamma_samples=10)
+        runs = 2 + 1 + 2 * 10  # phi, phi_jacobian, then certify's J and 2 per sample
+        assert counts == {"_check_grid": 1, "_check_alpha": runs}
+        result = gauss_newton_invert(handle, y, np.asarray(alpha) + 0.01)
+        assert counts == {"_check_grid": 1, "_check_alpha": runs + result.evaluations}
+
+    @pytest.mark.parametrize("case", sorted(TestObservationRecord.CASES))
+    def test_zeta_scan_checks_one_grid_per_t_and_per_cell(self, counts, case):
+        build, alpha = TestObservationRecord.CASES[case]
+        handle = build()
+        alpha_box = [(a - 0.1, a + 0.1) for a in alpha]
+        x_box = [(x - 0.1, x + 0.1) for x in handle.x0]
+        result = zeta_scan(handle, [1.0, 1.5], alpha_box, x_box, 2)
+        cells = len(result.cells)
+        assert cells == 2 * 2 ** (len(alpha_box) + len(x_box))
+        assert counts == {"_check_grid": 1 + 2 + cells, "_check_alpha": cells}
 
 
 # bound fixed before the test was first run: 1e-13 of max|x|, where lane 0's
@@ -332,9 +375,8 @@ def test_exact_jacobian_run_states_match_phi(k, seed, h, m):
     rng = np.random.default_rng(seed)
     alpha = MatrixLinear.pack(stable_matrix(rng, k))
     x0 = rng.uniform(-1.0, 1.0, size=k)
-    sys = MatrixLinear(k)
-    plain = sys.observe(alpha, x0, h, m, 1e-10)
-    joint = sys.observe(alpha, x0, h, m, 1e-10, jacobian=True)
+    handle = ObservationMapHandle(sys=MatrixLinear(k), x0=x0, h=h, m=m, tol=1e-10)
+    plain, joint = handle.observe(alpha), handle.observe(alpha, jacobian=True)
     assert np.abs(joint.states - plain.states).max() <= 1e-13 * np.abs(plain.states).max()
 
 
@@ -350,9 +392,8 @@ def test_exact_linear_map_matches_integrators(k, seed, h, m):
     sys = MatrixLinear(k)
     handle = ObservationMapHandle(sys=sys, x0=x0, h=h, m=m, tol=1e-12)
     got_phi, got_jac = phi(handle, alpha), phi_jacobian(handle, alpha)
-    ref_phi = integrate(sys, alpha, x0, t_end=h * m, samples=m, tol=1e-12).states.ravel()
-    ref_jac = integrate_with_sensitivity(sys, alpha, x0, t_end=h * m, samples=m,
-                                         tol=1e-12).jacobian
+    ref_phi = integrate(handle, alpha).states.ravel()
+    ref_jac = integrate_with_sensitivity(handle, alpha).jacobian
     assert np.abs(got_phi - ref_phi).max() <= 1e-9 * np.abs(ref_phi).max()
     assert np.abs(got_jac - ref_jac).max() <= 1e-9 * np.abs(ref_jac).max()
     assert phi(handle, alpha).tobytes() == got_phi.tobytes()
@@ -420,9 +461,7 @@ def test_every_verb_reads_one_rank(point):
     n = handle.n_params
     rank = numerical_rank(singular_values(phi_jacobian(handle, alpha)))
     if isinstance(handle.sys, MatrixLinear):
-        k = handle.sys.state_dim
-        report = full_rank_check(alpha.reshape(k, k), handle.x0, handle.h, handle.m,
-                                 tol=handle.tol)
+        report = full_rank_check(handle, alpha)
         assert (report.rank, report.full) == (rank, rank == n)
     est = gauss_newton_invert(handle, phi(handle, alpha), alpha)
     assert est.converged and est.iterations == 0
@@ -681,3 +720,23 @@ class TestZetaScan:
                                       h=1.0, m=2)
         with pytest.raises(DomainError):
             zeta_scan(handle, [1.0], [(-1.0, 1.0)], [(0.5, 1.5)], [1000, 1000])
+
+    # 2.9 scanned 2 points per axis, a list entry 2.5 was truncated to 2, and
+    # nan raised a ValueError
+    @pytest.mark.parametrize("grid", [2.9, 3.0, math.nan, True, 1, [3, 2.5], [3, 1]])
+    def test_grid_counts_must_be_integers(self, monkeypatch, grid):
+        def refuse(handle, alpha):
+            raise AssertionError("a cell was computed")
+
+        monkeypatch.setattr(odeident.obsmap, "phi_jacobian", refuse)
+        handle = ObservationMapHandle(sys=scalar_decay_system(), x0=np.array([1.0]),
+                                      h=1.0, m=2)
+        with pytest.raises(DomainError, match="grid"):
+            zeta_scan(handle, [1.0], [(-1.0, 1.0)], [(0.5, 1.5)], grid)
+
+    def test_numpy_integer_grid_counts(self):
+        handle = ObservationMapHandle(sys=scalar_decay_system(), x0=np.array([1.0]),
+                                      h=1.0, m=2)
+        result = zeta_scan(handle, [1.0], [(-1.0, 1.0)], [(0.5, 1.5)],
+                           [np.int64(2), np.int64(3)])
+        assert len(result.cells) == 6

@@ -11,6 +11,7 @@ from scipy.integrate import solve_ivp
 from conftest import (
     ROTATION,
     finite_difference_jacobian,
+    grid_handle,
     logistic_system,
     rotation_system,
     scalar_decay_system,
@@ -33,7 +34,6 @@ from odeident import (
     phi_jacobian,
 )
 import odeident.ode
-from odeident.ode import _sample_times
 
 
 def evaluate(sys, x, alpha):
@@ -106,14 +106,14 @@ class TestEvaluate:
             assert np.allclose(f, 0.0)
 
     def test_dimension_mismatch(self):
-        # checked once at the integration entry points, not per RHS call
+        # x0 checked once by the handle, alpha once per run, neither per RHS call
         with pytest.raises(DimensionError):
-            integrate(rotation_system(), np.zeros(4), [1.0], t_end=1.0, samples=1)
+            grid_handle(rotation_system(), [1.0], 1.0, 1)
         with pytest.raises(DimensionError):
-            integrate(logistic_system(), [1.0], [1.0], t_end=1.0, samples=1)
-        with pytest.raises(DimensionError):
-            integrate_with_sensitivity(logistic_system(), [1.0, -1.0], [1.0, 2.0],
-                                       t_end=1.0, samples=1)
+            grid_handle(logistic_system(), [1.0, 2.0], 1.0, 1)
+        for run in (integrate, integrate_with_sensitivity):
+            with pytest.raises(DimensionError):
+                run(grid_handle(logistic_system(), [1.0], 1.0, 1), [1.0])
 
     @pytest.mark.parametrize("f_func,dfda,match", [
         (lambda x, a: np.array([a[0] * x[0]]),       # length 1: would broadcast
@@ -127,13 +127,13 @@ class TestEvaluate:
         # a system whose shapes fail is checked again on every integration
         for run in (integrate, integrate_with_sensitivity) * 2:
             with pytest.raises(DimensionError, match=match):
-                run(sys, [1.0], [1.0, 2.0], t_end=1.0, samples=2)
+                run(grid_handle(sys, [1.0, 2.0], 1.0, 2), [1.0])
 
     def test_callback_partial_shapes_checked_at_x0(self):
         sys = UserSpecies(1, 1, lambda x, a: a[0] * x, lambda x, a: np.eye(2),
                           lambda x, a: x[:, None])
         with pytest.raises(DimensionError, match="df/dx has shape"):
-            integrate_with_sensitivity(sys, [1.0], [1.0], t_end=1.0, samples=2)
+            integrate_with_sensitivity(grid_handle(sys, [1.0], 1.0, 2), [1.0])
 
     def test_shapes_checked_once_per_system(self):
         # the plain field calls f only, so each df/dx call is the shape check's
@@ -147,7 +147,7 @@ class TestEvaluate:
         counts = []
         for _ in range(2):
             calls.clear()
-            integrate(sys, [-0.5], [1.0], t_end=1.0, samples=2)
+            integrate(grid_handle(sys, [1.0], 1.0, 2), [-0.5])
             counts.append(len(calls))
         assert counts == [1, 0]
 
@@ -370,7 +370,7 @@ class TestCompiledPolynomialBasis:
         f, dfdx, dfda = evaluate(sys, [0.5], [1.0, -1.0])
         assert np.array_equal(dfda, [[0.0, 0.5]])
         assert np.array_equal(f, [-0.5]) and np.array_equal(dfdx, [[-1.0]])
-        bundle = integrate_with_sensitivity(sys, [1.0, 0.0], [0.5], t_end=1.0, samples=2)
+        bundle = integrate_with_sensitivity(grid_handle(sys, [0.5], 1.0, 2), [1.0, 0.0])
         assert np.array_equal(bundle.states, [[0.5], [0.5]])
         # Z' = (d/dx x^E) Z + [x^E, x] = [0, 0.5]
         assert np.allclose(bundle.jacobian.reshape(2, 1, 2), [[[0.0, 0.25]], [[0.0, 0.5]]],
@@ -479,7 +479,7 @@ class TestPlainField:
     def test_overflowing_coefficients_diverge_without_warning(self):
         sys = PolynomialBasis(_quartic_maps())
         with pytest.raises(DivergenceError):
-            integrate(sys, np.full(3, 1.7e308), [0.5, -0.5], t_end=1.0, samples=2)
+            integrate(grid_handle(sys, [0.5, -0.5], 1.0, 2), np.full(3, 1.7e308))
 
     def test_generic_species_reaches_f(self):
         seen = []
@@ -534,26 +534,26 @@ class TestDormandPrinceTableau:
 
 class TestIntegrate:
     def test_scalar_decay_closed_form(self):
-        traj = integrate(scalar_decay_system(), [-0.5], [1.0], t_end=5.0,
-                         samples=5, tol=1e-12)
-        assert np.array_equal(_sample_times(5.0, 5), np.arange(1.0, 6.0))
-        assert np.abs(traj.states[:, 0] - np.exp(-0.5 * _sample_times(5.0, 5))).max() < 1e-10
+        handle = grid_handle(scalar_decay_system(), [1.0], 5.0, 5, 1e-12)
+        traj = integrate(handle, [-0.5])
+        assert np.array_equal(handle.times, np.arange(1.0, 6.0))
+        assert np.abs(traj.states[:, 0] - np.exp(-0.5 * handle.times)).max() < 1e-10
 
     def test_zero_field_constant(self):
         sys = MatrixLinear(2)
-        traj = integrate(sys, np.zeros(4), [0.3, -0.7], t_end=2.0, samples=4)
+        traj = integrate(grid_handle(sys, [0.3, -0.7], 2.0, 4), np.zeros(4))
         assert np.allclose(traj.states, [0.3, -0.7], atol=0.0)
 
     def test_rotation_closed_form(self):
-        traj = integrate(rotation_system(), MatrixLinear.pack(ROTATION),
-                         [1.0, 0.0], t_end=5.0, samples=10, tol=1e-12)
-        exact = np.column_stack([np.cos(_sample_times(5.0, 10)), -np.sin(_sample_times(5.0, 10))])
+        handle = grid_handle(rotation_system(), [1.0, 0.0], 5.0, 10, 1e-12)
+        traj = integrate(handle, MatrixLinear.pack(ROTATION))
+        exact = np.column_stack([np.cos(handle.times), -np.sin(handle.times)])
         assert np.abs(traj.states - exact).max() < 1e-10
 
     def test_deterministic_bitwise(self):
-        args = (logistic_system(), [1.0, -1.0], [0.1], 3.0, 7)
-        a = integrate(*args, tol=1e-10)
-        b = integrate(*args, tol=1e-10)
+        handle = grid_handle(logistic_system(), [0.1], 3.0, 7, 1e-10)
+        a = integrate(handle, [1.0, -1.0])
+        b = integrate(handle, [1.0, -1.0])
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.values, b.values)
 
@@ -563,9 +563,9 @@ class TestIntegrate:
             for _ in range(5):
                 a = stable_matrix(rng, k, norm_cap=5.0)
                 x0 = rng.uniform(-1.0, 1.0, size=k)
-                traj = integrate(MatrixLinear(k), MatrixLinear.pack(a), x0,
-                                 t_end=5.0, samples=5, tol=1e-10)
-                for t, state in zip(_sample_times(5.0, 5), traj.states):
+                handle = grid_handle(MatrixLinear(k), x0, 5.0, 5, 1e-10)
+                traj = integrate(handle, MatrixLinear.pack(a))
+                for t, state in zip(handle.times, traj.states):
                     assert np.linalg.norm(state - mat_exp(a, t) @ x0) <= 1e-8
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
@@ -576,9 +576,9 @@ class TestIntegrate:
         for _ in range(40):
             a1, a2 = rng.uniform(0.5, 3.0), rng.uniform(-3.0, -0.5)
             x0 = rng.uniform(0.05, 2.0)
-            traj = integrate(logistic_system(), [a1, a2], [x0], t_end=4.0,
-                             samples=8, tol=tol)
-            exact = logistic_exact(a1, a2, x0, _sample_times(4.0, 8))
+            handle = grid_handle(logistic_system(), [x0], 4.0, 8, tol)
+            traj = integrate(handle, [a1, a2])
+            exact = logistic_exact(a1, a2, x0, handle.times)
             err = np.abs(traj.states[:, 0] - exact).max()
             worst = max(worst, err)
         assert worst <= 25.0 * tol
@@ -587,7 +587,7 @@ class TestIntegrate:
         # x' = x^2 from 1 blows up at t = 1
         sys = PolynomialBasis([scalar_map([(1.0, 2)])])
         with pytest.raises(IntegrationError) as err:
-            integrate(sys, [1.0], [1.0], t_end=2.0, samples=2, tol=1e-10)
+            integrate(grid_handle(sys, [1.0], 2.0, 2, 1e-10), [1.0])
         assert 0.9 <= err.value.t_fail <= 1.1
 
     def test_non_finite_stage_retries_then_diverges_at_the_same_time(self):
@@ -597,20 +597,21 @@ class TestIntegrate:
                           lambda x, a: np.zeros((1, 1)), lambda x, a: np.ones((1, 1)))
         for run in (integrate, integrate_with_sensitivity):
             with pytest.raises(DivergenceError) as err:
-                run(sys, [1.0], [1.0], t_end=2.0, samples=4)
+                run(grid_handle(sys, [1.0], 2.0, 4), [1.0])
             assert err.value.t_fail == 0.5
 
     def test_precondition_errors(self):
+        # the handle refuses them when it is built, before any run
         sys = scalar_decay_system()
         with pytest.raises(DomainError):
-            integrate(sys, [-0.5], [1.0], t_end=0.0, samples=1)
+            ObservationMapHandle(sys=sys, x0=[1.0], h=0.0, m=1)
         with pytest.raises(DomainError):
-            integrate(sys, [-0.5], [1.0], t_end=1.0, samples=0)
+            ObservationMapHandle(sys=sys, x0=[1.0], h=1.0, m=0)
         with pytest.raises(DomainError):
-            integrate(sys, [-0.5], [1.0], t_end=1.0, samples=1, tol=1e-2)
+            ObservationMapHandle(sys=sys, x0=[1.0], h=1.0, m=1, tol=1e-2)
         for x0 in (np.nan, np.inf):
             with pytest.raises(DomainError):
-                integrate(sys, [-0.5], [x0], t_end=1.0, samples=1)
+                ObservationMapHandle(sys=sys, x0=[x0], h=1.0, m=1)
 
 
 def _sha(*arrays):
@@ -643,8 +644,9 @@ class TestSamples:
     @pytest.mark.parametrize("case", sorted(SPARSE))
     def test_sparse_grids_keep_their_bits(self, case):
         build, alpha, x0, t_end, samples, tol = self.SPARSE[case]
-        traj = integrate(build(), alpha, x0, t_end, samples, tol)
-        bundle = integrate_with_sensitivity(build(), alpha, x0, t_end, samples, tol)
+        traj = integrate(grid_handle(build(), x0, t_end, samples, tol), alpha)
+        bundle = integrate_with_sensitivity(grid_handle(build(), x0, t_end, samples, tol),
+                                            alpha)
         assert (_sha(traj.states), _sha(bundle.states, bundle.jacobian)) \
             == self.SPARSE_PINS[case]
 
@@ -653,12 +655,12 @@ class TestSamples:
     # joint run's states then sensitivities, and of the Lotka-Volterra plain
     # run's states
     def test_dense_grids_keep_their_bits(self):
-        bundle = integrate_with_sensitivity(logistic_system(), [1.0, -1.0], [0.1],
-                                            2.0, 200, 1e-10)
+        bundle = integrate_with_sensitivity(
+            grid_handle(logistic_system(), [0.1], 2.0, 200, 1e-10), [1.0, -1.0])
         assert _sha(bundle.states, bundle.jacobian) \
             == "788254a30bc981668560af42d1df26b7699b764b050bd896a72e196c8152e1b5"
-        traj = integrate(PolynomialBasis(LOTKA_VOLTERRA), [1.0, -0.5, -1.0, 0.5],
-                         [1.3, 0.7], 2.0, 200, 1e-10)
+        traj = integrate(grid_handle(PolynomialBasis(LOTKA_VOLTERRA), [1.3, 0.7], 2.0, 200,
+                                     1e-10), [1.0, -0.5, -1.0, 0.5])
         assert _sha(traj.states) \
             == "2baa597d550307f5011ca60e7792c6d1f5fa3d972a597499d63565780136ec23"
 
@@ -668,9 +670,9 @@ class TestSamples:
     @given(a1=st.floats(0.5, 3.0), a2=st.floats(-3.0, -0.5), x0=st.floats(0.05, 2.0),
            samples=st.integers(2, 400), tol=st.sampled_from([1e-6, 1e-8, 1e-10]))
     def test_dense_logistic_matches_the_closed_form(self, a1, a2, x0, samples, tol):
-        traj = integrate(logistic_system(), [a1, a2], [x0], t_end=4.0, samples=samples,
-                         tol=tol)
-        exact = logistic_exact(a1, a2, x0, _sample_times(4.0, samples))
+        handle = grid_handle(logistic_system(), [x0], 4.0, samples, tol)
+        traj = integrate(handle, [a1, a2])
+        exact = logistic_exact(a1, a2, x0, handle.times)
         assert np.all(np.abs(traj.states[:, 0] - exact) <= 25.0 * tol * (1.0 + np.abs(exact)))
 
     def test_dense_lotka_volterra_matches_dop853(self):
@@ -686,14 +688,15 @@ class TestSamples:
                                    (jac @ z + dfda).ravel()])
 
         sys = PolynomialBasis(LOTKA_VOLTERRA)
-        bundle = integrate_with_sensitivity(sys, alpha, x0, t_end, samples, tol)
+        handle = grid_handle(sys, x0, t_end, samples, tol)
+        bundle = integrate_with_sensitivity(handle, alpha)
         ref = solve_ivp(joint, (0.0, t_end), np.concatenate([x0, np.zeros(8)]),
-                        method="DOP853", t_eval=_sample_times(t_end, samples), rtol=1e-13,
+                        method="DOP853", t_eval=handle.times, rtol=1e-13,
                         atol=1e-13).y.T
         got = np.concatenate([bundle.states, bundle.jacobian.reshape(samples, 8)], axis=1)
         # the same bound as the logistic test's, over every joint component
         assert np.all(np.abs(got - ref) <= 25.0 * tol * (1.0 + np.abs(ref)))
-        states = integrate(sys, alpha, x0, t_end, samples, tol).states
+        states = integrate(handle, alpha).states
         assert np.all(np.abs(states - ref[:, :2]) <= 25.0 * tol * (1.0 + np.abs(ref[:, :2])))
 
     def test_dense_grid_costs_about_what_a_sparse_one_does(self, monkeypatch):
@@ -703,8 +706,7 @@ class TestSamples:
             for run, name in ((integrate, "rhs"), (integrate_with_sensitivity,
                                                    "sensitivity_rhs")):
                 before = counts[name]
-                run(logistic_system(), [1.0, -1.0], [0.1], t_end=2.0, samples=samples,
-                    tol=1e-10)
+                run(grid_handle(logistic_system(), [0.1], 2.0, samples, 1e-10), [1.0, -1.0])
                 cost[name, samples] = counts[name] - before
         for name in ("rhs", "sensitivity_rhs"):
             assert cost[name, 200] <= 1.5 * cost[name, 4]
@@ -712,29 +714,29 @@ class TestSamples:
     def test_non_finite_extension_row_diverges_at_its_time(self, monkeypatch):
         # non-finite extension weights: every step stays finite, but each
         # sample inside a step is not; a step ending on every sample is unaffected
-        args = (logistic_system(), [1.0, -1.0], [0.1], 2.0)
-        sparse = integrate(*args, samples=2, tol=1e-8)
+        sys, alpha = logistic_system(), [1.0, -1.0]
+        sparse = integrate(grid_handle(sys, [0.1], 2.0, 2, 1e-8), alpha)
         monkeypatch.setattr(odeident.ode, "_DP_PT", np.full_like(odeident.ode._DP_PT, np.inf))
-        assert np.array_equal(integrate(*args, samples=2, tol=1e-8).states, sparse.states)
+        assert np.array_equal(integrate(grid_handle(sys, [0.1], 2.0, 2, 1e-8), alpha).states,
+                              sparse.states)
         for run in (integrate, integrate_with_sensitivity):
             with pytest.raises(DivergenceError, match="state diverged") as err:
-                run(*args, samples=2000, tol=1e-8)
+                run(grid_handle(sys, [0.1], 2.0, 2000, 1e-8), alpha)
             # the first sample lies inside the first step
             assert err.value.t_fail == 0.001
 
 
 class TestSensitivity:
     def test_initial_sensitivity_is_zero_limit(self):
-        bundle = integrate_with_sensitivity(scalar_decay_system(), [-0.5], [1.0],
-                                            t_end=1e-6, samples=1, tol=1e-12)
+        bundle = integrate_with_sensitivity(
+            grid_handle(scalar_decay_system(), [1.0], 1e-6, 1, 1e-12), [-0.5])
         assert np.abs(bundle.jacobian).max() <= 1e-5
 
     def test_scalar_closed_form(self):
         # d/da e^{a t} x0 = t e^{a t} x0
-        bundle = integrate_with_sensitivity(scalar_decay_system(), [-0.5], [1.0],
-                                            t_end=2.0, samples=2, tol=1e-12)
-        z = bundle.jacobian[:, 0]
-        expected = _sample_times(2.0, 2) * np.exp(-0.5 * _sample_times(2.0, 2))
+        handle = grid_handle(scalar_decay_system(), [1.0], 2.0, 2, 1e-12)
+        z = integrate_with_sensitivity(handle, [-0.5]).jacobian[:, 0]
+        expected = handle.times * np.exp(-0.5 * handle.times)
         assert np.abs(z - expected).max() < 1e-8
 
     @pytest.mark.parametrize("sys,alpha,x0", [
@@ -748,13 +750,11 @@ class TestSensitivity:
         system = builders[sys]()
         alpha = np.asarray(alpha, dtype=float)
         tol = 1e-10
-        bundle = integrate_with_sensitivity(system, alpha, x0, t_end=2.0,
-                                            samples=4, tol=tol)
+        bundle = integrate_with_sensitivity(grid_handle(system, x0, 2.0, 4, tol), alpha)
         stacked = bundle.jacobian
 
         def phi_like(a):
-            return integrate(system, a, x0, t_end=2.0, samples=4,
-                             tol=tol).states.ravel()
+            return integrate(grid_handle(system, x0, 2.0, 4, tol), a).states.ravel()
 
         fd = finite_difference_jacobian(phi_like, alpha, step=1e-5)
         rel = np.linalg.norm(stacked - fd) / max(np.linalg.norm(fd), 1e-30)
@@ -778,9 +778,8 @@ class TestSensitivity:
 
     def test_state_part_matches_plain_integration(self):
         # different step sequences, so agreement only to ~global error
-        bundle = integrate_with_sensitivity(logistic_system(), [1.0, -1.0], [0.1],
-                                            t_end=3.0, samples=6, tol=1e-10)
-        traj = integrate(logistic_system(), [1.0, -1.0], [0.1], t_end=3.0,
-                         samples=6, tol=1e-10)
+        handle = grid_handle(logistic_system(), [0.1], 3.0, 6, 1e-10)
+        bundle = integrate_with_sensitivity(handle, [1.0, -1.0])
+        traj = integrate(handle, [1.0, -1.0])
         assert np.abs(bundle.states - traj.states).max() < 1e-7
 

@@ -83,3 +83,28 @@ def test_tracer_sees_the_observation_map():
     after = package_bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_tracer_counts_one_run_per_gauss_newton_evaluation():
+    """Each point Gauss-Newton evaluates is one run below its span: one
+    ``ode.integrate_with_sensitivity`` span for an integrating species, one
+    ``numkernel.mat_exp`` span for the exact one."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        logistic = ObservationMapHandle(sys=logistic_system(), x0=np.array([0.1]),
+                                        h=0.2, m=3, tol=1e-8)
+        cases = ((logistic, np.array([1.0, -1.0]), "ode.integrate_with_sensitivity"),
+                 (rotation_handle(), MatrixLinear.pack(ROTATION), "numkernel.mat_exp"))
+        for handle, alpha, run in cases:
+            y = odeident.phi(handle, alpha)
+            first = len(tracer.spans)
+            result = odeident.gauss_newton_invert(handle, y, alpha + 0.05)
+            spans = tracer.spans
+            roots = [i for i in range(first, len(spans)) if spans[i][1] == -1]
+            assert [spans[i][2] for i in roots] == ["estimate.gauss_newton_invert"]
+            assert result.evaluations > 1
+            assert descendants(spans, roots[0]).count(run) == result.evaluations
+    finally:
+        tracer.uninstall()
