@@ -19,6 +19,7 @@ from conftest import (
     stable_matrix,
 )
 from odeident import (
+    DEFAULTS,
     DimensionError,
     DivergenceError,
     DomainError,
@@ -724,6 +725,74 @@ class TestSamples:
                 run(grid_handle(sys, [0.1], 2.0, 2000, 1e-8), alpha)
             # the first sample lies inside the first step
             assert err.value.t_fail == 0.001
+
+
+def _exact_case(k, h, m):
+    """The MatrixLinear(k) handle of a seeded A, signed zero included, and x0."""
+    rng = np.random.default_rng(100 + k)
+    amat = rng.normal(size=(k, k))
+    amat[-1, 0] *= -0.0
+    x0 = rng.normal(size=k)
+    return ObservationMapHandle(sys=MatrixLinear(k), x0=x0, h=h, m=m), MatrixLinear.pack(amat)
+
+
+def _lane_squarings(handle, alpha):
+    """The squaring count of each Jacobian lane's generator h [[A, 0], [E_p, A]]."""
+    k = handle.sys.state_dim
+    gens = np.zeros((k * k, 2 * k, 2 * k))
+    gens[:, :k, :k] = gens[:, k:, k:] = alpha.reshape(k, k)
+    p = np.arange(k * k)
+    gens[p, k + p // k, p % k] = 1.0
+    ratios = np.abs(handle.h * gens).sum(axis=1).max(axis=1) / DEFAULTS.mat_exp_scaled_norm
+    return {0 if r <= 1.0 else math.ceil(math.log2(r)) for r in ratios.tolist()}
+
+
+class TestExactMapBits:
+    """The exact linear map's samples and Jacobian keep their bits: one
+    ``mat_exp`` call, then rows stepped one by one (m <= 9) or by doubling
+    blocks (m = 40). At h = 0.05 no lane is scaled; at h = 0.3 the k = 2
+    Jacobian's lanes take one or two squarings, as the E_p column tips a
+    column's norm over a power of two."""
+
+    # (k, h, m) -> sha256 of phi, and of phi_jacobian
+    PINS = {
+        (1, 0.05, 9): ("cef245072b4e713384e2dda0ed443e4f5d4eba4b26026700c56558aebf065c88",
+                       "d70e38f5f87bd98ba27f9d36e9a2f65be22c80ed0538a2305590e23fdba618d2"),
+        (1, 0.3, 6): ("b2a40f02ec85c4f00807a9e71dd82212cc43f4be86fe15ac129ed39c78a2cdd5",
+                      "0d2baa1281f05baae22cc29cff6090329878a824a66d26e7dacb42e20c74b28a"),
+        (1, 0.3, 40): ("2b20489b2ad67ffca4eabe2db309bd413f566cbbdbf60b83478119f1ae056482",
+                       "2c83e7602ede6f99eaab42445da895a44a5af976e3ecab2925443771df465b61"),
+        (2, 0.05, 9): ("da03435d913096f1f3b7c636df668f19bc20059152e09d4371e6a8791590ae2c",
+                       "f75a90e3e169a3ff26b4fc2c5a6ced31956bc190d037aaf7282ad6ce0e935576"),
+        (2, 0.3, 6): ("277df0304bb46a6004d71ce09a4d8901384e4bc48bc7f39214e720e64a687c51",
+                      "5fd68c44d0999db8304e6e1e906a6e8b43433f0f7eb27cf09f2aed9eaeeeac00"),
+        (2, 0.3, 40): ("9fec595b81cd97cf7f96d4a17608bb6073992f3f7bd6fe0ffbbdb9af892e3a49",
+                       "f78a795cb529c4e3b054ac8fffc4860b48ec264216294bbe2a58e4c6e927ea0a"),
+        (3, 0.05, 9): ("1f236361ec0149edf958e7f2668715f8da0c275636880478ecb9de9f9392b0ea",
+                       "6537199a9a62bf1c75fff9d880936b53326797787437b0b838a8a6d1be7fb54b"),
+        (3, 0.3, 6): ("2f3f68b482e4e0e1c4da5194a9c7e89337555c3edc16d6925007fd9ebd82377f",
+                      "24e69f64833b4a719b062080370f7d36b4ff293855f72064353f0ae4b65294b0"),
+        (3, 0.3, 40): ("95abb3c1d40d783ecdbd5e659f4c3f0908a9f8dd3a4d044821c7f67259f317ba",
+                       "47ac780114e3849143424e6becf604f0951de696cb42eafd83f98705ce930eb4"),
+        (4, 0.05, 9): ("b5024de7994345ef079879033900259141b79042e281da28555791ba7a6b9790",
+                       "78b9c77278e8c3093778e91d96188eded2cd58ce2524addd4231013a35461eed"),
+        (4, 0.3, 6): ("111873835cb1af1c6425f04fb0e26bd9ef5939175e370d53559977fa770a4f55",
+                      "fbedbe8f8f95c7e89abfc74d199609fe5516ef201b5ff9cdad6cf416cbd72261"),
+        (4, 0.3, 40): ("10997cffac48b209e20b7211ebc1c33cbafba9437475841ae88f41df661f16db",
+                       "f573824b548c1e9fb71046301da3da7fb05a013b18a8ec2882bb2fb867e4d44e"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINS))
+    def test_phi_and_jacobian_keep_their_bits(self, case):
+        handle, alpha = _exact_case(*case)
+        assert (_sha(phi(handle, alpha)), _sha(phi_jacobian(handle, alpha))) \
+            == self.PINS[case]
+
+    def test_the_cases_cover_every_squaring_pattern(self):
+        # no lane scaled, all lanes alike, and lanes apart
+        assert _lane_squarings(*_exact_case(2, 0.05, 9)) == {0}
+        assert _lane_squarings(*_exact_case(3, 0.3, 6)) == {2}
+        assert _lane_squarings(*_exact_case(2, 0.3, 6)) == {1, 2}
 
 
 class TestSensitivity:
