@@ -79,19 +79,36 @@ def _pade_coefficients(order: int) -> np.ndarray:
 
 
 _PADE_B = _pade_coefficients(10)  # [10/10] rational approximant
+# the coefficients of c**0 .. c**10 and of a zero pad, as a column over the
+# (12, lanes, n, n) stack of powers that pairs them up as (c**2i, c**2i+1)
+_PADE_PAIRS = np.append(_PADE_B, 0.0)[:, None, None, None]
 
 
+# every non-finite value is tested for below, so numpy's warnings stay silent
+@np.errstate(over="ignore", invalid="ignore")
 def mat_exp(a, t: float = 1.0) -> np.ndarray:
-    """exp(t*A) by scaling-and-squaring with a diagonal Padé approximant
-    (Higham 2005), for one matrix or a real (..., n, n) stack of them.
+    """exp(t*A) for one matrix or a real (..., n, n) stack of them, by
+    scaling and squaring (Higham 2005) around a fixed [10/10] diagonal Padé
+    approximant.
 
-    Each matrix is scaled by its own 2**-s until its 1-norm is at most
-    ``DEFAULTS.mat_exp_scaled_norm`` (0.5), approximated, and squared back
-    exactly s times; lanes whose s is reached sit out the later rounds. A
-    2-D input is a stack of one, so ``mat_exp(stack)[i]`` equals
-    ``mat_exp(stack[i])`` bit for bit, whatever the stack's size or order.
-    Works for defective matrices; raises RangeError when a result, or the
-    1-norm of t*A over the scaled norm, overflows.
+    Each matrix is scaled by its own 2**-s, the least s that brings the
+    1-norm of t*A / 2**s to at most ``DEFAULTS.mat_exp_scaled_norm`` (0.5),
+    approximated by the [10/10] Padé quotient, and squared back exactly s
+    times. The degree is fixed: there is no table of norm thresholds that
+    picks a lower degree for a smaller norm, as ``scipy.linalg.expm`` has.
+    Lanes whose s is reached sit out the later rounds. A 2-D input is a stack
+    of one, so ``mat_exp(stack)[i]`` equals ``mat_exp(stack[i])`` bit for
+    bit, whatever the stack's size or order.
+
+    A float64 input is read in place, never copied or written; any other
+    real dtype is converted first, so it has the bits of the same call on
+    its float64 values, and a strided view has those of its contiguous copy.
+    The input's finiteness is tested only when a lane's scaled norm is not
+    finite. When every lane has s = 0 the scaled matrices are t*A itself,
+    and when all lanes share one s the whole stack is squared at once.
+    Works for defective matrices. Raises DimensionError for a non-finite
+    or complex entry and RangeError when the 1-norm of t*A over the scaled
+    norm, or a result, overflows.
     """
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
@@ -100,41 +117,58 @@ def mat_exp(a, t: float = 1.0) -> np.ndarray:
     if not math.isfinite(t):
         raise DomainError("t must be finite")
     shape, n = a.shape, a.shape[-1]
-    a = as_matrix(a.reshape(-1, n)).reshape(-1, n, n)
-    with np.errstate(over="ignore"):
-        b = t * a
-        ratios = (np.abs(b).sum(axis=1).max(axis=1) / DEFAULTS.mat_exp_scaled_norm).tolist()
+    if a.dtype != np.float64:
+        a = as_matrix(a.reshape(-1, n))
+    # C order whatever the input's strides, so the norms' sums run as for a copy
+    b = np.multiply(t, a.reshape(-1, n, n), order="C")
+    ratios = (np.abs(b).sum(axis=1).max(axis=1) / DEFAULTS.mat_exp_scaled_norm).tolist()
     if not all(map(math.isfinite, ratios)):
+        if not np.isfinite(a).all():
+            raise DimensionError("matrix contains non-finite entries")
         raise RangeError("t*A is beyond the float range")
     # libm's log2 per lane: numpy's vector log2 differs from it in the last bit
     # on some inputs, which could move ceil() across an integer
     squarings = [0 if r <= 1.0 else math.ceil(math.log2(r)) for r in ratios]
-    s = np.array(squarings, dtype=int)
-    powers = np.empty((len(_PADE_B),) + b.shape)  # c**0 .. c**10, scaled in place
+    low, top = min(squarings, default=0), max(squarings, default=0)
+    shared = low == top  # one s for every lane
+    powers = np.empty((len(_PADE_PAIRS),) + b.shape)  # c**0 .. c**10 and the pad
     powers[0] = np.eye(n)
-    # c = b / 2**s exactly, also where 2.0**s overflows (s = 1024)
-    c = np.ldexp(b, -s[:, None, None], out=powers[1])
+    powers[-1] = 0.0
+    if top == 0:
+        powers[1] = b
+    else:  # c = b / 2**s exactly, also where 2.0**s overflows (s = 1024)
+        np.ldexp(b, -top if shared else -np.array(squarings)[:, None, None], out=powers[1])
+    c = powers[1]
     for j in range(2, len(_PADE_B)):
         np.matmul(powers[j - 1], c, out=powers[j])
-    powers *= _PADE_B[:, None, None, None]
-    # the [10/10] sums in sum()'s order: a reduction over the leading axis adds
-    # term by term, and starting from 0.0 turns -0.0 into 0.0 as sum() does
-    u = np.add.reduce(powers[1::2], axis=0, initial=0.0)
-    v = np.add.reduce(powers[0::2], axis=0, initial=0.0)
-    del powers, c  # eleven matrices per lane: free them before the solve's copies
+    powers *= _PADE_PAIRS
+    # the [10/10] sums in sum()'s order, both in one reduction over the pairs:
+    # a reduction over the leading axis adds term by term, and starting from
+    # 0.0 turns -0.0 into 0.0 as sum() does; u's last term, the zero pad,
+    # leaves a sum that started from 0.0 as it was
+    pairs = powers.reshape((len(powers) // 2, 2) + b.shape)
+    v, u = np.add.reduce(pairs, axis=0, initial=0.0)
+    del powers, pairs, c  # twelve matrices per lane: free them before the solve's copies
     try:
         f = np.linalg.solve(v - u, v + u)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - norm <= 0.5 keeps V-U regular
         raise ConvergenceError(f"Padé solve failed: {exc}") from exc
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(max(squarings, default=0)):
+    if shared:
+        for _ in range(top):
+            f = f @ f
+            if not np.isfinite(f).all():
+                raise RangeError("matrix exponential overflowed")
+    else:
+        s = np.array(squarings)
+        for r in range(top):
             live = s > r  # the lanes that still need this round
             g = f[live]
             g = g @ g
             if not np.isfinite(g).all():
                 raise RangeError("matrix exponential overflowed")
             f[live] = g
-    if not np.isfinite(f).all():
+    # each squared lane was tested as it was squared; the others are tested here
+    if low == 0 and not np.isfinite(f).all():
         raise RangeError("matrix exponential overflowed")
     return f.reshape(shape)
 

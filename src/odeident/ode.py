@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -307,10 +308,8 @@ class MatrixLinear(ParamSystem):
         a = _check_alpha(self, alpha).reshape(k, k)
         n = self.param_dim
         if jacobian:
-            gens = np.zeros((n, 2 * k, 2 * k))
+            gens = self._lane_generators.copy()
             gens[:, :k, :k] = gens[:, k:, k:] = a
-            p = np.arange(n)
-            gens[p, k + p // k, p % k] = 1.0  # E_p = E_ij in the lower-left block
             out = np.zeros((m + 1, n, 2 * k))  # row j, lane p: [X(jh); dX(jh)/dA_p]
             out[0, :, :k] = x0
         else:
@@ -323,13 +322,25 @@ class MatrixLinear(ParamSystem):
             except RangeError as exc:
                 raise DivergenceError(f"exp(hA) left the float range: {exc}", h) from exc
             _fill_by_doubling(out, step)
-        finite = np.isfinite(out[1:].reshape(m, -1)).all(axis=1)
-        if not finite.all():
-            raise DivergenceError("state diverged", h * (int(np.argmin(finite)) + 1))
+        if not np.isfinite(out).all():  # row 0 is finite: the first bad row is j >= 1
+            finite = np.isfinite(out.reshape(m + 1, -1)).all(axis=1)
+            raise DivergenceError("state diverged", h * int(np.argmin(finite)))
         if jacobian:  # the states are lane 0's upper half
             return Observation(out[1:, 0, :k],
                                out[1:, :, k:].transpose(0, 2, 1).reshape(m * k, n))
         return Observation(out[1:])
+
+    @cached_property
+    def _lane_generators(self) -> np.ndarray:
+        """The Jacobian's k^2 lane generators with A = 0: E_p = E_ij in lane
+        p = i*k + j's lower-left block, built once per system; read-only, so
+        each run fills A into a copy."""
+        k, n = self.state_dim, self.param_dim
+        gens = np.zeros((n, 2 * k, 2 * k))
+        p = np.arange(n)
+        gens[p, k + p // k, p % k] = 1.0
+        gens.flags.writeable = False
+        return gens
 
     # the generic factories, bound here by name because perfbench/tracing.py
     # wraps vars(MatrixLinear)["rhs"] and ["sensitivity_rhs"]
@@ -571,7 +582,9 @@ def _sample_times(t_end: float, samples: int) -> np.ndarray:
     return (t_end / samples) * np.arange(1, samples + 1)
 
 
-@dataclass(frozen=True)
+# eq=False: a handle is one map, so it compares and hashes by identity (a
+# field-wise == would compare the x0 arrays, and x0 makes it unhashable)
+@dataclass(frozen=True, eq=False)
 class ObservationMapHandle:
     """Binding of (system, x0, h, m) defining the map R^n -> R^(m*k); x0, the
     grid and ``tol`` are checked once, here, and each run checks only alpha."""

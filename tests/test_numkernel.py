@@ -119,6 +119,52 @@ class TestMatExp:
         with pytest.raises(DimensionError):
             mat_exp(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_at_zero_time_is_a_dimension_error(self, entry):
+        # 0 * inf is NaN, not a RuntimeWarning (an error under this suite's
+        # filter): the entries are tested once a lane's norm is not finite
+        stack = np.zeros((3, 2, 2))
+        stack[1, 0, 1] = entry
+        for a in (stack, stack[1]):
+            with pytest.raises(DimensionError, match="non-finite"):
+                mat_exp(a, 0.0)
+
+    @pytest.mark.parametrize("a,t", [
+        (np.array([[1e308, 0.0], [1e308, 0.0]]), 1.0),  # a column's 1-norm overflows
+        (np.array([[1e300, 0.0], [0.0, 1.0]]), 1e10),   # t*A itself overflows
+    ])
+    def test_finite_matrix_beyond_the_float_range_is_a_range_error(self, a, t):
+        with pytest.raises(RangeError, match="beyond the float range"):
+            mat_exp(a, t)
+        with pytest.raises(RangeError, match="beyond the float range"):
+            mat_exp(np.stack([np.eye(2), a]), t)
+
+    @pytest.mark.parametrize("dtype", [int, bool, np.float32])
+    def test_other_real_dtypes_have_the_float64_calls_bits(self, dtype):
+        rng = np.random.default_rng(5)
+        stack = (rng.normal(size=(4, 3, 3)) * 3.0).astype(dtype)
+        for a in (stack, stack[0]):
+            assert mat_exp(a, 0.7).tobytes() == mat_exp(a.astype(float), 0.7).tobytes()
+
+    def test_strided_view_has_its_contiguous_copys_bits(self):
+        # n = 9: numpy sums a contiguous axis pairwise from 8 terms on
+        rng = np.random.default_rng(9)
+        base = rng.normal(size=(6, 9, 9)) * 10.0 ** rng.uniform(-2.0, 1.0, (6, 1, 1))
+        for view in (base[::2], base[1].T, base.transpose(0, 2, 1), base[:, ::2, ::2]):
+            assert not view.flags.c_contiguous
+            assert mat_exp(view, 0.7).tobytes() \
+                == mat_exp(np.ascontiguousarray(view), 0.7).tobytes()
+
+    def test_input_is_never_written(self):
+        rng = np.random.default_rng(3)
+        stack = rng.normal(size=(4, 3, 3)) * 10.0 ** rng.uniform(-2.0, 1.0, (4, 1, 1))
+        stack[0, 0, 0] = -0.0
+        before = stack.tobytes()
+        stack.flags.writeable = False  # a write would raise
+        for a in (stack, stack[0], stack[::2]):
+            mat_exp(a, 0.7)
+        assert stack.tobytes() == before
+
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6), lanes=st.integers(0, 64))

@@ -365,6 +365,13 @@ class TestChecksOnce:
         assert counts == {"_check_grid": 1 + 2 + cells, "_check_alpha": cells}
 
 
+def test_handles_compare_and_hash_by_identity():
+    first, second = rotation_handle(), rotation_handle()
+    assert first == first
+    assert first != second  # equal fields, two handles: no array comparison
+    assert len({first, second, first}) == 2
+
+
 # bound fixed before the test was first run: 1e-13 of max|x|, where lane 0's
 # upper half of exp(h [[A, 0], [E, A]]) steps the states by exp(hA) to rounding
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -16,6 +16,7 @@ import numpy as np
 
 from conftest import ROTATION, logistic_system, rotation_handle
 import odeident
+import odeident.cli  # noqa: F401 - the tracer imports every layer, cli too
 import odeident.ode
 from odeident import MatrixLinear, ObservationMapHandle
 
@@ -108,3 +109,31 @@ def test_tracer_counts_one_run_per_gauss_newton_evaluation():
             assert descendants(spans, roots[0]).count(run) == result.evaluations
     finally:
         tracer.uninstall()
+
+
+def test_tracer_counts_one_exponential_per_exact_observe():
+    """A certificate and its check on the exact linear map: each phi and
+    phi_jacobian call is one ``numkernel.mat_exp`` span, 1 + 2 gamma_samples
+    + 2 (pairs - 1) in all, and nothing integrates. A fast path that skipped
+    ``ode``'s binding of ``mat_exp`` would hide its work from the tracer."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        handle, alpha0 = rotation_handle(), MatrixLinear.pack(ROTATION)
+        gamma_samples, pairs = 10, 7
+        first = len(tracer.spans)
+        cert = odeident.certify_radius(handle, alpha0, r_work=0.1,
+                                       gamma_samples=gamma_samples, seed=3)
+        report = odeident.verify_lower_bound(handle, cert, pairs, seed=4)
+        spans = tracer.spans
+        names = [span[2] for span in spans[first:]]
+    finally:
+        tracer.uninstall()
+    assert report.pairs_tested == pairs
+    assert names.count("numkernel.mat_exp") == 1 + 2 * gamma_samples + 2 * (pairs - 1)
+    observes = [i for i in range(first, len(spans))
+                if spans[i][2] in ("obsmap.phi", "obsmap.phi_jacobian")]
+    assert len(observes) == names.count("numkernel.mat_exp")
+    assert all(descendants(spans, i) == ["numkernel.mat_exp"] for i in observes)
+    assert not [name for name in names if name.startswith("ode.integrate")]
