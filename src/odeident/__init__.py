@@ -31,7 +31,6 @@ from .errors import (
 )
 from .estimate import (
     EstimationResult,
-    GaussNewtonOptions,
     add_noise,
     fd_linear_estimate,
     gauss_newton_invert,
@@ -94,7 +93,6 @@ __all__ = [
     "NotIdentifiableError",
     "RangeError",
     "EstimationResult",
-    "GaussNewtonOptions",
     "add_noise",
     "fd_linear_estimate",
     "gauss_newton_invert",

@@ -23,8 +23,6 @@ Config schema::
       "solver": {                                      # optional
         "r_work": .., "gamma_samples": .., "safety": .., "seed": ..,
         "verify_pairs": .., "k_max": .., "init": [..],
-        "gauss_newton": {"max_iter": .., "step_tol": .., "grad_tol": ..,
-                          "damping": ..},
         "scan": {"t_values": [..], "alpha_box": [[lo,hi],..],
                  "x_box": [[lo,hi],..], "grid": [..], "rank_tol": ..}
       }
@@ -34,6 +32,10 @@ The system and observation blocks build one ``ObservationMapHandle``, the
 config's only description of the sampling grid: ``simulate`` writes its
 ``times`` beside the samples, and ``invert`` accepts, in both modes, exactly
 the CSV of m rows of k values at those times.
+
+The solver block sets no Gauss-Newton threshold: those are the fixed
+``DEFAULTS.gn_*`` constants, and a config that carries the retired
+``solver.gauss_newton`` block is refused by name (exit 2).
 
 Exit codes: 0 success, 2 input error, 3 numerical/integration failure,
 4 not identifiable, 5 non-convergence or rank deficiency.
@@ -67,7 +69,7 @@ from .errors import (
     NotIdentifiableError,
     RangeError,
 )
-from .estimate import GaussNewtonOptions, add_noise, fd_linear_estimate, gauss_newton_invert
+from .estimate import add_noise, fd_linear_estimate, gauss_newton_invert
 from .linearcase import (
     degeneracy_report,
     exp_divided_difference_determinant,
@@ -174,21 +176,6 @@ def _basis_system(basis, k: int, n: int) -> PolynomialBasis:
         raise ConfigError(f"system.basis: {exc}") from exc
 
 
-def _gauss_newton_options(gn) -> GaussNewtonOptions:
-    path = "solver.gauss_newton"
-    gn = _as_dict(gn, path)
-    d = GaussNewtonOptions()
-    try:
-        return GaussNewtonOptions(
-            max_iter=_as_int(gn.get("max_iter", d.max_iter), f"{path}.max_iter"),
-            step_tol=_as_float(gn.get("step_tol", d.step_tol), f"{path}.step_tol"),
-            grad_tol=_as_float(gn.get("grad_tol", d.grad_tol), f"{path}.grad_tol"),
-            damping=_as_float(gn.get("damping", d.damping), f"{path}.damping"),
-        )
-    except DomainError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
 def _scan_block(scan) -> dict:
     path = "solver.scan"
     scan = _as_dict(scan, path)
@@ -220,7 +207,6 @@ class ExperimentConfig:
     seed: int
     solver: dict                # solver scalars, validated, defaults filled in
     init: np.ndarray | None     # solver.init, flat length n
-    gn_options: GaussNewtonOptions
     scan: dict | None           # validated solver.scan block
 
 
@@ -278,6 +264,11 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("noise.sigma must be >= 0")
 
     raw_solver = _as_dict(raw.get("solver", {}), "solver")
+    # unknown keys are ignored, but a block that once set thresholds must not
+    # be: ignoring it would change results without a word
+    if "gauss_newton" in raw_solver:
+        raise ConfigError("'solver.gauss_newton' is not accepted: Gauss-Newton's "
+                          "thresholds are fixed constants")
     solver = {
         "r_work": _as_float(raw_solver.get("r_work", 0.5), "solver.r_work"),
         # certify evaluates every sample and pair, so the counts are bounded
@@ -295,12 +286,11 @@ def load_config(path) -> ExperimentConfig:
         init = _as_array(raw_solver["init"], "solver.init").reshape(-1)
         if init.shape[0] != n:
             raise ConfigError(f"solver.init must have length n={n}")
-    gn_options = _gauss_newton_options(raw_solver.get("gauss_newton", {}))
     scan = _scan_block(raw_solver["scan"]) if "scan" in raw_solver else None
 
     return ExperimentConfig(digest=digest, species=species, k=k, n=n, handle=handle,
                             alpha0=alpha0, sigma=sigma, seed=seed, solver=solver,
-                            init=init, gn_options=gn_options, scan=scan)
+                            init=init, scan=scan)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +469,7 @@ def cmd_invert(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     else:
         if cfg.init is None:
             raise ConfigError("solver.init is required for gauss-newton inversion")
-        result = gauss_newton_invert(handle, values, cfg.init, options=cfg.gn_options)
+        result = gauss_newton_invert(handle, values, cfg.init)
 
     _write_json(args.out, {"mode": args.mode, "result": result}, cfg)
     ok = result.converged and not result.rank_deficient

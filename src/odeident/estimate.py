@@ -31,7 +31,7 @@ from .errors import (
     RangeError,
 )
 from .numkernel import EPS, condition_number, least_squares, numerical_rank, singular_values
-from .ode import MatrixLinear, ObservationMapHandle, PolynomialBasis, _check_count
+from .ode import MatrixLinear, ObservationMapHandle, PolynomialBasis
 
 
 # ---------------------------------------------------------------------------
@@ -128,20 +128,6 @@ def fd_linear_estimate(handle: ObservationMapHandle, y_obs) -> EstimationResult:
 # damped Gauss-Newton inversion of the observation map
 
 
-@dataclass(frozen=True)
-class GaussNewtonOptions:
-    max_iter: int = DEFAULTS.gn_max_iter
-    step_tol: float = DEFAULTS.gn_step_tol
-    grad_tol: float = DEFAULTS.gn_grad_tol
-    damping: float = DEFAULTS.gn_damping
-
-    def __post_init__(self):
-        _check_count(self.max_iter, "max_iter", 1)
-        # a nan compares false with every bound, so test for the good case
-        if not all(0.0 < v < math.inf for v in (self.step_tol, self.grad_tol, self.damping)):
-            raise DomainError("Gauss-Newton options must be positive and finite")
-
-
 _SQRT_EPS = math.sqrt(EPS)
 
 
@@ -156,16 +142,15 @@ def _flat(step, grad, jtj, cost: float) -> bool:
     return math.isfinite(pred) and pred <= floor < math.inf
 
 
-def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
-                        options: GaussNewtonOptions = GaussNewtonOptions()
-                        ) -> EstimationResult:
+def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init) -> EstimationResult:
     """Invert the observation map locally by damped Gauss-Newton.
 
-    Steps solve (J^T J + damping * diag(J^T J)) s = J^T (y - phi(a)); the
-    damping factor halves after an accepted step and quadruples after a
-    rejected one. Each evaluated point is one run of the species' observation
-    map with its Jacobian: the run prices the point by its states, and an
-    accepted point hands its Jacobian to the next step. A trial is rejected
+    Its thresholds are the ``gn_*`` fields of ``DEFAULTS``, read at each call.
+    Steps solve (J^T J + lam * diag(J^T J)) s = J^T (y - phi(a)); the damping
+    factor lam starts at ``gn_damping``, halves after an accepted step and
+    quadruples after a rejected one. Each evaluated point is one run of the
+    species' observation map with its Jacobian: the run prices the point by
+    its states, and an accepted point hands its Jacobian to the next step. A trial is rejected
     when its run fails or its cost is not below the current cost, so the
     residual falls across accepted iterates. Two kinds of trial are rejected
     without a run: a trial at a point already run, which cannot lower the
@@ -174,15 +159,16 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
     trial ends the search, for more damping only shrinks the step further.
     The search stops unconverged once the damping term leaves the float
     range, and raises RangeError when J^T J or J^T r does.
-    Convergence requires the residual gradient norm <= grad_tol, and one of
-    three: the last step norm <= step_tol, a flat trial ended the search, or
-    the last accepted step stalled. A step stalls when it kept at least
-    ``DEFAULTS.gn_stall_ratio`` (one half) of the cost and its norm is at most
+    The search takes at most ``gn_max_iter`` steps. Convergence requires the
+    residual gradient norm <= ``gn_grad_tol``, and one of three: the last
+    step norm <= ``gn_step_tol``, a flat trial ended the search, or the last
+    accepted step stalled. A step stalls when it kept at least
+    ``gn_stall_ratio`` (one half) of the cost and its norm is at most
     sqrt(eps) (sqrt(eps) + ||a||), a the point it reached: the relative step
     test of Dennis and Schnabel (1983, 7.2) and MINPACK (More 1978). An
     integrated map's cost stops falling at its integration error, far above
-    rounding, and the absolute step_tol sits below what such a map resolves;
-    the stall exit ends those fits there. An exact fit still ends at
+    rounding, and the absolute ``gn_step_tol`` sits below what such a map
+    resolves; the stall exit ends those fits there. An exact fit still ends at
     rounding, for its cost falls about 1000 times per step until then, so no
     step of it stalls. A norm that overflows is inf, and never converges.
     Every exit holds the Jacobian at the returned
@@ -210,20 +196,21 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
     history = [(alpha, cost)]
     seen = {alpha.tobytes()}  # every point a run was made at, failed runs included
     rejected = 0
-    lam = options.damping
+    lam = DEFAULTS.gn_damping
     step_norm = 0.0
     stalled = False  # whether the last accepted step stalled
     converged = False
     message = ""
 
-    for _ in range(options.max_iter):
+    for _ in range(DEFAULTS.gn_max_iter):
         with np.errstate(over="ignore", invalid="ignore"):  # tested just below
             grad = jac.T @ residual_vec
             jtj = jac.T @ jac
             grad_norm = float(np.linalg.norm(grad))  # inf if it overflows: never converged
         if not (np.isfinite(grad).all() and np.isfinite(jtj).all()):
             raise RangeError("normal equations J^T J, J^T r leave the float range")
-        if grad_norm <= options.grad_tol and (stalled or step_norm <= options.step_tol):
+        if grad_norm <= DEFAULTS.gn_grad_tol and (
+                stalled or step_norm <= DEFAULTS.gn_step_tol):
             converged = True
             break
 
@@ -267,8 +254,8 @@ def gauss_newton_invert(handle: ObservationMapHandle, y_obs, alpha_init,
             # every trial rejected: converged at a flat gradient if the last
             # trial was flat or already below the step tolerance
             if not message:  # the damping stayed in the float range
-                converged = grad_norm <= options.grad_tol and (
-                    flat or step_norm <= options.step_tol)
+                converged = grad_norm <= DEFAULTS.gn_grad_tol and (
+                    flat or step_norm <= DEFAULTS.gn_step_tol)
                 message = "" if converged else "stalled: no acceptable step"
             break
         # a step that kept at least half the cost, at the resolution of the

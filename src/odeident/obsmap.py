@@ -178,26 +178,26 @@ def verify_lower_bound(handle: ObservationMapHandle, cert: InjectivityCertificat
                        pair_count: int, seed: int) -> VerificationReport:
     """Empirically test ||phi(x)-phi(y)|| >= (sqrt(beta)/2 - margin)||x-y||.
 
-    Pairs are sampled uniformly in B(alpha0, r_cert) with per-pair
-    counter-derived seeds (deterministic under any evaluation order); the
-    first pair is forced identical and excluded from the ratio. Violations
-    falsify the certificate (gamma was under-estimated).
+    Pairs i = 1 .. pair_count - 1 are sampled uniformly in B(alpha0, r_cert),
+    pair i from the seed (seed, i), so they are deterministic under any
+    evaluation order. Violations falsify the certificate (gamma was
+    under-estimated).
 
-    ``pairs_tested`` is ``pair_count``: it counts pair 0, the identical
-    control pair that is never compared. With ``pair_count == 1`` no pair is
-    compared and ``worst_ratio`` stays inf (``null`` in the CLI report). A
-    ``pair_count`` that is not an integer in [1, ``DEFAULTS.certify_budget``]
-    raises DomainError.
+    ``pairs_tested`` is ``pair_count``: it counts pair 0, an identical
+    control pair that is neither drawn nor compared. With ``pair_count == 1``
+    no pair is compared and ``worst_ratio`` stays inf (``null`` in the CLI
+    report). A ``pair_count`` that is not an integer in
+    [1, ``DEFAULTS.certify_budget``] raises DomainError.
     """
     _check_count(pair_count, "pair_count", 1, DEFAULTS.certify_budget)
     bound = cert.lipschitz_lower
     margin = DEFAULTS.verify_margin_rel * math.sqrt(cert.beta)
     violations = 0
     worst = math.inf
-    for i in range(pair_count):
+    for i in range(1, pair_count):
         rng = np.random.default_rng((seed, i))
         x = _ball_point(rng, cert.alpha0, cert.r_cert)
-        y = x.copy() if i == 0 else _ball_point(rng, cert.alpha0, cert.r_cert)
+        y = _ball_point(rng, cert.alpha0, cert.r_cert)
         gap = x - y
         dist = math.sqrt(gap @ gap)
         if dist == 0.0:

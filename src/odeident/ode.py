@@ -247,9 +247,9 @@ def _fill_by_doubling(out: np.ndarray, step: np.ndarray) -> None:
     arithmetic and tests the rows.
     """
     rows = out.shape[0]
-    lanes = out.ndim == 3
     done, p, growing = 1, 1, True
     step_t = step.swapaxes(-1, -2)
+    by_lane = out.transpose(1, 0, 2) if out.ndim == 3 else None  # (L, rows, d) view
     while done < rows:
         if growing and done >= 2 * p and rows - done > _BLOCKS_PER_SQUARE * p:
             squared = step @ step
@@ -257,9 +257,9 @@ def _fill_by_doubling(out: np.ndarray, step: np.ndarray) -> None:
             if growing:
                 step, step_t, p = squared, squared.swapaxes(-1, -2), 2 * p
         b = p if p < rows - done else rows - done
-        if lanes:  # one (b, d) x (d, d) product per lane
-            np.matmul(out[done - p:done - p + b].transpose(1, 0, 2), step_t,
-                      out=out[done:done + b].transpose(1, 0, 2))
+        if by_lane is not None:  # one (b, d) x (d, d) product per lane
+            np.matmul(by_lane[:, done - p:done - p + b], step_t,
+                      out=by_lane[:, done:done + b])
         else:
             np.dot(out[done - p:done - p + b], step_t, out=out[done:done + b])
         done += b

@@ -1,7 +1,12 @@
 """Shared builders for the small corpus of test systems."""
 
-import numpy as np
+import contextlib
+import dataclasses
 
+import numpy as np
+import pytest
+
+import odeident.estimate
 from odeident import DEFAULTS, MatrixLinear, ObservationMapHandle, PolynomialBasis
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -20,6 +25,16 @@ def scalar_decay_system() -> PolynomialBasis:
 def logistic_system() -> PolynomialBasis:
     """x' = a1*x + a2*x^2 (logistic for a1 > 0 > a2)."""
     return PolynomialBasis([scalar_map([(1.0, 1)]), scalar_map([(1.0, 2)])])
+
+
+@contextlib.contextmanager
+def gauss_newton_constants(**fields):
+    """Run Gauss-Newton with these fields of ``DEFAULTS`` replaced: the solver
+    reads ``odeident.estimate.DEFAULTS`` at each call. A context, not a
+    fixture, so that a hypothesis test can use it per example."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(odeident.estimate, "DEFAULTS", dataclasses.replace(DEFAULTS, **fields))
+        yield
 
 
 def rotation_system() -> MatrixLinear:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     ROTATION,
+    gauss_newton_constants,
     logistic_system,
     rotation_handle,
     scalar_decay_system,
@@ -19,10 +20,10 @@ from conftest import (
     stable_matrix,
 )
 from odeident import (
+    DEFAULTS,
     DimensionError,
     DivergenceError,
     DomainError,
-    GaussNewtonOptions,
     MatrixLinear,
     ObservationMapHandle,
     PolynomialBasis,
@@ -229,8 +230,8 @@ class TestGaussNewton:
         alpha0 = MatrixLinear.pack(ROTATION)
         y = phi(handle, alpha0)
         init = alpha0 + np.array([0.3, -0.2, 0.25, 0.1])
-        result = gauss_newton_invert(handle, y, init,
-                                     options=GaussNewtonOptions(max_iter=2))
+        with gauss_newton_constants(gn_max_iter=2):
+            result = gauss_newton_invert(handle, y, init)
         assert not result.converged
         assert result.message == "max_iter exhausted"
         assert result.residual <= result.history[0][1]
@@ -240,8 +241,8 @@ class TestGaussNewton:
         alpha0 = MatrixLinear.pack(ROTATION)
         y = phi(handle, alpha0)
         init = alpha0 + np.array([0.3, -0.2, 0.25, 0.1])
-        result = gauss_newton_invert(handle, y, init,
-                                     options=GaussNewtonOptions(max_iter=1))
+        with gauss_newton_constants(gn_max_iter=1):
+            result = gauss_newton_invert(handle, y, init)
         assert result.message == "max_iter exhausted"
         assert result.iterations == 1
         assert not np.array_equal(result.alpha_hat, init)
@@ -258,7 +259,7 @@ class TestGaussNewton:
         # x' = a x, x0 = 1, one sample at h = 1: phi(a) = e^a. From a = 0 the
         # first step toward y = 1000 lands near a = 998, where e^a overflows
         handle = ObservationMapHandle(sys=MatrixLinear(1), x0=[1.0], h=1.0, m=1)
-        first_trial = 999.0 / (1.0 + GaussNewtonOptions().damping)
+        first_trial = 999.0 / (1.0 + DEFAULTS.gn_damping)
         with pytest.raises(DivergenceError):
             phi(handle, [first_trial])
         result = gauss_newton_invert(handle, [1000.0], [0.0])
@@ -267,7 +268,7 @@ class TestGaussNewton:
         assert all(abs(a[0]) < 10.0 and math.isfinite(r) for a, r in result.history)
 
     @staticmethod
-    def counted_noisy_decay_fit(noise_seed, flat_rule=True, grad_tol=GaussNewtonOptions.grad_tol):
+    def counted_noisy_decay_fit(noise_seed, flat_rule=True, grad_tol=DEFAULTS.gn_grad_tol):
         """Fit noisy x' = a x data from a start near the minimum; return the
         result, the number of rejected trials that made no run and the sha256
         of the report the CLI writes, after checking that the fit ran the map
@@ -281,11 +282,11 @@ class TestGaussNewton:
         alpha0 = np.array([-0.5])
         noise = np.random.default_rng(noise_seed).standard_normal(3)
         y = phi(handle, alpha0) + 1e-5 * noise
-        with pytest.MonkeyPatch.context() as mp, recorded_runs(MatrixLinear) as calls:
+        with pytest.MonkeyPatch.context() as mp, recorded_runs(MatrixLinear) as calls, \
+                gauss_newton_constants(gn_grad_tol=grad_tol):
             if not flat_rule:
                 mp.setattr(estimate, "EPS", 0.0)
-            result = gauss_newton_invert(handle, y, alpha0 + 0.005,
-                                         GaussNewtonOptions(grad_tol=grad_tol))
+            result = gauss_newton_invert(handle, y, alpha0 + 0.005)
         assert_one_run_per_point(calls, result)
         # one run at the start and one per accepted trial; the other runs were rejected
         skipped = result.rejected - (result.evaluations - 1 - result.iterations)
@@ -346,25 +347,6 @@ class TestGaussNewton:
         # J^T J s overflows, so the decrease reads -inf
         assert not estimate._flat(np.array([1e200]), grad, np.array([[1e200]]), cost=1.0)
 
-    def test_bad_options_rejected(self):
-        with pytest.raises(DomainError):
-            GaussNewtonOptions(max_iter=0)
-        with pytest.raises(DomainError):
-            GaussNewtonOptions(step_tol=-1.0)
-
-    @pytest.mark.parametrize("value", [math.nan, 2.5, 3.0])
-    def test_max_iter_must_be_an_integer(self, value):
-        # 2.5 was accepted, and the solver then failed in range()
-        with pytest.raises(DomainError, match="max_iter"):
-            GaussNewtonOptions(max_iter=value)
-
-    @pytest.mark.parametrize("field", ["step_tol", "grad_tol", "damping"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_non_finite_options_rejected(self, field, value):
-        # a nan tolerance compares false with every bound, so no fit could converge
-        with pytest.raises(DomainError, match="finite"):
-            GaussNewtonOptions(**{field: value})
-
 
 @contextlib.contextmanager
 def recorded_runs(species):
@@ -399,19 +381,19 @@ def assert_one_run_per_point(calls, result):
 # range at once (an x0 of about 1e120 puts diag(J^T J) near 1e240), max_iter
 # exhausted; and a fit whose damped step, not flat, lands on a trial rejected before
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@example(k=2, seed=0, noise=0.0, max_iter=50, damping=GaussNewtonOptions().damping,
+@example(k=2, seed=0, noise=0.0, max_iter=50, damping=DEFAULTS.gn_damping,
          x0_scale=1.0)
-@example(k=1, seed=6, noise=1e-5, max_iter=50, damping=GaussNewtonOptions().damping,
+@example(k=1, seed=6, noise=1e-5, max_iter=50, damping=DEFAULTS.gn_damping,
          x0_scale=1.0)
-@example(k=1, seed=2, noise=1.0, max_iter=50, damping=GaussNewtonOptions().damping,
+@example(k=1, seed=2, noise=1.0, max_iter=50, damping=DEFAULTS.gn_damping,
          x0_scale=1.0)
 @example(k=2, seed=0, noise=1e20, max_iter=50, damping=1e300, x0_scale=1.0)
 @example(k=2, seed=0, noise=0.0, max_iter=50, damping=1e300, x0_scale=1e120)
-@example(k=3, seed=0, noise=1e-5, max_iter=1, damping=GaussNewtonOptions().damping,
+@example(k=3, seed=0, noise=1e-5, max_iter=1, damping=DEFAULTS.gn_damping,
          x0_scale=1.0)
 @given(k=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
        noise=st.sampled_from([0.0, 1e-5]), max_iter=st.sampled_from([1, 50]),
-       damping=st.just(GaussNewtonOptions().damping), x0_scale=st.just(1.0))
+       damping=st.just(DEFAULTS.gn_damping), x0_scale=st.just(1.0))
 def test_gauss_newton_report_invariants_on_every_exit(k, seed, noise, max_iter, damping,
                                                       x0_scale):
     rng = np.random.default_rng(seed)
@@ -420,9 +402,9 @@ def test_gauss_newton_report_invariants_on_every_exit(k, seed, noise, max_iter, 
                                   h=0.3, m=k + 2)
     y = phi(handle, alpha0) + noise * rng.standard_normal(handle.dim_out)
     init = alpha0 + 0.1 * rng.standard_normal(alpha0.shape[0])
-    options = GaussNewtonOptions(max_iter=max_iter, damping=damping)
-    with recorded_runs(MatrixLinear) as calls:
-        result = gauss_newton_invert(handle, y, init, options=options)
+    with gauss_newton_constants(gn_max_iter=max_iter, gn_damping=damping), \
+            recorded_runs(MatrixLinear) as calls:
+        result = gauss_newton_invert(handle, y, init)
 
     assert result.converged == (result.message == "")
     assert result.message in ("", "stalled: no acceptable step", "max_iter exhausted") \
