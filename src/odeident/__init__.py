@@ -49,7 +49,6 @@ from .linearcase import (
 from .numkernel import (
     EigenResult,
     LeastSquaresResult,
-    Poly,
     eigenvalues,
     least_squares,
     mat_exp,
@@ -107,7 +106,6 @@ __all__ = [
     "exp_divided_difference_determinant",
     "EigenResult",
     "LeastSquaresResult",
-    "Poly",
     "eigenvalues",
     "least_squares",
     "mat_exp",

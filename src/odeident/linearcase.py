@@ -21,7 +21,6 @@ import numpy as np
 from .config import DEFAULTS
 from .errors import DefectiveMatrixError, DimensionError, DomainError, RangeError
 from .numkernel import (
-    Poly,
     as_square,
     as_vector,
     eigenvalues,
@@ -39,14 +38,15 @@ from .ode import MatrixLinear, ObservationMapHandle, _check_count
 # characteristic-polynomial discriminants
 
 
-def characteristic_poly(a: np.ndarray) -> Poly:
-    """Characteristic polynomial det(lambda I - A), monic, ascending coeffs."""
+def characteristic_poly(a: np.ndarray) -> np.ndarray:
+    """Characteristic polynomial det(lambda I - A): ``np.poly``'s monic,
+    descending coefficients."""
     a = as_square(a)
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = np.poly(a)[::-1]  # np.poly returns descending
+        coeffs = np.poly(a)
     if not np.all(np.isfinite(coeffs)):
         raise RangeError("characteristic polynomial left the float range")
-    return Poly(coeffs)
+    return coeffs
 
 
 def discriminant_closed_form(a: np.ndarray) -> float | None:
@@ -154,7 +154,7 @@ def degeneracy_report(alpha, x0, h: float) -> DegeneracyReport:
     p = characteristic_poly(a)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            resultant = sylvester_resultant(p, p.derivative())
+            resultant = sylvester_resultant(p, np.polyder(p))
             closed = discriminant_closed_form(a)
     except OverflowError:  # a Python-float power in the k = 3 closed form
         resultant = closed = math.inf

@@ -306,59 +306,38 @@ def condition_number(svals) -> float:
 # polynomials and resultants
 
 
-class Poly:
-    """Real polynomial, coefficients in ascending degree order.
-
-    Trailing zero coefficients are trimmed so ``degree`` is exact; the zero
-    polynomial is represented by the single coefficient 0.
-    """
-
-    def __init__(self, coefficients):
-        c = np.asarray(coefficients, dtype=float).reshape(-1)
-        if c.size == 0:
-            c = np.zeros(1)
-        if not np.all(np.isfinite(c)):
-            raise DomainError("polynomial coefficients must be finite")
-        last = c.size - 1
-        while last > 0 and c[last] == 0.0:
-            last -= 1
-        self.coefficients = np.array(c[: last + 1])
-
-    @property
-    def degree(self) -> int:
-        return self.coefficients.size - 1
-
-    def derivative(self) -> "Poly":
-        c = self.coefficients
-        if c.size == 1:
-            return Poly([0.0])
-        return Poly(c[1:] * np.arange(1, c.size))
-
-    def __repr__(self) -> str:
-        return f"Poly({self.coefficients.tolist()})"
+def _descending(p) -> np.ndarray:
+    """The finite, nonzero polynomial p as descending coefficients without
+    leading zeros; DomainError otherwise."""
+    c = np.trim_zeros(np.asarray(p, dtype=float).reshape(-1), "f")
+    if not np.all(np.isfinite(c)):
+        raise DomainError("polynomial coefficients must be finite")
+    if c.size == 0:
+        raise DomainError("the zero polynomial has no resultant")
+    return c
 
 
-def sylvester_matrix(p: Poly, q: Poly) -> np.ndarray:
+def sylvester_matrix(p, q) -> np.ndarray:
     """(deg p + deg q)-square Sylvester matrix, p-rows above q-rows.
 
-    Rows hold descending-degree coefficients, shifted one column per row —
-    the same layout the closed-form discriminants are derived from.
+    p and q are descending coefficient arrays, numpy's order (``np.poly``,
+    ``np.polyder``, ``np.polyval``); leading zeros are dropped. Rows hold the
+    coefficients shifted one column per row, the layout the closed-form
+    discriminants are derived from. A nonzero constant has degree 0, so
+    Res(p, c) = c^deg p. DomainError for a non-finite coefficient or the zero
+    polynomial.
     """
-    if p.degree < 1 or q.degree < 1:
-        raise DomainError("sylvester_matrix requires non-constant polynomials")
-    dp, dq = p.degree, q.degree
-    size = dp + dq
-    s = np.zeros((size, size))
-    pd = p.coefficients[::-1]
-    qd = q.coefficients[::-1]
+    p, q = _descending(p), _descending(q)
+    dp, dq = p.size - 1, q.size - 1
+    s = np.zeros((dp + dq, dp + dq))
     for r in range(dq):
-        s[r, r: r + dp + 1] = pd
+        s[r, r: r + dp + 1] = p
     for r in range(dp):
-        s[dq + r, r: r + dq + 1] = qd
+        s[dq + r, r: r + dq + 1] = q
     return s
 
 
-def sylvester_resultant(p: Poly, q: Poly) -> float:
+def sylvester_resultant(p, q) -> float:
     """Determinant of the Sylvester matrix of (p, q)."""
     return float(np.linalg.det(sylvester_matrix(p, q)))
 

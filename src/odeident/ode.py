@@ -278,10 +278,6 @@ class MatrixLinear(ParamSystem):
         self.state_dim = int(state_dim)
         self.param_dim = self.state_dim ** 2
 
-    @staticmethod
-    def pack(matrix) -> np.ndarray:
-        return np.asarray(matrix, dtype=float).reshape(-1)
-
     def f(self, x, alpha):
         return alpha.reshape(self.state_dim, self.state_dim) @ x
 

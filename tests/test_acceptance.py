@@ -53,7 +53,7 @@ def scalar_decay_map(tol=1e-10):
 
 def rotation_map(tol=1e-10):
     return ObservationMapHandle(sys=MatrixLinear(2), x0=np.array([1.0, 0.7]),
-                                h=0.3, m=6, tol=tol), MatrixLinear.pack(ROTATION)
+                                h=0.3, m=6, tol=tol), ROTATION.ravel()
 
 
 def logistic_sys():
@@ -87,7 +87,7 @@ def test_discriminant_identities():
         for _ in range(1000):
             a = rng.normal(size=(k, k)) * rng.uniform(0.3, 3.0)
             p = characteristic_poly(a)
-            res = sylvester_resultant(p, p.derivative())
+            res = sylvester_resultant(p, np.polyder(p))
             closed = discriminant_closed_form(a)
             scale = max(abs(res), abs(closed), 1e-12)
             worst_rel = max(worst_rel, abs(closed - sign * res) / scale)
@@ -134,7 +134,7 @@ def test_sensitivity_correctness():
     cases = [
         (PolynomialBasis([scalar_map([(1.0, 1)])]), [-0.5], [1.0]),
         (logistic_sys(), [1.0, -1.0], [0.5]),
-        (MatrixLinear(2), MatrixLinear.pack(ROTATION), [1.0, 0.7]),
+        (MatrixLinear(2), ROTATION.ravel(), [1.0, 0.7]),
     ]
     tol = 1e-10
     worst = 0.0

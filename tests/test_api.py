@@ -1,5 +1,6 @@
-"""Names README lists as removed from the API stay removed, every
-threshold in ``Tolerances`` is still read, and only the CLI touches files.
+"""Names README lists as removed from the API stay removed, README's library
+example runs, every threshold in ``Tolerances`` is still read, and only the
+CLI touches files.
 
 The list is the first column of README's "Names removed from the API"
 table, so a name added there is guarded here without a test edit.
@@ -92,6 +93,15 @@ def test_removed_name_stays_removed(name):
         assert not any(accepts(func, name[:-1]) for func in public_callables())
     else:
         assert lookup(name) is MISSING
+
+
+def test_library_example_runs():
+    """README's one python block under "## Library" runs as written, so a
+    removed name cannot stay in the docs."""
+    section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], f"{README}:Library", "exec"), {})
 
 
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Tolerances)])

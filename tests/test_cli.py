@@ -130,7 +130,7 @@ class TestSimulate:
         out = tmp_path / "obs.csv"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         handle = ObservationMapHandle(sys=MatrixLinear(2), x0=x0, h=0.3, m=6)
-        expected = phi(handle, MatrixLinear.pack(ROT)).reshape(6, 2)
+        expected = phi(handle, np.asarray(ROT, dtype=float).ravel()).reshape(6, 2)
         assert np.array_equal(_read_trajectory_csv(out)[1], expected)
 
     def test_integrates_only_polynomial_basis(self, tmp_path, monkeypatch):
@@ -335,6 +335,19 @@ class TestAnalyzeLinear:
         assert blob["degeneracy"]["double_eigenvalue"] is False
         assert blob["full_rank"]["rank"] == 9
         assert blob["divided_difference_determinant"] is not None
+
+    def test_scalar_system_is_analyzed(self, tmp_path):
+        # k = 1: P' is the constant 1, whose resultant with P is 1
+        cfg = {"system": {"species": "matrix_linear", "k": 1, "n": 1,
+                          "alpha0": [[-0.5]], "x0": [1.0]},
+               "observation": {"h": 0.3, "m": 3}}
+        out = tmp_path / "lin.json"
+        assert main(["analyze-linear", "--config", write_config(tmp_path, "k1.json", cfg),
+                     "--out", str(out)]) == 0
+        blob = strict_json(out.read_text())
+        assert blob["degeneracy"]["discriminant"] == 1.0
+        assert len(blob["branches"]["branches"]) == 1
+        assert blob["full_rank"]["full"] is True
 
     def test_wrong_species_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "dec.json", scalar_decay_config())

@@ -84,7 +84,7 @@ class TestFdLinearEstimate:
 
     def test_matrix_linear_species_supported(self):
         sys = MatrixLinear(2)
-        alpha = MatrixLinear.pack(ROTATION)
+        alpha = ROTATION.ravel()
         result = fd_linear_estimate(*sampled(sys, alpha, [1.0, 0.7], t_end=2.0, samples=200))
         assert np.abs(result.alpha_hat - alpha).max() <= 1e-3
 
@@ -100,7 +100,7 @@ class TestFdLinearEstimate:
             block = lambda x: sys._dfda_coef @ sys._monomials(x)
         else:
             sys = MatrixLinear(2)
-            handle, y = sampled(sys, MatrixLinear.pack(ROTATION), [1.0, 0.7], t_end=2.0,
+            handle, y = sampled(sys, ROTATION.ravel(), [1.0, 0.7], t_end=2.0,
                                 samples=200)
             t = handle.times
             block = lambda x: np.kron(np.eye(2), x)
@@ -137,7 +137,7 @@ class TestFdLinearEstimate:
 class TestGaussNewton:
     def test_exact_data_converges_immediately(self):
         handle = rotation_handle()
-        alpha = MatrixLinear.pack(ROTATION)
+        alpha = ROTATION.ravel()
         y = phi(handle, alpha)
         result = gauss_newton_invert(handle, y, alpha)
         assert result.converged
@@ -147,12 +147,12 @@ class TestGaussNewton:
     def test_result_keeps_a_copy_of_alpha_init(self):
         # exact data: converged at the initial point, no step accepted
         handle = rotation_handle()
-        init = MatrixLinear.pack(ROTATION).copy()
+        init = ROTATION.ravel().copy()
         result = gauss_newton_invert(handle, phi(handle, init), init)
         assert result.converged and result.iterations == 0
         init[:] = 99.0
-        assert np.array_equal(result.alpha_hat, MatrixLinear.pack(ROTATION))
-        assert np.array_equal(result.history[0][0], MatrixLinear.pack(ROTATION))
+        assert np.array_equal(result.alpha_hat, ROTATION.ravel())
+        assert np.array_equal(result.history[0][0], ROTATION.ravel())
 
     def test_scalar_decay_recovery(self):
         sys = scalar_decay_system()
@@ -192,7 +192,7 @@ class TestGaussNewton:
 
     def test_rotation_recovery_from_perturbed_init(self):
         handle = rotation_handle(tol=1e-11)
-        alpha0 = MatrixLinear.pack(ROTATION)
+        alpha0 = ROTATION.ravel()
         y = phi(handle, alpha0)
         rng = np.random.default_rng(2)
         init = alpha0 + 0.05 * rng.standard_normal(4)
@@ -204,9 +204,9 @@ class TestGaussNewton:
         # starting near the k=1 branch, the same observations pull the
         # iteration to that branch, not to the base matrix
         handle = rotation_handle(tol=1e-10)
-        alpha0 = MatrixLinear.pack(ROTATION)
+        alpha0 = ROTATION.ravel()
         branch = log_branches(ROTATION, h=handle.h, k_max=1).branches[-1]
-        branch_vec = MatrixLinear.pack(branch)
+        branch_vec = branch.ravel()
         y = phi(handle, alpha0)
         rng = np.random.default_rng(4)
         init = branch_vec + 0.01 * rng.standard_normal(4)
@@ -217,7 +217,7 @@ class TestGaussNewton:
 
     def test_residual_non_increasing(self):
         handle = rotation_handle()
-        alpha0 = MatrixLinear.pack(ROTATION)
+        alpha0 = ROTATION.ravel()
         y = phi(handle, alpha0)
         rng = np.random.default_rng(8)
         init = alpha0 + 0.2 * rng.standard_normal(4)
@@ -225,9 +225,24 @@ class TestGaussNewton:
         residuals = [r for _, r in result.history]
         assert all(b <= a for a, b in zip(residuals, residuals[1:]))
 
+    def test_damping_constant_reaches_the_solver(self):
+        # the same noise-free fit converges under the default damping, and a
+        # damping of 1e300 makes its first trial flat, which ends the search
+        handle = rotation_handle()
+        alpha0 = ROTATION.ravel()
+        y = phi(handle, alpha0)
+        result = gauss_newton_invert(handle, y, alpha0 + 0.05)
+        assert result.converged
+        assert (result.iterations, result.evaluations, result.rejected) == (6, 7, 0)
+        with gauss_newton_constants(gn_damping=1e300):
+            result = gauss_newton_invert(handle, y, alpha0 + 0.05)
+        assert not result.converged
+        assert result.message == "stalled: no acceptable step"
+        assert (result.iterations, result.evaluations, result.rejected) == (0, 1, 1)
+
     def test_max_iter_exhaustion_reports_best(self):
         handle = rotation_handle()
-        alpha0 = MatrixLinear.pack(ROTATION)
+        alpha0 = ROTATION.ravel()
         y = phi(handle, alpha0)
         init = alpha0 + np.array([0.3, -0.2, 0.25, 0.1])
         with gauss_newton_constants(gn_max_iter=2):
@@ -238,7 +253,7 @@ class TestGaussNewton:
 
     def test_max_iter_exhaustion_diagnostics_at_returned_iterate(self):
         handle = rotation_handle()
-        alpha0 = MatrixLinear.pack(ROTATION)
+        alpha0 = ROTATION.ravel()
         y = phi(handle, alpha0)
         init = alpha0 + np.array([0.3, -0.2, 0.25, 0.1])
         with gauss_newton_constants(gn_max_iter=1):
@@ -397,7 +412,7 @@ def assert_one_run_per_point(calls, result):
 def test_gauss_newton_report_invariants_on_every_exit(k, seed, noise, max_iter, damping,
                                                       x0_scale):
     rng = np.random.default_rng(seed)
-    alpha0 = MatrixLinear.pack(stable_matrix(rng, k))
+    alpha0 = stable_matrix(rng, k).ravel()
     handle = ObservationMapHandle(sys=MatrixLinear(k), x0=x0_scale * rng.standard_normal(k),
                                   h=0.3, m=k + 2)
     y = phi(handle, alpha0) + noise * rng.standard_normal(handle.dim_out)
@@ -430,7 +445,7 @@ def test_gauss_newton_report_invariants_on_every_exit(k, seed, noise, max_iter, 
 @given(k=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
 def test_noise_free_linear_fit_ends_at_rounding(k, seed):
     rng = np.random.default_rng(seed)
-    alpha0 = MatrixLinear.pack(stable_matrix(rng, k))
+    alpha0 = stable_matrix(rng, k).ravel()
     x0 = rng.standard_normal(k)
     handle = ObservationMapHandle(sys=MatrixLinear(k), x0=x0 / np.linalg.norm(x0),
                                   h=0.3, m=k + 2)
@@ -524,7 +539,7 @@ def test_noisy_fit_over_the_recover_ranges_converges(species, dense, seed):
 
 def test_trial_whose_run_fails_is_rejected_and_the_fit_goes_on():
     handle = rotation_handle()
-    alpha0 = MatrixLinear.pack(ROTATION)
+    alpha0 = ROTATION.ravel()
     y = phi(handle, alpha0)
     observe = MatrixLinear._observe
     calls = []

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from odeident import (
     DimensionError,
     DomainError,
-    Poly,
     RangeError,
     eigenvalues,
     least_squares,
@@ -355,23 +354,31 @@ class TestSingularValues:
 
 
 class TestPolyAndResultant:
-    def test_degree_and_trim(self):
-        p = Poly([1.0, 2.0, 0.0])
-        assert p.degree == 1
-        assert Poly([0.0, 0.0]).coefficients.tolist() == [0.0]
-        assert Poly([3.0]).degree == 0
+    """Polynomials are descending coefficient arrays, numpy's order."""
 
-    def test_derivative(self):
-        p = Poly([1.0, -2.0, 1.0])  # 1 - 2l + l^2
-        assert np.allclose(p.derivative().coefficients, [-2.0, 2.0])
+    def test_degree_and_trim(self):
+        # leading zeros are dropped: 0 l^2 + l + 2 has degree 1
+        assert sylvester_matrix([0.0, 1.0, 2.0], [1.0, 0.0, 1.0]).shape == (3, 3)
+        assert sylvester_resultant([0.0, 0.0, 1.0, 2.0], [1.0, 0.0, 1.0]) == \
+            sylvester_resultant([1.0, 2.0], [1.0, 0.0, 1.0])
+        for zero in ([0.0, 0.0], [0.0], []):
+            with pytest.raises(DomainError):
+                sylvester_matrix(zero, [1.0, 1.0])
+            with pytest.raises(DomainError):
+                sylvester_matrix([1.0, 1.0], zero)
+
+    def test_non_finite_rejected(self):
+        for bad in ([1.0, math.nan], [math.inf, 1.0]):
+            with pytest.raises(DomainError):
+                sylvester_resultant(bad, [1.0, 1.0])
 
     def test_double_root_by_hand(self):
-        p = Poly([1.0, -2.0, 1.0])  # (l-1)^2
-        assert abs(sylvester_resultant(p, p.derivative())) < 1e-14
+        p = np.array([1.0, -2.0, 1.0])  # (l-1)^2
+        assert abs(sylvester_resultant(p, np.polyder(p))) < 1e-14
 
     def test_simple_roots_by_hand(self):
-        p = Poly([1.0, 0.0, 1.0])  # l^2 + 1
-        assert abs(sylvester_resultant(p, p.derivative()) - 4.0) < 1e-14
+        p = np.array([1.0, 0.0, 1.0])  # l^2 + 1
+        assert abs(sylvester_resultant(p, np.polyder(p)) - 4.0) < 1e-14
 
     def test_trace_determinant_closed_form(self):
         # resultant of the 2x2 characteristic polynomial against its
@@ -381,14 +388,14 @@ class TestPolyAndResultant:
             a = rng.normal(size=(2, 2)) * 3.0
             tr = a[0, 0] + a[1, 1]
             det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-            p = Poly([det, -tr, 1.0])
-            res = sylvester_resultant(p, p.derivative())
+            p = np.array([1.0, -tr, det])
+            res = sylvester_resultant(p, np.polyder(p))
             closed = -((a[0, 0] - a[1, 1]) ** 2 + 4.0 * a[0, 1] * a[1, 0])
             assert abs(res - closed) <= 1e-10 * max(1.0, abs(closed))
 
     def test_sylvester_layout(self):
-        p = Poly([3.0, -2.0, 1.0])
-        q = p.derivative()
+        p = np.array([1.0, -2.0, 3.0])
+        q = np.polyder(p)
         s = sylvester_matrix(p, q)
         assert s.shape == (3, 3)
         assert np.allclose(s[0], [1.0, -2.0, 3.0])   # p row, descending
@@ -401,9 +408,9 @@ class TestPolyAndResultant:
             deg = int(rng.integers(2, 5))
             roots = list(rng.uniform(-2.0, 2.0, size=deg - 1))
             roots.append(roots[0])  # plant the repeat
-            p = Poly(np.poly(roots)[::-1])
-            res = sylvester_resultant(p, p.derivative())
-            scale = max(1.0, np.abs(p.coefficients).max())
+            p = np.poly(roots)
+            res = sylvester_resultant(p, np.polyder(p))
+            scale = max(1.0, np.abs(p).max())
             assert abs(res) <= 1e-8 * scale
 
     def test_separated_roots_nonzero(self):
@@ -412,14 +419,20 @@ class TestPolyAndResultant:
             deg = int(rng.integers(2, 5))
             base = np.sort(rng.uniform(-2.0, 2.0, size=deg))
             roots = base + 0.5 * np.arange(deg)  # enforce gaps >= 0.5
-            p = Poly(np.poly(roots)[::-1])
-            res = sylvester_resultant(p, p.derivative())
-            scale = max(1.0, np.abs(p.coefficients).max())
+            p = np.poly(roots)
+            res = sylvester_resultant(p, np.polyder(p))
+            scale = max(1.0, np.abs(p).max())
             assert abs(res) > 1e-8 * scale
 
-    def test_constant_rejected(self):
+    def test_constant_has_a_resultant(self):
+        # a nonzero constant has degree 0: Res(p, c) = c^deg p, Res(c, q) = c^deg q;
+        # numpy's det is exp(log|det|) with its sign, so 2^3 is within an ulp or two
+        assert sylvester_resultant([1.0, -0.5], [1.0]) == 1.0
+        q = np.poly([0.5, -1.0, 2.0])
+        assert sylvester_resultant([2.0], q) == pytest.approx(8.0, rel=1e-15)
+        assert sylvester_resultant(q, [2.0]) == pytest.approx(8.0, rel=1e-15)
         with pytest.raises(DomainError):
-            sylvester_resultant(Poly([1.0]), Poly([0.0, 1.0]))
+            sylvester_resultant([1.0, -0.5], [0.0])
 
 
 class TestSerialization:

@@ -55,7 +55,7 @@ class TestPhi:
     def test_rotation_quarter_turns(self):
         handle = ObservationMapHandle(sys=rotation_system(), x0=np.array([1.0, 0.0]),
                                       h=math.pi / 2.0, m=2, tol=1e-11)
-        got = phi(handle, MatrixLinear.pack(ROTATION))
+        got = phi(handle, ROTATION.ravel())
         assert np.abs(got - np.array([0.0, -1.0, -1.0, 0.0])).max() < 1e-9
 
     def test_zero_field_repeats_x0(self):
@@ -114,10 +114,10 @@ class TestPhi:
 
     def test_stacking_is_sample_major(self):
         handle = rotation_handle(m=3)
-        traj_states = phi(handle, MatrixLinear.pack(ROTATION)).reshape(3, 2)
+        traj_states = phi(handle, ROTATION.ravel()).reshape(3, 2)
         single = phi(ObservationMapHandle(sys=rotation_system(), x0=handle.x0,
                                           h=0.3, m=1, tol=handle.tol),
-                     MatrixLinear.pack(ROTATION))
+                     ROTATION.ravel())
         assert np.abs(traj_states[0] - single).max() < 1e-9
 
 
@@ -136,7 +136,7 @@ class TestPhiJacobian:
     def test_rotation_full_rank(self):
         handle = ObservationMapHandle(sys=rotation_system(), x0=np.array([1.0, 0.0]),
                                       h=0.1, m=5, tol=1e-10)
-        jac = phi_jacobian(handle, MatrixLinear.pack(ROTATION))
+        jac = phi_jacobian(handle, ROTATION.ravel())
         svals = singular_values(jac)
         assert np.sum(svals > max(jac.shape) * np.finfo(float).eps * svals[0]) == 4
 
@@ -188,7 +188,7 @@ class TestMatrixLinearExactMap:
         # the exact map reads A, never f, df/dx or df/da, so it checks x0, the
         # grid, tol and alpha only; its bits are those of the full check
         rng = np.random.default_rng(k)
-        alpha = MatrixLinear.pack(rng.normal(size=(k, k)))
+        alpha = rng.normal(size=(k, k)).ravel()
         handle = ObservationMapHandle(sys=MatrixLinear(k), x0=rng.normal(size=k),
                                       h=0.4, m=3)
         expected = [observe(handle, alpha).tobytes() for observe in (phi, phi_jacobian)]
@@ -263,7 +263,7 @@ class TestMatrixLinearExactMap:
             x = c @ x
             ref[j] = z
         handle = ObservationMapHandle(sys=MatrixLinear(k), x0=x0, h=h, m=m)
-        got = phi_jacobian(handle, MatrixLinear.pack(a))
+        got = phi_jacobian(handle, a.ravel())
         assert np.abs(got - ref.reshape(m * k, n)).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("m", [3, 40])
@@ -281,7 +281,7 @@ class TestMatrixLinearExactMap:
         rng = np.random.default_rng(k)
         handle = ObservationMapHandle(sys=MatrixLinear(k), x0=rng.normal(size=k),
                                       h=0.1, m=m)
-        alpha = MatrixLinear.pack(stable_matrix(rng, k))
+        alpha = stable_matrix(rng, k).ravel()
         phi(handle, alpha)
         assert shapes == [(k, k)]
         phi_jacobian(handle, alpha)
@@ -295,7 +295,7 @@ class TestObservationRecord:
     CASES = {
         "logistic": (lambda: ObservationMapHandle(sys=logistic_system(), x0=np.array([0.4]),
                                                   h=0.3, m=4, tol=1e-10), [1.0, -1.0]),
-        "matrix_linear": (rotation_handle, MatrixLinear.pack(ROTATION)),
+        "matrix_linear": (rotation_handle, ROTATION.ravel()),
     }
 
     @staticmethod
@@ -380,7 +380,7 @@ def test_handles_compare_and_hash_by_identity():
 def test_exact_jacobian_run_states_match_phi(k, seed, h, m):
     """The states of the exact Jacobian run (lane 0's upper half) are phi's."""
     rng = np.random.default_rng(seed)
-    alpha = MatrixLinear.pack(stable_matrix(rng, k))
+    alpha = stable_matrix(rng, k).ravel()
     x0 = rng.uniform(-1.0, 1.0, size=k)
     handle = ObservationMapHandle(sys=MatrixLinear(k), x0=x0, h=h, m=m, tol=1e-10)
     plain, joint = handle.observe(alpha), handle.observe(alpha, jacobian=True)
@@ -394,7 +394,7 @@ def test_exact_linear_map_matches_integrators(k, seed, h, m):
     """Exact phi and Jacobian agree with Dormand-Prince at tol 1e-12 for
     every k."""
     rng = np.random.default_rng(seed)
-    alpha = MatrixLinear.pack(stable_matrix(rng, k))
+    alpha = stable_matrix(rng, k).ravel()
     x0 = rng.uniform(-1.0, 1.0, size=k)
     sys = MatrixLinear(k)
     handle = ObservationMapHandle(sys=sys, x0=x0, h=h, m=m, tol=1e-12)
@@ -431,7 +431,7 @@ def test_doubled_map_matches_per_sample_exponentials(k, seed, h, m):
         x = c @ x
         ref_jac[j] = z
     handle = ObservationMapHandle(sys=MatrixLinear(k), x0=x0, h=h, m=m)
-    alpha = MatrixLinear.pack(a)
+    alpha = a.ravel()
     got_phi, got_jac = phi(handle, alpha), phi_jacobian(handle, alpha)
     assert np.abs(got_phi - ref_phi.ravel()).max() <= 1e-12 * np.abs(ref_phi).max()
     assert np.abs(got_jac - ref_jac.reshape(m * k, n)).max() <= 1e-12 * np.abs(ref_jac).max()
@@ -444,7 +444,7 @@ def stable_linear_points(draw):
     """A MatrixLinear(k) handle, k = 1..3, and a random stable matrix on it."""
     k = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    alpha = MatrixLinear.pack(stable_matrix(rng, k))
+    alpha = stable_matrix(rng, k).ravel()
     handle = ObservationMapHandle(sys=MatrixLinear(k), x0=rng.uniform(-1.0, 1.0, size=k),
                                   h=draw(st.floats(0.05, 0.5)), m=draw(st.integers(k, 8)))
     return handle, alpha
@@ -456,7 +456,7 @@ def stable_linear_points(draw):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @example(point=(ObservationMapHandle(sys=MatrixLinear(2), x0=np.array([1.0, 3e-9]),
                                      h=0.3, m=6),
-                MatrixLinear.pack(np.diag([-0.5, -1.0]))))
+                np.diag([-0.5, -1.0]).ravel()))
 @example(point=(ObservationMapHandle(sys=PolynomialBasis([scalar_map([(1.0, 1)]),
                                                           scalar_map([(1.0, 1), (1e-9, 2)])]),
                                      x0=np.array([0.5]), h=0.3, m=6, tol=1e-12),
@@ -494,17 +494,17 @@ class TestCertifyRadius:
 
     def test_beta_is_squared_min_singular_value(self):
         handle = rotation_handle()
-        alpha0 = MatrixLinear.pack(ROTATION)
+        alpha0 = ROTATION.ravel()
         cert = certify_radius(handle, alpha0, r_work=0.3, gamma_samples=12, seed=1)
         svals = singular_values(phi_jacobian(handle, alpha0))
         assert abs(cert.beta - svals[-1] ** 2) <= 1e-8 * svals[-1] ** 2
 
     def test_certificate_keeps_a_copy_of_alpha0(self):
         # alpha0 is the centre of the ball verify_lower_bound samples from
-        alpha0 = MatrixLinear.pack(ROTATION).copy()
+        alpha0 = ROTATION.ravel().copy()
         cert = certify_radius(rotation_handle(), alpha0, r_work=0.1, gamma_samples=10)
         alpha0[:] = 7.0
-        assert np.array_equal(cert.alpha0, MatrixLinear.pack(ROTATION))
+        assert np.array_equal(cert.alpha0, ROTATION.ravel())
 
     def test_duplicated_parameter_not_identifiable(self):
         dup = PolynomialBasis([scalar_map([(1.0, 1)]),
@@ -538,19 +538,19 @@ class TestCertifyRadius:
         handle = ObservationMapHandle(sys=rotation_system(), x0=np.array([1.0, 0.7]),
                                       h=0.3, m=1)  # m*k = 2 < 4 = n
         with pytest.raises(NotIdentifiableError):
-            certify_radius(handle, MatrixLinear.pack(ROTATION), r_work=0.2,
+            certify_radius(handle, ROTATION.ravel(), r_work=0.2,
                            gamma_samples=10)
 
     def test_rotation_certificate_positive(self):
         handle = ObservationMapHandle(sys=rotation_system(), x0=np.array([1.0, 0.0]),
                                       h=0.1, m=8, tol=1e-10)
-        cert = certify_radius(handle, MatrixLinear.pack(ROTATION), r_work=0.5,
+        cert = certify_radius(handle, ROTATION.ravel(), r_work=0.5,
                               gamma_samples=12, seed=2)
         assert cert.beta > 0.0
         assert 0.0 < cert.r_cert <= 0.5
 
     def test_monotone_beta_in_m(self):
-        alpha0 = MatrixLinear.pack(ROTATION)
+        alpha0 = ROTATION.ravel()
         betas = []
         for m in (2, 4, 6, 8):
             handle = rotation_handle(m=m)
@@ -586,20 +586,20 @@ class TestCertifyRadius:
         # a nan safety makes gamma nan, and min(r_work, nan) is r_work
         kwargs = {"r_work": 0.5, "gamma_samples": 12, name: value}
         with pytest.raises(DomainError, match=name):
-            certify_radius(rotation_handle(), MatrixLinear.pack(ROTATION), **kwargs)
+            certify_radius(rotation_handle(), ROTATION.ravel(), **kwargs)
 
     # a float count passed the old `< 10` test and then failed in range()
     @pytest.mark.parametrize("value", [math.nan, 10.5, 12.0, DEFAULTS.certify_budget + 1])
     def test_gamma_samples_must_be_an_integer_within_budget(self, value):
         with pytest.raises(DomainError, match="gamma_samples"):
-            certify_radius(rotation_handle(), MatrixLinear.pack(ROTATION), r_work=0.5,
+            certify_radius(rotation_handle(), ROTATION.ravel(), r_work=0.5,
                            gamma_samples=value)
 
     def test_jacobian_norm_beyond_float_range_is_a_range_error(self):
         # the exact map computes this Jacobian (entries ~1e160); beta squares it
         handle = rotation_handle(x0=(1e160, 0.7))
         with pytest.raises(RangeError):
-            certify_radius(handle, MatrixLinear.pack(ROTATION), r_work=0.1)
+            certify_radius(handle, ROTATION.ravel(), r_work=0.1)
 
 
 class TestVerifyLowerBound:
@@ -622,7 +622,7 @@ class TestVerifyLowerBound:
     @pytest.mark.parametrize("value", [math.nan, 1.5, 2.0, DEFAULTS.certify_budget + 1])
     def test_pair_count_must_be_an_integer_within_budget(self, value):
         handle = rotation_handle()
-        cert = certify_radius(handle, MatrixLinear.pack(ROTATION), r_work=0.1,
+        cert = certify_radius(handle, ROTATION.ravel(), r_work=0.1,
                               gamma_samples=10)
         with pytest.raises(DomainError, match="pair_count"):
             verify_lower_bound(handle, cert, pair_count=value, seed=0)

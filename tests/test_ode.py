@@ -86,7 +86,7 @@ class UserSpecies(ParamSystem):
 class TestEvaluate:
     def test_matrix_linear_rotation(self):
         sys = rotation_system()
-        f, dfdx, dfda = evaluate(sys, [1.0, 0.0], MatrixLinear.pack(ROTATION))
+        f, dfdx, dfda = evaluate(sys, [1.0, 0.0], ROTATION.ravel())
         assert np.allclose(f, [0.0, -1.0])
         assert np.array_equal(dfdx, ROTATION)
         # (dfda)[r, i*k+j] = delta_{ri} * x_j
@@ -547,7 +547,7 @@ class TestIntegrate:
 
     def test_rotation_closed_form(self):
         handle = grid_handle(rotation_system(), [1.0, 0.0], 5.0, 10, 1e-12)
-        traj = integrate(handle, MatrixLinear.pack(ROTATION))
+        traj = integrate(handle, ROTATION.ravel())
         exact = np.column_stack([np.cos(handle.times), -np.sin(handle.times)])
         assert np.abs(traj.states - exact).max() < 1e-10
 
@@ -565,7 +565,7 @@ class TestIntegrate:
                 a = stable_matrix(rng, k, norm_cap=5.0)
                 x0 = rng.uniform(-1.0, 1.0, size=k)
                 handle = grid_handle(MatrixLinear(k), x0, 5.0, 5, 1e-10)
-                traj = integrate(handle, MatrixLinear.pack(a))
+                traj = integrate(handle, a.ravel())
                 for t, state in zip(handle.times, traj.states):
                     assert np.linalg.norm(state - mat_exp(a, t) @ x0) <= 1e-8
 
@@ -733,7 +733,7 @@ def _exact_case(k, h, m):
     amat = rng.normal(size=(k, k))
     amat[-1, 0] *= -0.0
     x0 = rng.normal(size=k)
-    return ObservationMapHandle(sys=MatrixLinear(k), x0=x0, h=h, m=m), MatrixLinear.pack(amat)
+    return ObservationMapHandle(sys=MatrixLinear(k), x0=x0, h=h, m=m), amat.ravel()
 
 
 def _lane_squarings(handle, alpha):
@@ -811,7 +811,7 @@ class TestSensitivity:
     @pytest.mark.parametrize("sys,alpha,x0", [
         ("scalar", [-0.5], [1.0]),
         ("logistic", [1.0, -1.0], [0.5]),
-        ("rotation", MatrixLinear.pack(ROTATION), [1.0, 0.7]),
+        ("rotation", ROTATION.ravel(), [1.0, 0.7]),
     ])
     def test_matches_finite_differences(self, sys, alpha, x0):
         builders = {"scalar": scalar_decay_system, "logistic": logistic_system,
@@ -840,7 +840,7 @@ class TestSensitivity:
         x[0] = -0.0
         z = rng.standard_normal((k, k * k))
         z[:, 0] = 0.0
-        got = sys.sensitivity_rhs(MatrixLinear.pack(amat))(0.0, np.concatenate([x, z.ravel()]))
+        got = sys.sensitivity_rhs(amat.ravel())(0.0, np.concatenate([x, z.ravel()]))
         ref = np.concatenate([amat @ x, (amat @ z + np.kron(np.eye(k), x)).ravel()])
         assert np.array_equal(got, ref)
         assert np.array_equal(np.signbit(got), np.signbit(ref))

@@ -18,7 +18,7 @@ from conftest import ROTATION, logistic_system, rotation_handle
 import odeident
 import odeident.cli  # noqa: F401 - the tracer imports every layer, cli too
 import odeident.ode
-from odeident import MatrixLinear, ObservationMapHandle
+from odeident import ObservationMapHandle
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -62,7 +62,7 @@ def test_tracer_sees_the_observation_map():
         logistic = ObservationMapHandle(sys=logistic_system(), x0=np.array([0.1]),
                                         h=0.2, m=3, tol=1e-8)
         exact = rotation_handle()
-        for handle, alpha in ((logistic, [1.0, -1.0]), (exact, MatrixLinear.pack(ROTATION))):
+        for handle, alpha in ((logistic, [1.0, -1.0]), (exact, ROTATION.ravel())):
             first = len(tracer.spans)
             odeident.phi(handle, alpha)
             odeident.phi_jacobian(handle, alpha)
@@ -97,7 +97,7 @@ def test_tracer_counts_one_run_per_gauss_newton_evaluation():
         logistic = ObservationMapHandle(sys=logistic_system(), x0=np.array([0.1]),
                                         h=0.2, m=3, tol=1e-8)
         cases = ((logistic, np.array([1.0, -1.0]), "ode.integrate_with_sensitivity"),
-                 (rotation_handle(), MatrixLinear.pack(ROTATION), "numkernel.mat_exp"))
+                 (rotation_handle(), ROTATION.ravel(), "numkernel.mat_exp"))
         for handle, alpha, run in cases:
             y = odeident.phi(handle, alpha)
             first = len(tracer.spans)
@@ -120,7 +120,7 @@ def test_tracer_counts_one_exponential_per_exact_observe():
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        handle, alpha0 = rotation_handle(), MatrixLinear.pack(ROTATION)
+        handle, alpha0 = rotation_handle(), ROTATION.ravel()
         gamma_samples, pairs = 10, 7
         first = len(tracer.spans)
         cert = odeident.certify_radius(handle, alpha0, r_work=0.1,
