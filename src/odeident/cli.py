@@ -37,8 +37,8 @@ The solver block sets no Gauss-Newton threshold: those are the fixed
 ``DEFAULTS.gn_*`` constants, and a config that carries the retired
 ``solver.gauss_newton`` block is refused by name (exit 2).
 
-Exit codes: 0 success, 2 input error, 3 numerical/integration failure,
-4 not identifiable, 5 non-convergence or rank deficiency.
+Exit codes: 0 success, 2 input error, 3 numerical/integration failure
+or out of memory, 4 not identifiable, 5 non-convergence or rank deficiency.
 """
 
 from __future__ import annotations
@@ -551,7 +551,7 @@ def main(argv=None) -> int:
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (IntegrationError, RangeError, ConvergenceError) as exc:
+    except (IntegrationError, RangeError, ConvergenceError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except NotIdentifiableError as exc:

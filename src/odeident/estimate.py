@@ -31,7 +31,7 @@ from .errors import (
     RangeError,
 )
 from .numkernel import EPS, condition_number, least_squares, numerical_rank, singular_values
-from .ode import MatrixLinear, ObservationMapHandle, PolynomialBasis
+from .ode import ObservationMapHandle, _check_count
 
 
 # ---------------------------------------------------------------------------
@@ -50,9 +50,11 @@ def _observed(handle: ObservationMapHandle, y_obs) -> np.ndarray:
 
 
 def add_noise(values, sigma: float, seed: int) -> np.ndarray:
-    """A copy of ``values`` with independent zero-mean Gaussian noise on every entry."""
-    if not sigma >= 0.0:  # nan too
-        raise DomainError("sigma must be >= 0")
+    """A copy of ``values`` with seeded zero-mean Gaussian noise on every entry;
+    DomainError unless sigma is finite and >= 0 and seed an integer >= 0."""
+    _check_count(seed, "seed", 0)
+    if not 0.0 <= sigma < math.inf:  # nan too
+        raise DomainError("sigma must be finite and >= 0")
     values = np.array(values, dtype=float)
     if sigma == 0.0:
         return values
@@ -91,8 +93,6 @@ def fd_linear_estimate(handle: ObservationMapHandle, y_obs) -> EstimationResult:
     O(dt^2) error of the interior scheme. No regularization is applied.
     """
     sys = handle.sys
-    if not isinstance(sys, (PolynomialBasis, MatrixLinear)):
-        raise DomainError("fd_linear_estimate needs a linear-in-parameter system")
     y = _observed(handle, y_obs)
     if handle.m < 3:
         raise DomainError("need at least one interior sample (m >= 3)")

@@ -100,7 +100,8 @@ def certify_radius(handle: ObservationMapHandle, alpha0, r_work: float,
     Raises NotIdentifiableError when m*k < n or when the Jacobian's
     ``numerical_rank`` is below n, and DomainError when ``r_work`` is not
     finite and > 0, ``gamma_samples`` is not an integer in [10,
-    ``DEFAULTS.certify_budget``] or ``safety`` is not finite and >= 1.
+    ``DEFAULTS.certify_budget``], ``safety`` is not finite and >= 1 or
+    ``seed`` is not an integer >= 0.
     """
     alpha0 = np.array(alpha0, dtype=float).reshape(-1)
     # a nan compares false with every bound, so test for the good case
@@ -109,6 +110,7 @@ def certify_radius(handle: ObservationMapHandle, alpha0, r_work: float,
     _check_count(gamma_samples, "gamma_samples", 10, DEFAULTS.certify_budget)
     if not (1.0 <= safety < math.inf):
         raise DomainError("safety must be finite and >= 1")
+    _check_count(seed, "seed", 0)
 
     jac = phi_jacobian(handle, alpha0)
     svals = singular_values(jac)
@@ -187,9 +189,11 @@ def verify_lower_bound(handle: ObservationMapHandle, cert: InjectivityCertificat
     control pair that is neither drawn nor compared. With ``pair_count == 1``
     no pair is compared and ``worst_ratio`` stays inf (``null`` in the CLI
     report). A ``pair_count`` that is not an integer in
-    [1, ``DEFAULTS.certify_budget``] raises DomainError.
+    [1, ``DEFAULTS.certify_budget``], or a ``seed`` that is not an integer
+    >= 0, raises DomainError.
     """
     _check_count(pair_count, "pair_count", 1, DEFAULTS.certify_budget)
+    _check_count(seed, "seed", 0)
     bound = cert.lipschitz_lower
     margin = DEFAULTS.verify_margin_rel * math.sqrt(cert.beta)
     violations = 0

@@ -34,37 +34,19 @@ from .numkernel import EPS, mat_exp
 
 
 class ParamSystem:
-    """Vector field f(x, a) with exact partials.
-
-    A species subclasses this, sets ``state_dim`` and ``param_dim``, and
-    supplies ``f``, ``dfdx`` and ``dfda``: it then gets the integrating
-    ``_observe`` for free. They take float arrays of the right lengths and
-    do not check them: a handle checks x0, the grid and tol when it is
-    built, and each run alpha, and the output shapes at x0 until they have
-    passed once for the system.
-    """
+    """The two species' base: a field f(x, a) of ``state_dim`` states and
+    ``param_dim`` parameters, observed through ``ObservationMapHandle.observe``.
+    ``PolynomialBasis`` integrates its compiled field; ``MatrixLinear``
+    overrides ``_observe`` with its exact map and has no integrator."""
 
     state_dim: int
     param_dim: int
-    _shapes_checked = False  # set on the instance once f, dfdx and dfda pass
-
-    def f(self, x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def dfdx(self, x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def dfda(self, x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-        """df/da (k x n) at x. The two linear-in-parameter species also take an
-        (N, k) stack of states and return the (N, k, n) stack, each block bit
-        for bit the one of its row."""
-        raise NotImplementedError
 
     # The two factories are the one place every species' right-hand sides are
     # built, so a wrapper around them sees every integration (perfbench/tracing.py
-    # counts RHS evaluations that way); a species specializes the plain and the
-    # joint field through the _rhs and _sensitivity_rhs hooks, not by overriding
-    # these.
+    # counts RHS evaluations that way); a species that integrates supplies the
+    # plain and the joint field through the _rhs and _sensitivity_rhs hooks, not
+    # by overriding these.
     def rhs(self, alpha: np.ndarray) -> Callable[[float, np.ndarray], np.ndarray]:
         """The field x -> f(x, alpha) as an integrator closure (t, x) -> x'."""
         return self._rhs(alpha)
@@ -74,18 +56,9 @@ class ParamSystem:
         return self._sensitivity_rhs(alpha)
 
     def _rhs(self, alpha):
-        return lambda t, x: self.f(x, alpha)
+        raise DomainError(f"{type(self).__name__} has no integrator: use handle.observe")
 
-    def _sensitivity_rhs(self, alpha):
-        k, n = self.state_dim, self.param_dim
-
-        def rhs(t, y):
-            x = y[:k]
-            z = y[k:].reshape(k, n)
-            dz = self.dfdx(x, alpha) @ z + self.dfda(x, alpha)
-            return np.concatenate([self.f(x, alpha), dz.ravel()])
-
-        return rhs
+    _sensitivity_rhs = _rhs
 
     def _observe(self, handle, alpha, jacobian: bool) -> Observation:
         """Dormand-Prince at the handle's ``tol``; a closed form overrides this."""
@@ -278,13 +251,9 @@ class MatrixLinear(ParamSystem):
         self.state_dim = int(state_dim)
         self.param_dim = self.state_dim ** 2
 
-    def f(self, x, alpha):
-        return alpha.reshape(self.state_dim, self.state_dim) @ x
-
-    def dfdx(self, x, alpha):
-        return alpha.reshape(self.state_dim, self.state_dim)
-
     def dfda(self, x, alpha):
+        """df/da = kron(I, x), so f = A x = df/da @ a: the fd estimator's
+        regressor. An (N, k) stack of states gives the (N, k, n) stack."""
         # np.kron(I, x) bit for bit (signed zeros included), for each state of a stack
         k = self.state_dim
         blocks = np.eye(k)[:, :, None] * x[..., None, None, :]
@@ -300,7 +269,6 @@ class MatrixLinear(ParamSystem):
         blocks of rows times squared powers of S.
         """
         k, x0, h, m = self.state_dim, handle.x0, handle.h, handle.m
-        # f, dfdx and dfda are not called here, so their shapes need no check
         a = _check_alpha(self, alpha).reshape(k, k)
         n = self.param_dim
         if jacobian:
@@ -635,36 +603,18 @@ def _check_alpha(sys: ParamSystem, alpha) -> np.ndarray:
     return alpha
 
 
-def _check_integration_args(handle: ObservationMapHandle, alpha) -> np.ndarray:
-    """Validate alpha, then the shapes of f, df/dx and df/da at x0, which a
-    species that integrates supplies unchecked; return alpha as floats. The
-    shapes are fixed by the system, so they are checked until they pass once."""
-    sys, x0 = handle.sys, handle.x0
-    alpha = _check_alpha(sys, alpha)
-    if not sys._shapes_checked:
-        k, n = sys.state_dim, sys.param_dim
-        # only the shapes are checked here, so overflow in the values stays silent
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = (sys.f(x0, alpha), sys.dfdx(x0, alpha), sys.dfda(x0, alpha))
-        for name, value, shape in zip(("f", "df/dx", "df/da"), values,
-                                      ((k,), (k, k), (k, n))):
-            if np.shape(value) != shape:
-                raise DimensionError(
-                    f"{name} has shape {np.shape(value)} at x0, expected {shape}")
-        sys._shapes_checked = True
-    return alpha
-
-
 def integrate(handle: ObservationMapHandle, alpha) -> Observation:
-    """States on the handle's grid ``times`` by Dormand-Prince at its ``tol``."""
-    alpha = _check_integration_args(handle, alpha)
+    """States on the handle's grid ``times`` by Dormand-Prince at its ``tol``;
+    ``DomainError`` for a species with no integrator (``MatrixLinear``)."""
+    alpha = _check_alpha(handle.sys, alpha)
     return Observation(_integrate_grid(handle.sys.rhs(alpha), handle.x0, handle.times,
                                        handle.tol))
 
 
 def integrate_with_sensitivity(handle: ObservationMapHandle, alpha) -> Observation:
-    """Joint state + variational integration, Z(0) = 0: states and stacked Z(jh)."""
-    alpha = _check_integration_args(handle, alpha)
+    """Joint state + variational integration, Z(0) = 0: states and stacked Z(jh);
+    ``DomainError`` for a species with no integrator (``MatrixLinear``)."""
+    alpha = _check_alpha(handle.sys, alpha)
     k, n = handle.sys.state_dim, handle.sys.param_dim
     y0 = np.concatenate([handle.x0, np.zeros(k * n)])
     raw = _integrate_grid(handle.sys.sensitivity_rhs(alpha), y0, handle.times, handle.tol)

@@ -41,6 +41,14 @@ def rotation_system() -> MatrixLinear:
     return MatrixLinear(2)
 
 
+def linear_basis(k: int) -> PolynomialBasis:
+    """x' = A x written as a basis, integrated where MatrixLinear(k) is exact:
+    map p = i*k + j is e_i x_j, so a[p] = A[i, j], MatrixLinear's order."""
+    unit = [tuple(int(s == j) for s in range(k)) for j in range(k)]
+    return PolynomialBasis([[[(1.0, unit[j])] if r == i else [] for r in range(k)]
+                            for i in range(k) for j in range(k)])
+
+
 def grid_handle(sys, x0, t_end, samples, tol=DEFAULTS.integrator_tol) -> ObservationMapHandle:
     """The handle of the grid j*t_end/samples, j = 1..samples: h = t_end/samples."""
     return ObservationMapHandle(sys=sys, x0=x0, h=t_end / samples, m=samples, tol=tol)

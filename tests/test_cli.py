@@ -115,9 +115,9 @@ class TestSimulate:
         handle = cfg.handle
         expected = phi(handle, cfg.alpha0).reshape(handle.m, cfg.k)
         assert np.array_equal(values, expected)
-        traj = integrate(handle, cfg.alpha0)
         assert np.array_equal(times, handle.times)
         if cfg.species == "polynomial_basis":  # phi is this integration, byte for byte
+            traj = integrate(handle, cfg.alpha0)
             ref = tmp_path / "ref.csv"
             write_trajectory_csv(ref, handle.times, traj.states)
             assert out.read_bytes() == ref.read_bytes()
@@ -245,6 +245,22 @@ class TestCertify:
         verification = strict_json(out.read_text())["verification"]
         assert verification["pairs_tested"] == 1
         assert verification["worst_ratio"] is None
+
+    def test_out_of_memory_exits_3_without_a_traceback(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # numpy's MemoryError, as the mat_exp stack of a k = 60 Jacobian raises
+        # it under a 1.5 GB address-space cap
+        message = ("Unable to allocate 396. MiB for an array with shape "
+                   "(3600, 120, 120) and data type float64")
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(odeident.ode, "mat_exp", exhausted)
+        cfg = write_config(tmp_path, "rot.json", rotation_config(h=0.3, m=6))
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "c.json")]) == 3
+        err = capsys.readouterr().err
+        assert err == f"numerical failure: {message}\n"
 
     def test_deterministic_bytes(self, tmp_path):
         cfg = write_config(tmp_path, "dec.json", scalar_decay_config())

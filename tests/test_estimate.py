@@ -578,9 +578,19 @@ class TestAddNoise:
 
     def test_negative_sigma_rejected(self):
         _, y = sampled(scalar_decay_system(), [-0.5], [1.0], 1.0, 20)
-        for sigma in (-1.0, math.nan):  # nan compares false with 0 too
-            with pytest.raises(DomainError):
+        # nan compares false with 0 too; an infinite sigma made inf and nan samples
+        for sigma in (-1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="sigma"):
                 add_noise(y, sigma, seed=0)
+
+    # numpy's own seeding refuses -1 and 1.5 with its own errors, reads True
+    # as 1 and None as fresh entropy; a zero sigma draws nothing, and its seed
+    # is checked all the same
+    @pytest.mark.parametrize("sigma", [0.0, 1e-3])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None, "1"])
+    def test_seed_must_be_an_integer_at_least_zero(self, seed, sigma):
+        with pytest.raises(DomainError, match="seed"):
+            add_noise([1.0, 2.0], sigma, seed)
 
     def test_error_scales_linearly_with_sigma(self):
         sys = scalar_decay_system()

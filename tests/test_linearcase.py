@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ROTATION, rotation_handle, rotation_system, scalar_decay_system
+from conftest import (ROTATION, linear_basis, rotation_handle, rotation_system,
+                      scalar_decay_system)
 from odeident import (
     DefectiveMatrixError,
     DimensionError,
@@ -71,8 +72,9 @@ class TestPhiExact:
             x0 = rng.uniform(-1.0, 1.0, size=2)
             handle = ObservationMapHandle(sys=rotation_system(), x0=x0, h=0.4,
                                           m=4, tol=1e-11)
+            basis = ObservationMapHandle(sys=linear_basis(2), x0=x0, h=0.4, m=4, tol=1e-11)
             exact = phi(handle, a.ravel())
-            numeric = integrate(handle, a.ravel()).states.ravel()
+            numeric = integrate(basis, a.ravel()).states.ravel()
             assert np.abs(exact - numeric).max() < 1e-9
 
 

@@ -1,5 +1,4 @@
 import math
-import re
 import warnings
 
 import numpy as np
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     ROTATION,
     finite_difference_jacobian,
+    linear_basis,
     logistic_system,
     rotation_handle,
     rotation_system,
@@ -43,6 +43,10 @@ from odeident import (
     verify_lower_bound,
     zeta_scan,
 )
+
+
+def refuse_to_run(*args):
+    raise AssertionError("the observation map ran before the inputs were checked")
 
 
 def scalar_exp_handle(tol=1e-12):
@@ -185,8 +189,8 @@ class TestMatrixLinearExactMap:
 
     @pytest.mark.parametrize("k", [1, 2, 4, 5, 8])
     def test_checks_inputs_without_evaluating_the_field(self, k, monkeypatch):
-        # the exact map reads A, never f, df/dx or df/da, so it checks x0, the
-        # grid, tol and alpha only; its bits are those of the full check
+        # the exact map reads A, never df/da: it checks x0, the grid, tol and
+        # alpha only, and a field that refuses to run leaves its bits alone
         rng = np.random.default_rng(k)
         alpha = rng.normal(size=(k, k)).ravel()
         handle = ObservationMapHandle(sys=MatrixLinear(k), x0=rng.normal(size=k),
@@ -196,8 +200,7 @@ class TestMatrixLinearExactMap:
         def refuse(x, alpha):
             raise AssertionError("the exact map evaluated the field")
 
-        for name in ("f", "dfdx", "dfda"):
-            monkeypatch.setattr(handle.sys, name, refuse)
+        monkeypatch.setattr(handle.sys, "dfda", refuse)
         for observe, bits in zip((phi, phi_jacobian), expected):
             assert observe(handle, alpha).tobytes() == bits
             with pytest.raises(DimensionError):
@@ -205,16 +208,6 @@ class TestMatrixLinearExactMap:
             with pytest.raises(DivergenceError) as info:
                 observe(handle, np.full(k * k, math.nan))
             assert info.value.t_fail == 0.0
-
-    @pytest.mark.parametrize("observe", [phi, phi_jacobian])
-    @pytest.mark.parametrize("name,shape", [("f", (2,)), ("dfdx", (1, 2)), ("dfda", (2, 2))])
-    def test_integrating_species_keeps_its_shape_check_at_x0(self, observe, name, shape,
-                                                             monkeypatch):
-        handle = ObservationMapHandle(sys=logistic_system(), x0=np.array([0.1]),
-                                      h=0.5, m=4)
-        monkeypatch.setattr(handle.sys, name, lambda x, alpha: np.zeros(shape))
-        with pytest.raises(DimensionError, match=re.escape(f"has shape {shape} at x0")):
-            observe(handle, [1.0, -1.0])
 
     # m = 400 reaches the square C^8, whose first entry e^1200 overflows: a
     # block product with it would make 0 * inf = nan of the zero first state
@@ -391,16 +384,16 @@ def test_exact_jacobian_run_states_match_phi(k, seed, h, m):
 @given(k=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
        h=st.floats(0.05, 0.5), m=st.integers(1, 8))
 def test_exact_linear_map_matches_integrators(k, seed, h, m):
-    """Exact phi and Jacobian agree with Dormand-Prince at tol 1e-12 for
-    every k."""
+    """Exact phi and Jacobian agree with Dormand-Prince at tol 1e-12 on the
+    same field written as a basis, for every k."""
     rng = np.random.default_rng(seed)
     alpha = stable_matrix(rng, k).ravel()
     x0 = rng.uniform(-1.0, 1.0, size=k)
-    sys = MatrixLinear(k)
-    handle = ObservationMapHandle(sys=sys, x0=x0, h=h, m=m, tol=1e-12)
+    handle = ObservationMapHandle(sys=MatrixLinear(k), x0=x0, h=h, m=m, tol=1e-12)
     got_phi, got_jac = phi(handle, alpha), phi_jacobian(handle, alpha)
-    ref_phi = integrate(handle, alpha).states.ravel()
-    ref_jac = integrate_with_sensitivity(handle, alpha).jacobian
+    basis = ObservationMapHandle(sys=linear_basis(k), x0=x0, h=h, m=m, tol=1e-12)
+    ref_phi = integrate(basis, alpha).states.ravel()
+    ref_jac = integrate_with_sensitivity(basis, alpha).jacobian
     assert np.abs(got_phi - ref_phi).max() <= 1e-9 * np.abs(ref_phi).max()
     assert np.abs(got_jac - ref_jac).max() <= 1e-9 * np.abs(ref_jac).max()
     assert phi(handle, alpha).tobytes() == got_phi.tobytes()
@@ -595,6 +588,15 @@ class TestCertifyRadius:
             certify_radius(rotation_handle(), ROTATION.ravel(), r_work=0.5,
                            gamma_samples=value)
 
+    # numpy's own seeding refuses -1, 1.5 and None with its own errors and
+    # reads True as 1; the check comes before any run
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None, "1"])
+    def test_seed_must_be_an_integer_at_least_zero(self, seed, monkeypatch):
+        monkeypatch.setattr(odeident.obsmap, "phi_jacobian", refuse_to_run)
+        with pytest.raises(DomainError, match="seed"):
+            certify_radius(rotation_handle(), ROTATION.ravel(), r_work=0.5,
+                           gamma_samples=12, seed=seed)
+
     def test_jacobian_norm_beyond_float_range_is_a_range_error(self):
         # the exact map computes this Jacobian (entries ~1e160); beta squares it
         handle = rotation_handle(x0=(1e160, 0.7))
@@ -629,6 +631,16 @@ class TestVerifyLowerBound:
         # a numpy integer is a count
         assert verify_lower_bound(handle, cert, pair_count=np.int64(3), seed=0) \
             .pairs_tested == 3
+
+    # pair_count 1 draws nothing, and its seed is checked all the same
+    @pytest.mark.parametrize("pair_count", [1, 5])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None])
+    def test_seed_must_be_an_integer_at_least_zero(self, seed, pair_count, monkeypatch):
+        handle = rotation_handle()
+        cert = certify_radius(handle, ROTATION.ravel(), r_work=0.1, gamma_samples=10)
+        monkeypatch.setattr(odeident.obsmap, "phi", refuse_to_run)
+        with pytest.raises(DomainError, match="seed"):
+            verify_lower_bound(handle, cert, pair_count=pair_count, seed=seed)
 
     def test_deterministic_given_seed(self):
         handle = scalar_exp_handle(tol=1e-10)

@@ -12,6 +12,7 @@ from conftest import (
     ROTATION,
     finite_difference_jacobian,
     grid_handle,
+    linear_basis,
     logistic_system,
     rotation_system,
     scalar_decay_system,
@@ -65,33 +66,40 @@ def counting_factories(monkeypatch) -> dict:
     return counts
 
 
-class UserSpecies(ParamSystem):
-    """A species added the documented way, by subclassing ParamSystem and
-    supplying f, df/dx and df/da (here as plain functions)."""
+class GenericField(ParamSystem):
+    """A test species' plain and joint fields built from its f, df/dx and
+    df/da, term by term: [f; vec(df/dx Z + df/da)]."""
+
+    def _rhs(self, alpha):
+        return lambda t, x: self.f(x, alpha)
+
+    def _sensitivity_rhs(self, alpha):
+        k, n = self.state_dim, self.param_dim
+
+        def rhs(t, y):
+            x = y[:k]
+            z = y[k:].reshape(k, n)
+            dz = self.dfdx(x, alpha) @ z + self.dfda(x, alpha)
+            return np.concatenate([self.f(x, alpha), dz.ravel()])
+
+        return rhs
+
+
+class UserSpecies(GenericField):
+    """A fake species from plain functions f, df/dx and df/da."""
 
     def __init__(self, state_dim, param_dim, f, dfdx, dfda):
         self.state_dim, self.param_dim = state_dim, param_dim
-        self._f, self._dfdx, self._dfda = f, dfdx, dfda
-
-    def f(self, x, alpha):
-        return self._f(x, alpha)
-
-    def dfdx(self, x, alpha):
-        return self._dfdx(x, alpha)
-
-    def dfda(self, x, alpha):
-        return self._dfda(x, alpha)
+        self.f, self.dfdx, self.dfda = f, dfdx, dfda
 
 
 class TestEvaluate:
     def test_matrix_linear_rotation(self):
-        sys = rotation_system()
-        f, dfdx, dfda = evaluate(sys, [1.0, 0.0], ROTATION.ravel())
-        assert np.allclose(f, [0.0, -1.0])
-        assert np.array_equal(dfdx, ROTATION)
-        # (dfda)[r, i*k+j] = delta_{ri} * x_j
+        dfda = rotation_system().dfda(np.array([1.0, 0.0]), ROTATION.ravel())
+        # (dfda)[r, i*k+j] = delta_{ri} * x_j, and f = A x = dfda @ a
         expected = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
         assert np.array_equal(dfda, expected)
+        assert np.allclose(dfda @ ROTATION.ravel(), [0.0, -1.0])
 
     def test_polynomial_basis_by_hand(self):
         sys = logistic_system()
@@ -101,10 +109,10 @@ class TestEvaluate:
         assert np.allclose(dfdx, [[1.0 - 2.0 * 2.0]])
 
     def test_zero_alpha_gives_zero_field(self):
-        for sys, x in ((logistic_system(), [0.7]),
-                       (rotation_system(), [1.0, -2.0])):
-            f, _, _ = evaluate(sys, x, np.zeros(sys.param_dim))
-            assert np.allclose(f, 0.0)
+        f, _, _ = evaluate(logistic_system(), [0.7], np.zeros(2))
+        assert np.allclose(f, 0.0)
+        zero = np.zeros(4)
+        assert np.allclose(rotation_system().dfda(np.array([1.0, -2.0]), zero) @ zero, 0.0)
 
     def test_dimension_mismatch(self):
         # x0 checked once by the handle, alpha once per run, neither per RHS call
@@ -115,42 +123,6 @@ class TestEvaluate:
         for run in (integrate, integrate_with_sensitivity):
             with pytest.raises(DimensionError):
                 run(grid_handle(logistic_system(), [1.0], 1.0, 1), [1.0])
-
-    @pytest.mark.parametrize("f_func,dfda,match", [
-        (lambda x, a: np.array([a[0] * x[0]]),       # length 1: would broadcast
-         lambda x, a: np.zeros((2, 1)), "f has shape"),
-        (lambda x, a: np.array([a[0], x[0], x[1]]),  # length 3
-         lambda x, a: np.zeros((2, 1)), "f has shape"),
-        (lambda x, a: a[0] * x, lambda x, a: np.zeros(2), "df/da has shape"),
-    ])
-    def test_callback_output_shape_checked_at_x0(self, f_func, dfda, match):
-        sys = UserSpecies(2, 1, f_func, lambda x, a: np.zeros((2, 2)), dfda)
-        # a system whose shapes fail is checked again on every integration
-        for run in (integrate, integrate_with_sensitivity) * 2:
-            with pytest.raises(DimensionError, match=match):
-                run(grid_handle(sys, [1.0, 2.0], 1.0, 2), [1.0])
-
-    def test_callback_partial_shapes_checked_at_x0(self):
-        sys = UserSpecies(1, 1, lambda x, a: a[0] * x, lambda x, a: np.eye(2),
-                          lambda x, a: x[:, None])
-        with pytest.raises(DimensionError, match="df/dx has shape"):
-            integrate_with_sensitivity(grid_handle(sys, [1.0], 1.0, 2), [1.0])
-
-    def test_shapes_checked_once_per_system(self):
-        # the plain field calls f only, so each df/dx call is the shape check's
-        calls = []
-
-        def dfdx(x, a):
-            calls.append(x.copy())
-            return a[None, :]
-
-        sys = UserSpecies(1, 1, lambda x, a: a * x, dfdx, lambda x, a: x[None, :])
-        counts = []
-        for _ in range(2):
-            calls.clear()
-            integrate(grid_handle(sys, [1.0], 1.0, 2), [-0.5])
-            counts.append(len(calls))
-        assert counts == [1, 0]
 
     def test_zero_basis_map_rejected(self):
         with pytest.raises(DomainError):
@@ -230,8 +202,8 @@ def reference_jacobian(poly, x):
     return jac
 
 
-class ReferenceBasis(ParamSystem):
-    """a_1 P_1 + ... + a_n P_n by the reference loops and the generic factories."""
+class ReferenceBasis(GenericField):
+    """a_1 P_1 + ... + a_n P_n by the reference loops and the generic fields."""
 
     def __init__(self, maps):
         self.maps = maps
@@ -482,17 +454,6 @@ class TestPlainField:
         with pytest.raises(DivergenceError):
             integrate(grid_handle(sys, [0.5, -0.5], 1.0, 2), np.full(3, 1.7e308))
 
-    def test_generic_species_reaches_f(self):
-        seen = []
-
-        def f(x, a):
-            seen.append(x.copy())
-            return a * x
-
-        sys = UserSpecies(1, 1, f, lambda x, a: a[None, :], lambda x, a: x[None, :])
-        assert np.array_equal(sys.rhs(np.array([-2.0]))(0.0, np.array([3.0])), [-6.0])
-        assert np.array_equal(seen, [[3.0]])
-
 
 class TestDormandPrinceTableau:
     """ode._DP_T, the step over [y; k_0; ...; k_6], is the Dormand-Prince 5(4)
@@ -541,12 +502,12 @@ class TestIntegrate:
         assert np.abs(traj.states[:, 0] - np.exp(-0.5 * handle.times)).max() < 1e-10
 
     def test_zero_field_constant(self):
-        sys = MatrixLinear(2)
+        sys = linear_basis(2)
         traj = integrate(grid_handle(sys, [0.3, -0.7], 2.0, 4), np.zeros(4))
         assert np.allclose(traj.states, [0.3, -0.7], atol=0.0)
 
     def test_rotation_closed_form(self):
-        handle = grid_handle(rotation_system(), [1.0, 0.0], 5.0, 10, 1e-12)
+        handle = grid_handle(linear_basis(2), [1.0, 0.0], 5.0, 10, 1e-12)
         traj = integrate(handle, ROTATION.ravel())
         exact = np.column_stack([np.cos(handle.times), -np.sin(handle.times)])
         assert np.abs(traj.states - exact).max() < 1e-10
@@ -564,7 +525,7 @@ class TestIntegrate:
             for _ in range(5):
                 a = stable_matrix(rng, k, norm_cap=5.0)
                 x0 = rng.uniform(-1.0, 1.0, size=k)
-                handle = grid_handle(MatrixLinear(k), x0, 5.0, 5, 1e-10)
+                handle = grid_handle(linear_basis(k), x0, 5.0, 5, 1e-10)
                 traj = integrate(handle, a.ravel())
                 for t, state in zip(handle.times, traj.states):
                     assert np.linalg.norm(state - mat_exp(a, t) @ x0) <= 1e-8
@@ -600,6 +561,14 @@ class TestIntegrate:
             with pytest.raises(DivergenceError) as err:
                 run(grid_handle(sys, [1.0], 2.0, 4), [1.0])
             assert err.value.t_fail == 0.5
+
+    @pytest.mark.parametrize("run", [integrate, integrate_with_sensitivity])
+    def test_matrix_linear_has_no_integrator(self, run):
+        handle = grid_handle(rotation_system(), [1.0, 0.0], 1.0, 2)
+        with pytest.raises(DomainError,
+                           match="^MatrixLinear has no integrator: use handle.observe$"):
+            run(handle, ROTATION.ravel())
+        assert handle.observe(ROTATION.ravel(), jacobian=True).jacobian.shape == (4, 4)
 
     def test_precondition_errors(self):
         # the handle refuses them when it is built, before any run
@@ -815,7 +784,7 @@ class TestSensitivity:
     ])
     def test_matches_finite_differences(self, sys, alpha, x0):
         builders = {"scalar": scalar_decay_system, "logistic": logistic_system,
-                    "rotation": rotation_system}
+                    "rotation": lambda: linear_basis(2)}
         system = builders[sys]()
         alpha = np.asarray(alpha, dtype=float)
         tol = 1e-10
@@ -828,22 +797,6 @@ class TestSensitivity:
         fd = finite_difference_jacobian(phi_like, alpha, step=1e-5)
         rel = np.linalg.norm(stacked - fd) / max(np.linalg.norm(fd), 1e-30)
         assert rel <= max(1e-4, 100.0 * tol)
-
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_matrix_linear_rhs_is_bitwise_the_explicit_form(self, k):
-        # x' = A x, Z' = A Z + kron(I, x): the generic factory, signed zeros included
-        rng = np.random.default_rng(k)
-        sys = MatrixLinear(k)
-        amat = rng.standard_normal((k, k))
-        amat[0, 0] = -0.0
-        x = rng.standard_normal(k)
-        x[0] = -0.0
-        z = rng.standard_normal((k, k * k))
-        z[:, 0] = 0.0
-        got = sys.sensitivity_rhs(amat.ravel())(0.0, np.concatenate([x, z.ravel()]))
-        ref = np.concatenate([amat @ x, (amat @ z + np.kron(np.eye(k), x)).ravel()])
-        assert np.array_equal(got, ref)
-        assert np.array_equal(np.signbit(got), np.signbit(ref))
 
     def test_state_part_matches_plain_integration(self):
         # different step sequences, so agreement only to ~global error
